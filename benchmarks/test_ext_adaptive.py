@@ -24,12 +24,12 @@ from repro.serve import (
     FormatBandit,
     FormatDriftDevice,
     PlanCache,
+    PlanKey,
     SpMMServer,
     WorkloadSpec,
     fingerprint_csr,
     generate_workload,
     plan_arm,
-    plan_key,
 )
 from repro.serve.adaptive import build_arm_plan
 
@@ -99,7 +99,7 @@ def _oracle_total_ms(lf, requests):
     total = 0.0
     for i, r in enumerate(requests):
         drifted = i >= half
-        key = (plan_key(fingerprint_csr(r.matrix), r.J), drifted)
+        key = (PlanKey(fingerprint_csr(r.matrix), "spmm", r.J), drifted)
         if key not in cache:
             cache[key] = min(_arm_times_ms(lf, r.matrix, r.J, drifted).values())
         total += cache[key]

@@ -24,8 +24,8 @@ import scipy.sparse as sp
 from repro.gpu.faults import FaultPolicy, FaultyDevice
 from repro.serve import (
     ClusterFrontend,
+    OpRequest,
     ShardRing,
-    SpMMRequest,
     SpMMServer,
     remigration_fraction,
 )
@@ -75,11 +75,11 @@ def _saturated_run(liteform, pool, num_shards, replication, seed=17):
         hot_min_count=2,
         seed=seed,
     )
-    warm = [SpMMRequest(matrix=A, B=None, J=32) for A in pool] * 2
+    warm = [OpRequest(matrix=A, B=None, J=32) for A in pool] * 2
     frontend.replay(warm)
     busy0 = {s["shard_id"]: s["busy_ms"] for s in frontend.snapshot()["shards"]}
     for i in _zipf_indices(SCALING_REQUESTS, SCALING_ZIPF_S, POOL_SIZE, seed=5):
-        frontend.submit(SpMMRequest(matrix=pool[i], B=None, J=32))
+        frontend.submit(OpRequest(matrix=pool[i], B=None, J=32))
     frontend.drain()
     busy1 = {s["shard_id"]: s["busy_ms"] for s in frontend.snapshot()["shards"]}
     deltas = [busy1[k] - busy0[k] for k in busy1]
@@ -117,7 +117,7 @@ CHAOS_REQUESTS = 200
 
 def _chaos_requests(pool):
     idx = _zipf_indices(CHAOS_REQUESTS, SCALING_ZIPF_S, 16, seed=23)
-    return [SpMMRequest(matrix=pool[i], B=None, J=32) for i in idx]
+    return [OpRequest(matrix=pool[i], B=None, J=32) for i in idx]
 
 
 def test_ext_cluster_chaos_availability(benchmark, liteform, pool):
@@ -173,7 +173,7 @@ def test_ext_cluster_remigration_bounded(benchmark, liteform, pool):
     def elastic_run():
         frontend = ClusterFrontend(liteform, num_shards=4, seed=3)
         frontend.replay(
-            [SpMMRequest(matrix=A, B=None, J=32) for A in pool[:32]]
+            [OpRequest(matrix=A, B=None, J=32) for A in pool[:32]]
         )
         return frontend, frontend.add_shard()
 
@@ -183,7 +183,7 @@ def test_ext_cluster_remigration_bounded(benchmark, liteform, pool):
     assert change.fraction <= 1.5 / 5 + 0.1  # small-sample noise on 32 keys
     # the migrated plans serve as hits: replaying composes nothing new
     misses0 = sum(s["cache"]["misses"] for s in frontend.snapshot()["shards"])
-    frontend.replay([SpMMRequest(matrix=A, B=None, J=32) for A in pool[:32]])
+    frontend.replay([OpRequest(matrix=A, B=None, J=32) for A in pool[:32]])
     misses1 = sum(s["cache"]["misses"] for s in frontend.snapshot()["shards"])
     assert misses1 == misses0
     benchmark.extra_info["ring_fraction_add"] = frac_add
@@ -198,10 +198,10 @@ def test_ext_cluster_bit_identical_to_single_node(benchmark, liteform, pool):
     for i in range(24):
         A = pool[i % 6]
         B = rng.standard_normal((A.shape[1], 32)).astype(np.float32)
-        requests.append(SpMMRequest(matrix=A, B=B, J=32))
+        requests.append(OpRequest(matrix=A, B=B, J=32))
     single = SpMMServer(liteform=liteform)
     expected = [
-        single.serve(SpMMRequest(matrix=r.matrix, B=r.B, J=r.J))
+        single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
         for r in requests
     ]
 

@@ -27,8 +27,8 @@ from repro.core.pipeline import compose_cell_plan
 from repro.formats.base import as_csr
 from repro.matrices.collection import SuiteSparseLikeCollection
 from repro.matrices.generators import banded_matrix, random_row_update
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve import OpRequest, PlanCache, SpMMServer
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 
 
 def assert_formats_identical(fmt_a, fmt_b):
@@ -144,14 +144,14 @@ def test_ext_incremental_delta_replay_bit_identical_and_cheaper(benchmark):
 # ---------------------------------------------------------------------------
 
 def _request_key(r):
-    return plan_key(fingerprint_csr(as_csr(r.matrix)), r.J)
+    return PlanKey(fingerprint_csr(as_csr(r.matrix)), "spmm", r.J)
 
 
 def _storm_requests():
     """One measure-only request per distinct matrix: every serve a miss."""
     coll = SuiteSparseLikeCollection(size=20, max_rows=6_000, seed=29)
     return [
-        SpMMRequest(matrix=e.matrix, B=None, J=128, name=e.name) for e in coll
+        OpRequest(matrix=e.matrix, B=None, J=128, name=e.name) for e in coll
     ]
 
 

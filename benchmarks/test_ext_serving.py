@@ -14,8 +14,8 @@ import pytest
 
 from repro.bench import BenchTable
 from repro.serve import (
+    OpRequest,
     PlanCache,
-    SpMMRequest,
     SpMMServer,
     WorkloadSpec,
     generate_workload,
@@ -124,10 +124,10 @@ def test_ext_serving_deadline_bounded_by_fallback(benchmark, liteform):
     degraded = []
     for r in requests[1:]:
         resp = server.serve(
-            SpMMRequest(matrix=r.matrix, B=None, J=r.J, deadline_ms=tight_ms)
+            OpRequest(matrix=r.matrix, B=None, J=r.J, deadline_ms=tight_ms)
         )
         if not resp.cache_hit:
-            assert resp.degraded, r.name
+            assert resp.admission_degraded, r.name
             degraded.append(resp)
 
     assert degraded

@@ -21,7 +21,7 @@ Run:  python examples/cluster_demo.py
 
 from repro.core import LiteForm, generate_training_data
 from repro.matrices import SuiteSparseLikeCollection
-from repro.serve import ClusterFrontend, SpMMRequest, WorkloadSpec, generate_workload
+from repro.serve import ClusterFrontend, OpRequest, WorkloadSpec, generate_workload
 
 
 def fleet_misses(frontend: ClusterFrontend) -> int:
@@ -60,7 +60,7 @@ def main() -> None:
     # 2. Hot-key replication: one matrix dominates the stream.
     hot = requests[0].matrix
     frontend.replay(
-        [SpMMRequest(matrix=hot, B=None, J=32) for _ in range(60)]
+        [OpRequest(matrix=hot, B=None, J=32) for _ in range(60)]
     )
     m = frontend.metrics
     print("\n--- after hammering one matrix ---")

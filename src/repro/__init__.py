@@ -60,8 +60,8 @@ def spmm(
 #: ``import repro`` stays light).
 _SERVE_EXPORTS = (
     "SpMMServer",
-    "SpMMRequest",
-    "SpMMResponse",
+    "OpRequest",
+    "OpResponse",
     "ResponseStatus",
     "PlanCache",
     "WorkloadSpec",

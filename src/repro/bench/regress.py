@@ -401,7 +401,7 @@ def _bench_adaptive(repeats: int) -> Iterator[Metric]:
     up as deterministic drift, not noise."""
     from repro.serve import FormatBandit, FormatDriftDevice
     from repro.serve.adaptive import build_arm_plan
-    from repro.serve.fingerprint import fingerprint_csr, plan_key
+    from repro.serve.fingerprint import PlanKey, fingerprint_csr
 
     coll = SuiteSparseLikeCollection(size=6, max_rows=2000, seed=11)
     liteform = LiteForm().fit(generate_training_data(coll, J_values=(32,)))
@@ -451,7 +451,7 @@ def _bench_adaptive(repeats: int) -> Iterator[Metric]:
     oracle_ms = 0.0
     for i, request in enumerate(requests):
         drifted = i >= half
-        key = (plan_key(fingerprint_csr(request.matrix), request.J), drifted)
+        key = (PlanKey(fingerprint_csr(request.matrix), "spmm", request.J), drifted)
         if key not in best:
             device = FormatDriftDevice(slowdown=4.0, drifted=drifted)
             times = []

@@ -3,7 +3,7 @@
 The paper's argument (Figures 8-9) is that composition is cheap enough to
 amortize *online*; this package supplies the layer that does the
 amortizing.  A :class:`~repro.serve.server.SpMMServer` accepts
-:class:`~repro.serve.server.SpMMRequest` objects, keys composed plans by a
+:class:`~repro.serve.server.OpRequest` objects, keys composed plans by a
 content fingerprint of the sparsity pattern (so repeated matrices hit a
 byte-budgeted LRU :class:`~repro.serve.plan_cache.PlanCache` instead of
 re-running the pipeline), applies deadline-driven admission control (a
@@ -24,7 +24,7 @@ with ``serve(request)`` as the one-request wrapper), implemented both by
 the server and by :class:`~repro.serve.scheduler.Scheduler`, the
 open-loop batched scheduler: a
 :class:`~repro.serve.scheduler.Batcher` coalesces queued requests that
-share a ``(fingerprint, J)`` plan key into one fused launch (operands
+share a plan key into one fused launch (operands
 stacked column-wise, results split back bit-identically), dispatches
 earliest-deadline-first with queueing delay charged against deadlines,
 and sheds arrivals to the degraded path when its bounded queue is full.
@@ -41,8 +41,10 @@ key has enough evidence, overrides the static §5 selector — re-pinning
 the cached plan when its decision flips the format (docs/ADAPTIVE.md).
 
 Requests are op-typed (:class:`~repro.serve.server.OpRequest`,
-``op ∈ {spmm, sddmm, spmv}``; ``SpMMRequest``/``SpMMResponse`` remain as
-aliases) and plans are cached per ``(fingerprint, op, J)``.
+``op ∈ {spmm, sddmm, spmv}``) and plans are cached per
+:class:`~repro.serve.fingerprint.PlanKey` ``(fingerprint, op, J)``; every
+response records the :class:`~repro.serve.server.PlanSource` its plan
+came from.
 :mod:`~repro.serve.graph` chains ops into DAG requests
 (:class:`~repro.serve.graph.GraphRequest`) — a GNN layer's
 SDDMM → normalize → SpMM → dense-update pipeline served end to end with
@@ -73,9 +75,8 @@ from repro.serve.cluster import (
 from repro.serve.fingerprint import (
     OP_KINDS,
     MatrixFingerprint,
+    PlanKey,
     fingerprint_csr,
-    plan_key,
-    plan_op,
 )
 from repro.serve.graph import (
     GraphEngine,
@@ -90,9 +91,8 @@ from repro.serve.scheduler import Batcher, Scheduler, SchedulerMetrics
 from repro.serve.server import (
     OpRequest,
     OpResponse,
+    PlanSource,
     ResponseStatus,
-    SpMMRequest,
-    SpMMResponse,
     SpMMServer,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload, zipf_weights
@@ -115,8 +115,7 @@ __all__ = [
     "remigration_fraction",
     "MatrixFingerprint",
     "fingerprint_csr",
-    "plan_key",
-    "plan_op",
+    "PlanKey",
     "OP_KINDS",
     "GraphEngine",
     "GraphRequest",
@@ -133,8 +132,7 @@ __all__ = [
     "ResponseStatus",
     "OpRequest",
     "OpResponse",
-    "SpMMRequest",
-    "SpMMResponse",
+    "PlanSource",
     "SpMMServer",
     "WorkloadSpec",
     "generate_workload",

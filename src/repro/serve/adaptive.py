@@ -61,13 +61,15 @@ from repro.gpu.stats import KernelStats, Measurement
 from repro.kernels.bcsr_spmm import BCSRSpMM
 from repro.kernels.csr_spmm import RowSplitCSRSpMM
 from repro.matrices.features import format_selection_features
+from repro.serve.fingerprint import PlanKey
 
 #: The bandit's arms — the format families the pipeline can produce.
 ARMS: tuple[str, ...] = ("cell", "csr", "bcsr")
 
 #: Format tag checked on load, bumped on incompatible changes (the same
-#: convention as :data:`repro.serve.plan_cache.CACHE_MAGIC`).
-BANDIT_MAGIC = "repro-banditstate-v1"
+#: convention as :data:`repro.serve.plan_cache.CACHE_MAGIC`).  v2 state is
+#: keyed by :class:`~repro.serve.fingerprint.PlanKey`, v1 by key strings.
+BANDIT_MAGIC = "repro-banditstate-v2"
 
 #: Observations some arm of a key needs before the bandit overrides the
 #: static selector for that key.
@@ -193,10 +195,10 @@ class FormatBandit:
         self.prior_std_ms = float(prior_std_ms)
         self._rng = np.random.default_rng(seed)
         #: key -> arm -> discounted reward statistics.
-        self._stats: dict[str, dict[str, ArmStats]] = {}
+        self._stats: dict[PlanKey, dict[str, ArmStats]] = {}
         #: key -> cached Table 2 feature vector (the bandit's context and
         #: the feature rows of :meth:`training_samples`).
-        self._context: dict[str, np.ndarray] = {}
+        self._context: dict[PlanKey, np.ndarray] = {}
         # Lifetime counters, mirrored onto ServerMetrics by the server.
         self.observations = 0
         self.overrides = 0
@@ -206,7 +208,7 @@ class FormatBandit:
     # -- reward ---------------------------------------------------------
     def observe(
         self,
-        key: str,
+        key: PlanKey,
         arm: str,
         exec_ms: float,
         A: sp.csr_matrix | None = None,
@@ -220,7 +222,7 @@ class FormatBandit:
         stats[arm].observe(exec_ms, self.decay)
         self.observations += 1
 
-    def key_observations(self, key: str) -> int:
+    def key_observations(self, key: PlanKey) -> int:
         """Total observations recorded for ``key`` across all arms."""
         stats = self._stats.get(key)
         return sum(s.count for s in stats.values()) if stats else 0
@@ -231,7 +233,7 @@ class FormatBandit:
             s.count for stats in self._stats.values() for s in stats.values()
         )
 
-    def ready(self, key: str) -> bool:
+    def ready(self, key: PlanKey) -> bool:
         """True once some arm of ``key`` has ``min_obs`` observations —
         the static -> bandit handoff point."""
         stats = self._stats.get(key)
@@ -240,7 +242,7 @@ class FormatBandit:
         return max(s.count for s in stats.values()) >= self.min_obs
 
     # -- selection ------------------------------------------------------
-    def select(self, key: str) -> str | None:
+    def select(self, key: PlanKey) -> str | None:
         """Choose an arm for ``key``, or None to defer to the static
         selector (before the handoff, modulo forced exploration)."""
         if not self.ready(key):
@@ -264,7 +266,7 @@ class FormatBandit:
         self.overrides += 1
         return best
 
-    def expected_best(self, key: str) -> str | None:
+    def expected_best(self, key: PlanKey) -> str | None:
         """The arm with the lowest posterior mean among observed arms."""
         stats = self._stats.get(key)
         if not stats:
@@ -368,7 +370,7 @@ class FormatBandit:
                 continue
             samples.append(
                 serving_format_sample(
-                    name=key,
+                    name=str(key),
                     features=features,
                     cell_time_s=cell.mean_ms / 1e3,
                     fixed_time_s=min(fixed) / 1e3,

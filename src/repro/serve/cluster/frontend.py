@@ -66,11 +66,12 @@ from repro.serve.adaptive import DEFAULT_EXPLORE, DEFAULT_MIN_OBS, FormatBandit
 from repro.serve.cluster.hotkeys import DEFAULT_WINDOW, WindowedFrequencySketch
 from repro.serve.cluster.metrics import ClusterMetrics
 from repro.serve.cluster.ring import DEFAULT_VIRTUAL_NODES, ShardRing
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
+from repro.serve.metrics import FLEET_COUNTERS
 from repro.serve.plan_cache import DEFAULT_MAX_BYTES, CacheEntry, PlanCache
 from repro.serve.resilience import RetryPolicy
 from repro.serve.scheduler import Scheduler
-from repro.serve.server import SpMMRequest, SpMMResponse, SpMMServer
+from repro.serve.server import OpRequest, OpResponse, SpMMServer
 
 
 @dataclass
@@ -78,9 +79,9 @@ class _Pending:
     """One routed-but-not-yet-served request, fingerprinted at submit."""
 
     ticket: int
-    request: SpMMRequest
+    request: OpRequest
     A: sp.csr_matrix
-    key: str
+    key: PlanKey
     #: Shards that already failed this request (reroutes avoid them).
     excluded: set[str] = field(default_factory=set)
     #: Latency already burned on shards that failed this request —
@@ -231,11 +232,11 @@ class ClusterFrontend:
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0
         self._next_ticket = 0
-        self._completed: dict[int, SpMMResponse] = {}
+        self._completed: dict[int, OpResponse] = {}
         #: Ring version at which each hot key was last replicated.
-        self._replicated: dict[str, int] = {}
+        self._replicated: dict[PlanKey | str, int] = {}
         self._ring_version = 0
-        self._hot_seen: set[str] = set()
+        self._hot_seen: set[PlanKey | str] = set()
         if spill_dir is None:
             self._spill_tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             self._spill_dir = Path(self._spill_tmp.name)
@@ -342,7 +343,7 @@ class ClusterFrontend:
         ctx = item.request.ctx
         if lane is None or ctx is None:
             return
-        with lane.span("enqueue", ctx=ctx, kind=kind, key=item.key[:16]):
+        with lane.span("enqueue", ctx=ctx, kind=kind, key=str(item.key)[:16]):
             pass
 
     def lanes(self) -> dict[str, Tracer]:
@@ -369,13 +370,13 @@ class ClusterFrontend:
         return write_merged(self.lanes(), path)
 
     # -- routing -------------------------------------------------------
-    def _route(self, key: str, *, observe: bool = True) -> _Shard:
+    def _route(self, key: PlanKey | str, *, observe: bool = True) -> _Shard:
         """Pick the shard for ``key``: ring owner, or power-of-two-choices
         among the replica set once the key is hot."""
         if observe:
             self._sketch.observe(key)
         tracer = get_tracer()
-        with tracer.span("route", key=key[:16]) as span:
+        with tracer.span("route", key=str(key)[:16]) as span:
             # The absolute floor keeps a nearly-empty window from calling
             # its very first key "hot" (frequency would be 1.0 after one
             # observation).
@@ -442,7 +443,7 @@ class ClusterFrontend:
         return added
 
     def _spill_bandit_state(
-        self, keys: list[str], target: _Shard, path: Path
+        self, keys: list[PlanKey], target: _Shard, path: Path
     ) -> Path | None:
         """Write the donors' bandit state for ``keys`` as a sidecar next
         to the plan spill bundle (None when no donor has evidence)."""
@@ -489,7 +490,7 @@ class ClusterFrontend:
             if bandit_path is not None:
                 bandit_path.unlink(missing_ok=True)
 
-    def _ensure_replicated(self, key: str) -> bool:
+    def _ensure_replicated(self, key: PlanKey | str) -> bool:
         """Copy a hot key's cached plan to its replica shards (once per
         ring version — membership changes re-derive the replica set).
         Returns True once the replica set holds the plan; False while the
@@ -510,7 +511,7 @@ class ClusterFrontend:
         ]
         if targets:
             with get_tracer().span(
-                "migrate", kind="replicate", key=key[:16], replicas=len(targets)
+                "migrate", kind="replicate", key=str(key)[:16], replicas=len(targets)
             ):
                 for sid in targets:
                     self.metrics.plans_replicated += self._transfer(
@@ -520,7 +521,7 @@ class ClusterFrontend:
         return True
 
     # -- serving surface -----------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Fingerprint, route, and enqueue a request; returns a ticket.
 
         This is the cluster's trace ingress: with tracing on, a
@@ -537,9 +538,9 @@ class ClusterFrontend:
             request.ctx = TraceContext.mint("req")
         with tracer.span("ingress", ctx=request.ctx, ticket=ticket) as span:
             A = SpMMServer._canonical(request.matrix)
-            key = plan_key(fingerprint_csr(A), request.J, request.op)
+            key = PlanKey(fingerprint_csr(A), request.op, request.J)
             shard = self._route(key)
-            span.set(key=key[:16], shard=shard.shard_id)
+            span.set(key=str(key)[:16], shard=shard.shard_id)
             item = _Pending(ticket=ticket, request=request, A=A, key=key)
             shard.pending.append(item)
             shard.routed += 1
@@ -547,18 +548,18 @@ class ClusterFrontend:
             self._mark_enqueued(shard, item, kind="submit")
         return ticket
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response (serving anything pending first)."""
         self._process_all()
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Serve everything pending on every shard; returns all unclaimed
         responses in submission (ticket) order."""
         self._process_all()
         return [self._completed.pop(t) for t in sorted(self._completed)]
 
-    def serve(self, request: SpMMRequest) -> SpMMResponse:
+    def serve(self, request: OpRequest) -> OpResponse:
         """Serve one request now — thin wrapper over submit/poll."""
         response = self.poll(self.submit(request))
         assert response is not None  # in-process poll always completes
@@ -587,7 +588,7 @@ class ClusterFrontend:
         ) as span:
             key = plan_key_for_graph(graph)
             shard = self._route(key)
-            span.set(key=key[:16], shard=shard.shard_id)
+            span.set(key=str(key)[:16], shard=shard.shard_id)
             shard.routed += 1
             self.metrics.routed += 1
             self.metrics.graphs += 1
@@ -617,7 +618,7 @@ class ClusterFrontend:
                 for item, response in zip(items, self._serve_on(shard, items)):
                     self._finish(shard, item, response)
 
-    def _serve_on(self, shard: _Shard, items: list[_Pending]) -> list[SpMMResponse]:
+    def _serve_on(self, shard: _Shard, items: list[_Pending]) -> list[OpResponse]:
         # Each shard records onto its own tracer lane (swapped in around
         # the serve call), so the merged trace renders one process track
         # per shard; the request's TraceContext links the lanes.
@@ -638,7 +639,7 @@ class ClusterFrontend:
             if previous is not None:
                 set_tracer(previous)
 
-    def _finish(self, shard: _Shard, item: _Pending, response: SpMMResponse) -> None:
+    def _finish(self, shard: _Shard, item: _Pending, response: OpResponse) -> None:
         if self.slo is not None:
             # Attempt-level feed: a shard-level failure burns budget even
             # when the reroute below ultimately serves the request — the
@@ -688,7 +689,7 @@ class ClusterFrontend:
         self._completed[item.ticket] = response
 
     def _attribute(
-        self, shard: _Shard, item: _Pending, response: SpMMResponse
+        self, shard: _Shard, item: _Pending, response: OpResponse
     ) -> None:
         """Record the finished request's stage breakdown (cluster view)."""
         compose_ms = response.compose_overhead_s * 1e3
@@ -713,13 +714,13 @@ class ClusterFrontend:
         )
 
     # -- elastic membership --------------------------------------------
-    def _primary_owned(self) -> dict[str, _Shard]:
+    def _primary_owned(self) -> dict[PlanKey, _Shard]:
         """``{key: shard}`` for every cached plan resident on its ring
         owner.  Replica copies (hot-key replication leaves duplicates on
         successor shards) are excluded: for remigration accounting only
         the *primary* placement is the ring's promise — duplicates are
         disposable and never migrated."""
-        owned: dict[str, _Shard] = {}
+        owned: dict[PlanKey, _Shard] = {}
         for shard in self._live():
             for key in shard.server.cache.keys():
                 if self.ring.route(key) == shard.shard_id:
@@ -847,7 +848,7 @@ class ClusterFrontend:
 
     def replay(
         self,
-        requests: list[SpMMRequest],
+        requests: list[OpRequest],
         *,
         kill_shard_at_ms: float | None = None,
         kill_shard: str | None = None,
@@ -932,15 +933,7 @@ class ClusterFrontend:
                 "makespan_ms": self.makespan_ms,
                 "throughput_rps": self.aggregate_throughput_rps,
                 "scaling_efficiency": self.scaling_efficiency,
-                "speculative_misses": sum(m.speculative_misses for m in fleet),
-                "speculative_swaps": sum(m.speculative_swaps for m in fleet),
-                "speculative_skipped": sum(m.speculative_skipped for m in fleet),
-                "plan_reuses": sum(m.plan_reuses for m in fleet),
-                "bandit_observations": sum(m.bandit_observations for m in fleet),
-                "bandit_overrides": sum(m.bandit_overrides for m in fleet),
-                "bandit_explorations": sum(m.bandit_explorations for m in fleet),
-                "bandit_flips": sum(m.bandit_flips for m in fleet),
-                "bandit_retrains": sum(m.bandit_retrains for m in fleet),
+                **{name: sum(getattr(m, name) for m in fleet) for name in FLEET_COUNTERS},
             },
             "slo": self.slo.snapshot() if self.slo is not None else None,
             "shards": [],

@@ -40,9 +40,10 @@ DEFAULT_VIRTUAL_NODES = 64
 _RING_SALT = b"repro-ring-v1:"
 
 
-def _hash64(token: str) -> int:
-    """Deterministic 64-bit ring position of ``token``."""
-    digest = hashlib.blake2b(_RING_SALT + token.encode(), digest_size=8).digest()
+def _hash64(token: object) -> int:
+    """Deterministic 64-bit ring position of ``str(token)`` (a shard id,
+    a :class:`~repro.serve.fingerprint.PlanKey`, or any routing string)."""
+    digest = hashlib.blake2b(_RING_SALT + str(token).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -110,14 +111,14 @@ class ShardRing:
         self._rebuild()
 
     # ------------------------------------------------------------------
-    def route(self, key: str) -> str:
+    def route(self, key: object) -> str:
         """The shard owning ``key`` (first point clockwise of its hash)."""
         if not self._shards:
             raise RuntimeError("cannot route on an empty ring")
         idx = bisect_right(self._points, _hash64(key)) % len(self._points)
         return self._owners[idx]
 
-    def route_replicas(self, key: str, k: int) -> list[str]:
+    def route_replicas(self, key: object, k: int) -> list[str]:
         """The ``k`` distinct shards walking clockwise from ``key``.
 
         The first entry is :meth:`route`'s owner (the primary); the rest

@@ -105,19 +105,25 @@ def fingerprint_csr(
 OP_KINDS: tuple[str, ...] = ("spmm", "sddmm", "spmv")
 
 
-def plan_key(fp: MatrixFingerprint, J: int, op: str = "spmm") -> str:
-    """Cache key for one ``(matrix, op, J)`` triple — plans are J-specific
-    because the bucket-width search optimizes for the operand width, and
-    op-specific because the bound kernel differs per op."""
-    if J < 1:
-        raise ValueError(f"J must be >= 1, got {J}")
-    if op not in OP_KINDS:
-        raise ValueError(f"unknown op {op!r}; choose from {list(OP_KINDS)}")
-    return f"{fp.key}/{op}/J{J}"
+@dataclass(frozen=True)
+class PlanKey:
+    """Cache key of one ``(matrix, op, J)`` triple.
 
+    Plans are J-specific because the bucket-width search optimizes for
+    the operand width, and op-specific because the bound kernel differs
+    per op.  ``str(key)`` is the stable ``<fp.key>/<op>/J<J>`` form that
+    ring placement, hot-key routing and span tags hash and print.
+    """
 
-def plan_op(key: str) -> str:
-    """Recover the op segment from a plan key (legacy keys imply spmm)."""
-    head = key.rsplit("/J", 1)[0]
-    op = head.rsplit("/", 1)[-1]
-    return op if op in OP_KINDS else "spmm"
+    fp: MatrixFingerprint
+    op: str
+    J: int
+
+    def __post_init__(self) -> None:
+        if self.op not in OP_KINDS:
+            raise ValueError(f"unknown op {self.op!r}; choose from {list(OP_KINDS)}")
+        if self.J < 1:
+            raise ValueError(f"J must be >= 1, got {self.J}")
+
+    def __str__(self) -> str:
+        return f"{self.fp.key}/{self.op}/J{self.J}"

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 
 from repro.formats.base import VALUE_DTYPE
 from repro.obs import TraceContext, get_tracer
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.server import (
     OpRequest,
     OpResponse,
@@ -142,7 +142,7 @@ class GraphResponse:
 
 
 # ----------------------------------------------------------------------
-def plan_key_for_graph(graph: GraphRequest) -> str:
+def plan_key_for_graph(graph: GraphRequest) -> PlanKey | str:
     """Routing key for a whole graph: the plan key of its first device
     stage carrying a literal matrix (a GNN chain's anchor adjacency).
     Falls back to a name-derived key for graphs with no literal matrix.
@@ -154,7 +154,7 @@ def plan_key_for_graph(graph: GraphRequest) -> str:
             first = stage.inputs[0] if stage.inputs else None
             if isinstance(first, np.ndarray) and first.ndim == 2:
                 J = int(first.shape[1])
-            return plan_key(fingerprint_csr(A), max(1, J), stage.op)
+            return PlanKey(fingerprint_csr(A), stage.op, max(1, J))
     return f"graph:{graph.name or 'anonymous'}"
 
 
@@ -391,7 +391,7 @@ class GraphEngine:
                     for gi, g in enumerate(graphs)
                     if i < len(g.stages) and not out[gi].failed
                 ]
-                fusable: dict[str, list] = {}
+                fusable: dict[PlanKey, list] = {}
                 for gi, stage in wave:
                     if stage.op not in DEVICE_OPS:
                         t0 = time.perf_counter()
@@ -410,7 +410,7 @@ class GraphEngine:
                         )
                         continue
                     A = server._canonical(request.matrix)
-                    key = plan_key(fingerprint_csr(A), request.J, "spmm")
+                    key = PlanKey(fingerprint_csr(A), "spmm", request.J)
                     fusable.setdefault(key, []).append((gi, stage, request, A))
                 for key, members in fusable.items():
                     requests = [r for _, _, r, _ in members]

@@ -17,7 +17,7 @@ latencies) so ``cli stats`` can render a Prometheus-style exposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,71 +98,88 @@ class LatencySeries:
         return out
 
 
+def _counter(name: str, help_text: str, default: float = 0, fleet: bool = False):
+    """Declare a scoreboard counter published on the registry as ``name``.
+
+    ``fleet`` marks the counters :meth:`ClusterFrontend.snapshot
+    <repro.serve.cluster.ClusterFrontend.snapshot>` sums across shards.
+    """
+    return field(default=default, metadata={"prometheus": (name, help_text), "fleet": fleet})
+
+
 @dataclass
 class ServerMetrics:
     """Scoreboard updated by :class:`repro.serve.server.SpMMServer`.
 
-    Every field is mirrored onto :attr:`registry` (a per-instance
+    Every counter is declared once, with its Prometheus name and help
+    text, and mirrored onto :attr:`registry` (a per-instance
     :class:`~repro.obs.MetricsRegistry` by default; pass
     ``repro.obs.get_registry()`` to publish onto the process-wide one).
     """
 
-    requests: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    requests: int = _counter("serve_requests_total", "Requests served")
+    cache_hits: int = _counter("serve_cache_hits_total", "Plan-cache hits")
+    cache_misses: int = _counter("serve_cache_misses_total", "Plan-cache misses")
     #: Requests served the CSR fallback plan by admission control.
-    degraded: int = 0
-    #: Requests whose composition overhead exceeded their deadline anyway.
-    deadline_misses: int = 0
-    #: Requests that exhausted every recovery path and were not served.
-    failed: int = 0
-    #: Extra execution attempts beyond each request's first.
-    retries: int = 0
-    #: Requests that failed at least one attempt but were ultimately served.
-    recovered: int = 0
-    #: Plans rebuilt as CSR after a structural OOM (graceful degradation).
-    oom_degraded: int = 0
-    #: Device-lost errors observed across the pool.
-    device_lost: int = 0
+    degraded: int = _counter("serve_degraded_total", "Requests degraded to the CSR fallback")
+    deadline_misses: int = _counter(
+        "serve_deadline_misses_total", "Requests missing their deadline")
+    failed: int = _counter(
+        "serve_failed_total", "Requests failing after exhausting retries and degradation")
+    retries: int = _counter(
+        "serve_retries_total", "Execution attempts beyond each request's first")
+    recovered: int = _counter(
+        "serve_recovered_total", "Requests served despite at least one failed attempt")
+    oom_degraded: int = _counter(
+        "serve_oom_degraded_total", "Plans rebuilt as CSR after a structural OOM")
+    device_lost: int = _counter(
+        "serve_device_lost_total", "Device-lost errors observed across the pool")
     #: Circuit-breaker trips (closed/half-open -> open) across the pool.
-    breaker_open: int = 0
-    #: Cache misses served the immediate CSR plan while a background
-    #: compose ran (speculative recompose).
-    speculative_misses: int = 0
-    #: Background composes swapped into the plan cache when ready.
-    speculative_swaps: int = 0
-    #: Background composes discarded instead of swapped (the key's entry
-    #: was pinned by a structural-OOM degrade, or the compose errored).
-    speculative_skipped: int = 0
-    #: Graph (DAG) requests served end to end.
-    graphs: int = 0
-    #: Device op stages (spmm/sddmm/spmv) executed inside graph requests.
-    graph_stages: int = 0
-    #: Cache misses served by rebuilding a recorded composed geometry for
-    #: a same-pattern matrix instead of re-running the pipeline.
-    plan_reuses: int = 0
-    #: Successful requests whose simulated latency was fed to the format
-    #: bandit as reward (adaptive serving; docs/ADAPTIVE.md).
-    bandit_observations: int = 0
-    #: Requests whose format was chosen by the bandit instead of the
-    #: static selector (post-handoff Thompson decisions).
-    bandit_overrides: int = 0
-    #: Pre-handoff decisions where the bandit played a random arm.
-    bandit_explorations: int = 0
-    #: Plan-cache entries re-pinned because the bandit flipped a key to a
-    #: different format arm than the cached plan's.
-    bandit_flips: int = 0
-    #: Periodic refits of the static format selector on serving-derived
-    #: training samples.
-    bandit_retrains: int = 0
-    #: Wall-clock seconds spent on those geometry rebuilds (the cheap
-    #: "re-value" path; compare against :attr:`compose_spent_s`).
-    revalue_s: float = 0.0
-    #: Wall-clock seconds spent composing (cache misses).
-    compose_spent_s: float = 0.0
-    #: Wall-clock seconds a compose-per-request server would have spent on
-    #: the hits (credited from each cached entry's recorded overhead).
-    compose_saved_s: float = 0.0
+    breaker_open: int = _counter(
+        "serve_breaker_open_total", "Circuit-breaker trips across the device pool")
+    speculative_misses: int = _counter(
+        "serve_speculative_misses_total",
+        "Misses served the immediate CSR plan during a speculative recompose window",
+        fleet=True)
+    speculative_swaps: int = _counter(
+        "serve_speculative_swaps_total", "Background composes swapped into the plan cache",
+        fleet=True)
+    speculative_skipped: int = _counter(
+        "serve_speculative_skipped_total",
+        "Background composes discarded (OOM-pinned key or compose error)", fleet=True)
+    #: Adaptive serving (docs/ADAPTIVE.md); overrides are post-handoff
+    #: Thompson decisions.
+    bandit_observations: int = _counter(
+        "serve_bandit_observations_total",
+        "Successful requests fed to the format bandit as reward", fleet=True)
+    bandit_overrides: int = _counter(
+        "serve_bandit_overrides_total",
+        "Requests whose format the bandit chose over the static selector", fleet=True)
+    bandit_explorations: int = _counter(
+        "serve_bandit_explorations_total",
+        "Pre-handoff random-arm explorations by the format bandit", fleet=True)
+    bandit_flips: int = _counter(
+        "serve_bandit_flips_total",
+        "Plan-cache entries re-pinned on a bandit format flip", fleet=True)
+    bandit_retrains: int = _counter(
+        "serve_bandit_retrains_total",
+        "Static-selector refits on serving-derived samples", fleet=True)
+    graphs: int = _counter("serve_graph_requests_total", "Graph (DAG) requests served")
+    graph_stages: int = _counter(
+        "serve_graph_stages_total", "Device op stages executed inside graph requests")
+    #: The structural-reuse ("re-value") path; compare :attr:`revalue_s`
+    #: against :attr:`compose_spent_s`.
+    plan_reuses: int = _counter(
+        "serve_graph_plan_reuses_total",
+        "Misses served by rebuilding a recorded composed geometry", fleet=True)
+    revalue_s: float = _counter(
+        "serve_graph_revalue_seconds",
+        "Wall-clock seconds spent rebuilding recorded geometries", default=0.0)
+    compose_spent_s: float = _counter(
+        "serve_compose_spent_seconds", "Wall-clock seconds spent composing", default=0.0)
+    #: Credited from each hit entry's recorded compose overhead.
+    compose_saved_s: float = _counter(
+        "serve_compose_saved_seconds", "Composition seconds saved by cache hits", default=0.0)
     #: Simulated kernel execution time per request.
     exec_ms: LatencySeries = field(default_factory=LatencySeries)
     #: End-to-end request latency: composition overhead + simulated execution.
@@ -183,70 +200,10 @@ class ServerMetrics:
                 self.registry, prefix="serve_stage"
             )
         r = self.registry
-        for name, help_text, attr in (
-            ("serve_requests_total", "Requests served", "requests"),
-            ("serve_cache_hits_total", "Plan-cache hits", "cache_hits"),
-            ("serve_cache_misses_total", "Plan-cache misses", "cache_misses"),
-            ("serve_degraded_total", "Requests degraded to the CSR fallback",
-             "degraded"),
-            ("serve_deadline_misses_total", "Requests missing their deadline",
-             "deadline_misses"),
-            ("serve_failed_total",
-             "Requests failing after exhausting retries and degradation",
-             "failed"),
-            ("serve_retries_total",
-             "Execution attempts beyond each request's first", "retries"),
-            ("serve_recovered_total",
-             "Requests served despite at least one failed attempt",
-             "recovered"),
-            ("serve_oom_degraded_total",
-             "Plans rebuilt as CSR after a structural OOM", "oom_degraded"),
-            ("serve_device_lost_total",
-             "Device-lost errors observed across the pool", "device_lost"),
-            ("serve_breaker_open_total",
-             "Circuit-breaker trips across the device pool", "breaker_open"),
-            ("serve_speculative_misses_total",
-             "Misses served the immediate CSR plan during a speculative "
-             "recompose window", "speculative_misses"),
-            ("serve_speculative_swaps_total",
-             "Background composes swapped into the plan cache",
-             "speculative_swaps"),
-            ("serve_speculative_skipped_total",
-             "Background composes discarded (OOM-pinned key or compose "
-             "error)", "speculative_skipped"),
-            ("serve_graph_requests_total", "Graph (DAG) requests served",
-             "graphs"),
-            ("serve_graph_stages_total",
-             "Device op stages executed inside graph requests",
-             "graph_stages"),
-            ("serve_graph_plan_reuses_total",
-             "Misses served by rebuilding a recorded composed geometry",
-             "plan_reuses"),
-            ("serve_bandit_observations_total",
-             "Successful requests fed to the format bandit as reward",
-             "bandit_observations"),
-            ("serve_bandit_overrides_total",
-             "Requests whose format the bandit chose over the static "
-             "selector", "bandit_overrides"),
-            ("serve_bandit_explorations_total",
-             "Pre-handoff random-arm explorations by the format bandit",
-             "bandit_explorations"),
-            ("serve_bandit_flips_total",
-             "Plan-cache entries re-pinned on a bandit format flip",
-             "bandit_flips"),
-            ("serve_bandit_retrains_total",
-             "Static-selector refits on serving-derived samples",
-             "bandit_retrains"),
-            ("serve_graph_revalue_seconds",
-             "Wall-clock seconds spent rebuilding recorded geometries",
-             "revalue_s"),
-            ("serve_compose_spent_seconds", "Wall-clock seconds spent composing",
-             "compose_spent_s"),
-            ("serve_compose_saved_seconds",
-             "Composition seconds saved by cache hits", "compose_saved_s"),
-        ):
+        for f in COUNTER_FIELDS:
+            name, help_text = f.metadata["prometheus"]
             r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
+                      callback=lambda self=self, a=f.name: getattr(self, a))
         r.gauge("serve_cache_hit_rate", "Plan-cache hit rate",
                 callback=lambda self=self: self.hit_rate)
         self._exec_hist = r.histogram(
@@ -291,39 +248,16 @@ class ServerMetrics:
 
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the scoreboard."""
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "degraded": self.degraded,
-            "deadline_misses": self.deadline_misses,
-            "failed": self.failed,
-            "retries": self.retries,
-            "recovered": self.recovered,
-            "oom_degraded": self.oom_degraded,
-            "device_lost": self.device_lost,
-            "breaker_open": self.breaker_open,
-            "speculative_misses": self.speculative_misses,
-            "speculative_swaps": self.speculative_swaps,
-            "speculative_skipped": self.speculative_skipped,
-            "bandit_observations": self.bandit_observations,
-            "bandit_overrides": self.bandit_overrides,
-            "bandit_explorations": self.bandit_explorations,
-            "bandit_flips": self.bandit_flips,
-            "bandit_retrains": self.bandit_retrains,
-            "availability": self.availability,
-            "graphs": self.graphs,
-            "graph_stages": self.graph_stages,
-            "plan_reuses": self.plan_reuses,
-            "revalue_s": self.revalue_s,
-            "compose_spent_s": self.compose_spent_s,
-            "compose_saved_s": self.compose_saved_s,
-            "exec_ms": self.exec_ms.summary(),
-            "total_ms": self.total_ms.summary(),
-            "failed_ms": self.failed_ms.summary(),
-            "attribution": self.attribution.snapshot(),
-        }
+        out = {f.name: getattr(self, f.name) for f in COUNTER_FIELDS}
+        out.update(
+            hit_rate=self.hit_rate,
+            availability=self.availability,
+            exec_ms=self.exec_ms.summary(),
+            total_ms=self.total_ms.summary(),
+            failed_ms=self.failed_ms.summary(),
+            attribution=self.attribution.snapshot(),
+        )
+        return out
 
     def report(self) -> str:
         """Plain-text summary for terminal output."""
@@ -375,3 +309,10 @@ class ServerMetrics:
                 f"max={f['max']:.3f}"
             )
         return "\n".join(lines)
+
+
+#: The declared counters, in declaration order.
+COUNTER_FIELDS = tuple(f for f in fields(ServerMetrics) if "prometheus" in f.metadata)
+
+#: Counters the cluster snapshot sums across its shards' servers.
+FLEET_COUNTERS = tuple(f.name for f in COUNTER_FIELDS if f.metadata["fleet"])

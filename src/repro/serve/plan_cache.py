@@ -19,24 +19,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.pipeline import ComposePlan
-from repro.serve.fingerprint import OP_KINDS
+from repro.serve.fingerprint import PlanKey
 
-#: Format tag checked on load, bumped on incompatible changes.  v2 keys
-#: carry an op segment (``<fp>/<op>/J<J>``); v1 keys were SpMM-only.
-CACHE_MAGIC = "repro-plancache-v2"
-
-#: The pre-op-key spill format.  Loading one is not an error: every v1
-#: plan was an SpMM plan, so its entries warm-start under the ``spmm``
-#: op segment instead of raising.
-_LEGACY_MAGIC = "repro-plancache-v1"
-
-
-def _migrate_v1_key(key: str) -> str:
-    """Rewrite a v1 ``<fp>/J<J>`` key as a v2 ``<fp>/spmm/J<J>`` key."""
-    head, _, width = key.rpartition("/J")
-    if not head or head.rsplit("/", 1)[-1] in OP_KINDS:
-        return key  # already op-keyed (or not a plan key at all)
-    return f"{head}/spmm/J{width}"
+#: Format tag checked on load, bumped on incompatible changes.  v3 bundles
+#: pickle :class:`~repro.serve.fingerprint.PlanKey` keys; v2 keys were
+#: ``<fp>/<op>/J<J>`` strings and v1 keys had no op segment.
+CACHE_MAGIC = "repro-plancache-v3"
 
 #: Default budget: 256 MiB of resident format arrays.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -46,7 +34,7 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 class CacheEntry:
     """One resident plan with its accounting metadata."""
 
-    key: str
+    key: PlanKey
     plan: ComposePlan
     size_bytes: int
     #: Wall-clock cost of the compose that produced the plan; every later
@@ -62,7 +50,7 @@ class PlanCache:
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[PlanKey, CacheEntry]" = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -73,10 +61,10 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: PlanKey) -> bool:
         return key in self._entries
 
-    def keys(self) -> list[str]:
+    def keys(self) -> list[PlanKey]:
         """Keys in LRU order (least recently used first)."""
         return list(self._entries)
 
@@ -84,7 +72,7 @@ class PlanCache:
         """Resident entries in LRU order (migration/inspection view)."""
         return list(self._entries.values())
 
-    def peek(self, key: str) -> CacheEntry | None:
+    def peek(self, key: PlanKey) -> CacheEntry | None:
         """Look up without touching traffic counters or LRU recency.
 
         The cluster's replication/migration machinery uses this: moving a
@@ -93,7 +81,7 @@ class PlanCache:
         """
         return self._entries.get(key)
 
-    def pop(self, key: str) -> CacheEntry | None:
+    def pop(self, key: PlanKey) -> CacheEntry | None:
         """Remove and return an entry (None if absent) without counting an
         eviction — the entry is being migrated, not discarded."""
         entry = self._entries.pop(key, None)
@@ -102,7 +90,7 @@ class PlanCache:
         return entry
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> CacheEntry | None:
+    def get(self, key: PlanKey) -> CacheEntry | None:
         """Look up a plan; a hit refreshes its LRU position."""
         entry = self._entries.get(key)
         if entry is None:
@@ -113,7 +101,7 @@ class PlanCache:
         entry.hits += 1
         return entry
 
-    def put(self, key: str, plan: ComposePlan, compose_overhead_s: float = 0.0) -> bool:
+    def put(self, key: PlanKey, plan: ComposePlan, compose_overhead_s: float = 0.0) -> bool:
         """Insert (or refresh) a plan; returns False if it cannot fit."""
         size = int(plan.fmt.footprint_bytes)
         if size > self.max_bytes:
@@ -178,8 +166,7 @@ class PlanCache:
             payload = pickle.load(fh)
         if not isinstance(payload, dict) or "magic" not in payload:
             raise ValueError(f"{path} is not a saved plan-cache bundle")
-        legacy = payload["magic"] == _LEGACY_MAGIC
-        if payload["magic"] != CACHE_MAGIC and not legacy:
+        if payload["magic"] != CACHE_MAGIC:
             raise ValueError(
                 f"{path} has incompatible cache tag {payload['magic']!r} "
                 f"(expected {CACHE_MAGIC!r})"
@@ -192,8 +179,6 @@ class PlanCache:
             max_bytes = payload["max_bytes"]
         cache = cls(max_bytes=max_bytes)
         for key, plan, overhead_s in payload["entries"]:
-            if legacy:
-                key = _migrate_v1_key(key)
             cache.put(key, plan, compose_overhead_s=overhead_s)
         # Warm-starting is not traffic: reset *every* counter the loop
         # above may have bumped.  Loading into a smaller budget evicts or

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 import scipy.sparse as sp
 
 from repro.obs import MetricsRegistry, get_tracer
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.metrics import LatencySeries
-from repro.serve.server import SpMMRequest, SpMMResponse, SpMMServer
+from repro.serve.server import OpRequest, OpResponse, SpMMServer
 
 #: Bucket bounds of the batch-size histogram (powers of two — batches are
 #: capped by ``max_batch``, itself typically a power of two).
@@ -179,9 +179,9 @@ class _QueuedRequest:
     admission so dispatch never re-fingerprints."""
 
     ticket: int
-    request: SpMMRequest
+    request: OpRequest
     A: sp.csr_matrix
-    key: str
+    key: PlanKey
     #: Virtual timestamp the request entered the queue.
     enqueued_ms: float
 
@@ -194,12 +194,11 @@ class _QueuedRequest:
         return self.enqueued_ms + self.request.deadline_ms
 
     @property
-    def group_key(self) -> str:
+    def group_key(self) -> tuple[PlanKey, bool]:
         """Coalescing key: the plan-cache key *plus* the operand kind —
         numeric and measure-only requests may share a plan but cannot
         share a launch (there is no operand to stack for the latter)."""
-        kind = "numeric" if self.request.B is not None else "measure"
-        return f"{self.key}|{kind}"
+        return self.key, self.request.B is not None
 
 
 class Batcher:
@@ -222,7 +221,7 @@ class Batcher:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
-        self._groups: dict[str, list[_QueuedRequest]] = {}
+        self._groups: dict[tuple[PlanKey, bool], list[_QueuedRequest]] = {}
         self._count = 0
 
     def __len__(self) -> int:
@@ -304,13 +303,13 @@ class Scheduler:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         self._batcher = Batcher(self.max_batch, self.max_wait_ms)
         self._next_ticket = 0
-        self._submitted: list[tuple[int, SpMMRequest]] = []
-        self._completed: dict[int, SpMMResponse] = {}
+        self._submitted: list[tuple[int, OpRequest]] = []
+        self._completed: dict[int, OpResponse] = {}
         #: Virtual time at which each server device finishes its queue.
         self._free_at_ms = [0.0] * len(self.server.devices)
 
     # ------------------------------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Enqueue a request for the next :meth:`drain`; returns a ticket."""
         ticket = self._next_ticket
         self._next_ticket += 1
@@ -318,20 +317,20 @@ class Scheduler:
         self.metrics.submitted += 1
         return ticket
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response; None until a :meth:`drain` has
         processed the ticket (the event loop needs the whole arrival
         stream to batch correctly, so poll never runs it early)."""
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Replay every submitted request through the event loop; returns
         all unclaimed responses in submission order."""
         self._run()
         out = [self._completed.pop(t) for t in sorted(self._completed)]
         return out
 
-    def replay(self, requests: list[SpMMRequest]) -> SchedulerMetrics:
+    def replay(self, requests: list[OpRequest]) -> SchedulerMetrics:
         """Open-loop one-call run: submit the trace, drain it, return the
         scheduler scoreboard (server-side counters stay on
         ``scheduler.server.metrics``)."""
@@ -394,7 +393,7 @@ class Scheduler:
             [self.metrics.makespan_ms, *self._free_at_ms]
         )
 
-    def _admit(self, ticket: int, request: SpMMRequest, now: float) -> None:
+    def _admit(self, ticket: int, request: OpRequest, now: float) -> None:
         at = max(now, request.arrival_ms)
         if self.max_queue is not None and len(self._batcher) >= self.max_queue:
             # Backpressure: the queue is full.  Shedding serves the
@@ -410,7 +409,7 @@ class Scheduler:
             self._completed[ticket] = response
             return
         A = self.server._canonical(request.matrix)
-        key = plan_key(fingerprint_csr(A), request.J, request.op)
+        key = PlanKey(fingerprint_csr(A), request.op, request.J)
         self._batcher.push(
             _QueuedRequest(
                 ticket=ticket, request=request, A=A, key=key, enqueued_ms=at
@@ -427,7 +426,7 @@ class Scheduler:
         with get_tracer().span(
             "queue_wait",
             size=len(group),
-            key=group[0].key,
+            key=str(group[0].key),
             max_wait_ms=round(max(waits), 4),
             **({"trace_ids": ",".join(member_ids)} if member_ids else {}),
         ):
@@ -441,7 +440,7 @@ class Scheduler:
         for item, response in zip(group, responses):
             self._completed[item.ticket] = response
 
-    def _occupy(self, response: SpMMResponse, start_ms: float) -> None:
+    def _occupy(self, response: OpResponse, start_ms: float) -> None:
         """Charge a launch's simulated cost to its device's worker queue."""
         cost_ms = response.backoff_ms
         if response.measurement is not None:

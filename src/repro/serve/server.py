@@ -1,37 +1,31 @@
 """`SpMMServer` — the request loop between traffic and the pipeline.
 
-Per request the server (1) canonicalizes and fingerprints the matrix,
-(2) consults the plan cache keyed on ``(fingerprint, J)``, (3) on a miss
-runs admission control — if the request carries a deadline and the
-*estimated* composition overhead (an EWMA rate per non-zero learned from
-this server's own ``OverheadBreakdown`` history) would blow it, the ML
-pipeline is skipped and a plain CSR row-split plan is built immediately
-(the degraded path) — otherwise composes via ``LiteForm.compose_csr``,
-and (4) executes on the least-loaded device of a homogeneous pool (the
-same shortest-queue idea :mod:`repro.gpu.multi` uses for shard
-placement, applied across requests instead of within one).
+Per request the server (1) canonicalizes and fingerprints the matrix
+into a :class:`~repro.serve.fingerprint.PlanKey` ``(fingerprint, op, J)``,
+(2) acquires a plan from the first :class:`PlanSource` that applies —
+the plan cache, the format bandit, a recorded same-pattern geometry, a
+speculative CSR fallback, admission control's degraded CSR plan, or a
+full ``LiteForm.compose_csr`` — and (3) executes it on the least-loaded
+device of a homogeneous pool (the same shortest-queue idea
+:mod:`repro.gpu.multi` uses for shard placement, applied across requests
+instead of within one).  :meth:`SpMMServer.serve_batch` does the same
+for a group of requests sharing one plan key, with one acquisition and
+one fused launch.
 
 The serving surface is async-style: :meth:`SpMMServer.submit` enqueues a
 request and returns a ticket, :meth:`SpMMServer.poll` retrieves one
 completed response, :meth:`SpMMServer.drain` completes everything
-pending.  :meth:`SpMMServer.serve` is the one-request convenience
-wrapper over that surface (submit + drain + claim), kept source
-compatible with the original blocking API.  The same surface is
-implemented by :class:`repro.serve.scheduler.Scheduler`, which adds
-open-loop queueing and fingerprint-coalesced micro-batching on top.
-
-:meth:`SpMMServer.serve_batch` serves a group of requests that share one
-``(fingerprint, J)`` cache key with a *single* plan lookup/compose and a
-single fused launch: the dense operands are stacked column-wise into one
-``(K, n*J)`` operand, executed once, and split back per request.  Column
-``j`` of the result depends only on column ``j`` of the operand, so the
-per-request slices are bit-identical to individually served results.
+pending, and :meth:`SpMMServer.serve` wraps the three for one request.
+:class:`repro.serve.scheduler.Scheduler` implements the same surface
+with open-loop queueing and fingerprint-coalesced micro-batching on top.
 
 Deadlines bound the *composition overhead* (time until the kernel can be
 launched), not the simulated kernel time — execution cost is intrinsic
 to the workload, while composition overhead is the part the paper (and
-admission control) can do something about.  Queueing delay (reported by
-the scheduler as ``queue_wait_ms``) also counts against the deadline: a
+admission control) can do something about.  Admission control estimates
+it from an EWMA rate per non-zero learned from this server's own
+``OverheadBreakdown`` history.  Queueing delay (reported by the
+scheduler as ``queue_wait_ms``) also counts against the deadline: a
 request that waited 3 ms of a 5 ms deadline has only 2 ms of composition
 budget left.
 """
@@ -51,24 +45,31 @@ import scipy.sparse as sp
 
 from repro.core.pipeline import ComposePlan, LiteForm, OverheadBreakdown
 from repro.formats.base import VALUE_DTYPE, as_csr
-from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
 from repro.gpu.device import DeviceLostError, SimulatedDevice, SimulatedOOMError
 from repro.gpu.stats import Measurement
-from repro.kernels.cell_spmm import CELLSpMM
-from repro.kernels.csr_spmm import RowSplitCSRSpMM
 from repro.kernels.registry import kernel_for_op
 from repro.kernels.sddmm import CSRSDDMM
 from repro.obs import TraceContext, get_tracer
 from repro.serve.adaptive import FormatBandit, build_arm_plan, plan_arm
-from repro.serve.fingerprint import OP_KINDS, fingerprint_csr, plan_key, plan_op
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.metrics import ServerMetrics
 from repro.serve.plan_cache import PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
-#: Most recent same-pattern composed geometries remembered per server for
-#: the structural-reuse ("re-value") rebuild path.
-_MAX_STRUCTURES = 512
+#: Entries each per-server memo keeps (bounded FIFO): same-pattern
+#: composed geometries for the structural-reuse ("re-value") rebuild path,
+#: and plan keys whose bandit arm plans are memoized.
+_MEMO_LIMIT = 512
+
+
+def _remember(memo: OrderedDict, key, value) -> None:
+    """Insert ``key`` as the newest entry of ``memo``, evicting the oldest
+    entries beyond :data:`_MEMO_LIMIT`."""
+    memo[key] = value
+    memo.move_to_end(key)
+    while len(memo) > _MEMO_LIMIT:
+        memo.popitem(last=False)
 
 
 class ResponseStatus(str, Enum):
@@ -79,13 +80,41 @@ class ResponseStatus(str, Enum):
       control, backpressure shedding, or structural-OOM degradation);
     * ``FAILED`` — every recovery path exhausted, no result.
 
-    The legacy boolean views (``response.failed``, ``response.degraded``)
-    remain available as read-only properties derived from this enum.
+    ``response.failed`` is a read-only view derived from this enum.
     """
 
     OK = "ok"
     DEGRADED = "degraded"
     FAILED = "failed"
+
+
+class PlanSource(str, Enum):
+    """Where a request's plan came from, in the order
+    :meth:`SpMMServer._acquire_plan` tries the sources (the table in
+    docs/SERVING.md says when each is taken)."""
+
+    #: The cached plan, or the bandit's arm re-pinned over it (a flip).
+    HIT = "hit"
+    #: Miss: the bandit's chosen arm, built directly.
+    BANDIT = "bandit"
+    #: Miss: a recorded same-pattern geometry refilled with new values.
+    REVALUE = "revalue"
+    #: Miss: the CSR fallback while the full plan composes in background.
+    SPECULATIVE = "speculative"
+    #: Miss: the CSR fallback chosen by admission control or shedding.
+    DEGRADED = "degraded"
+    #: Miss: the full LiteForm pipeline.
+    COMPOSE = "compose"
+
+
+@dataclass(frozen=True)
+class PlanDecision:
+    """Outcome of plan acquisition: the op-bound plan, its source, and the
+    wall-clock overhead paid from fingerprinting until the plan was ready."""
+
+    plan: ComposePlan
+    source: PlanSource
+    overhead_s: float
 
 
 @dataclass
@@ -102,11 +131,8 @@ class OpRequest:
     only need timing).  ``deadline_ms`` bounds the composition overhead;
     ``None`` means best-effort (always take the full pipeline).
     ``arrival_ms`` is the request's position on the workload's virtual
-    timeline (0.0 for legacy closed-loop traces); the open-loop scheduler
+    timeline (0.0 for closed-loop traces); the open-loop scheduler
     replays arrivals at these timestamps.
-
-    ``SpMMRequest`` is the historical name and remains a module-level
-    alias — existing SpMM-only callers construct it unchanged.
     """
 
     matrix: sp.spmatrix
@@ -134,20 +160,17 @@ class OpRequest:
 class OpResponse:
     """Outcome of one served request.
 
-    ``SpMMResponse`` remains a module-level alias of this class.
     ``C`` is dense for spmm/spmv and a CSR matrix for sddmm.
     """
 
     C: np.ndarray | sp.csr_matrix | None
     measurement: Measurement | None
     plan: ComposePlan | None
-    key: str
-    cache_hit: bool
+    key: PlanKey
+    #: Where :attr:`plan` came from; see :class:`PlanSource`.
+    plan_source: PlanSource
     #: Structured outcome; see :class:`ResponseStatus`.
     status: ResponseStatus
-    #: Admission control (or backpressure shedding) served the CSR
-    #: fallback plan instead of running the pipeline.
-    admission_degraded: bool
     deadline_missed: bool
     device_index: int
     #: Composition overhead actually paid for this request (wall clock):
@@ -173,17 +196,10 @@ class OpResponse:
     #: The scheduler's bounded queue was full; this request was shed to
     #: the degraded CSR path instead of queueing.
     shed: bool = False
-    #: Served the immediate CSR plan of a speculative-recompose window: a
-    #: background compose was (or already had been) kicked off for this
-    #: key and will be swapped into the cache when ready.
-    speculative: bool = False
     #: Trace id the request was served under (None when untraced).
     trace_id: str | None = None
     #: Op kind the request carried (spmm/sddmm/spmv).
     op: str = "spmm"
-    #: A cache miss was served by refilling a recorded same-pattern
-    #: geometry (the structural-reuse path) instead of composing.
-    plan_reused: bool = False
 
     @property
     def ok(self) -> bool:
@@ -191,20 +207,27 @@ class OpResponse:
 
     @property
     def failed(self) -> bool:
-        """Back-compat view of :attr:`status`."""
         return self.status is ResponseStatus.FAILED
 
     @property
-    def degraded(self) -> bool:
-        """Back-compat view: admission control took the fallback path."""
-        return self.admission_degraded
+    def cache_hit(self) -> bool:
+        return self.plan_source is PlanSource.HIT
 
+    @property
+    def admission_degraded(self) -> bool:
+        """Admission control (or backpressure shedding) served the CSR
+        fallback plan instead of running the pipeline."""
+        return self.plan_source is PlanSource.DEGRADED
 
-#: Back-compat aliases: the serving API was SpMM-only before the op
-#: generalization.  Kept as plain aliases (not subclasses) so isinstance
-#: checks and dataclass identity are unaffected; see docs/API.md.
-SpMMRequest = OpRequest
-SpMMResponse = OpResponse
+    @property
+    def speculative(self) -> bool:
+        """Served the immediate CSR plan of a speculative-recompose window."""
+        return self.plan_source is PlanSource.SPECULATIVE
+
+    @property
+    def plan_reused(self) -> bool:
+        """A miss served by refilling a recorded same-pattern geometry."""
+        return self.plan_source is PlanSource.REVALUE
 
 
 @dataclass
@@ -274,24 +297,26 @@ class SpMMServer:
         #: EWMA of compose seconds per non-zero, None until the first compose.
         self._compose_s_per_nnz: float | None = None
         self._next_ticket = 0
-        self._pending: deque[tuple[int, SpMMRequest]] = deque()
-        self._completed: dict[int, SpMMResponse] = {}
+        self._pending: deque[tuple[int, OpRequest]] = deque()
+        self._completed: dict[int, OpResponse] = {}
         #: key -> (background compose future, matrix nnz, canonical CSR).
-        self._inflight: dict[str, tuple[Future, int, sp.csr_matrix]] = {}
+        self._inflight: dict[PlanKey, tuple[Future, int, sp.csr_matrix]] = {}
         #: pattern digest -> recorded composed geometry (the structural-
-        #: reuse rebuild recipe); bounded FIFO of :data:`_MAX_STRUCTURES`.
-        self._structures: "OrderedDict[str, dict]" = OrderedDict()
+        #: reuse rebuild recipe); bounded FIFO of :data:`_MEMO_LIMIT`.
+        self._structures: "OrderedDict[str, tuple]" = OrderedDict()
         #: Keys whose cache entry holds a structurally-OOM-degraded CSR
-        #: plan (the PR 3 pin): background swaps must never overwrite it.
-        self._oom_pinned: set[str] = set()
+        #: plan: background swaps must never overwrite it.
+        self._oom_pinned: set[PlanKey] = set()
         self._spec_pool = (
             ThreadPoolExecutor(max_workers=1, thread_name_prefix="speculate")
             if self.speculative
             else None
         )
         #: key -> arm -> op-bound plan, memoized so a bandit flip back to
-        #: a previously built arm costs a dict lookup, not a rebuild.
-        self._bandit_plans: dict[str, dict[str, ComposePlan]] = {}
+        #: a previously built arm costs a dict lookup, not a rebuild.  A
+        #: bounded FIFO of :data:`_MEMO_LIMIT` keys: these plans sit outside
+        #: the cache's byte budget.
+        self._bandit_plans: "OrderedDict[PlanKey, dict[str, ComposePlan]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     def estimate_compose_s(self, nnz: int) -> float | None:
@@ -329,18 +354,10 @@ class SpMMServer:
             return matrix
         return as_csr(matrix)
 
-    @staticmethod
-    def _fallback_plan(A: sp.csr_matrix) -> ComposePlan:
-        tb = time.perf_counter()
-        fmt = CSRFormat.from_csr(A)
-        build_s = time.perf_counter() - tb
-        return ComposePlan(
-            use_cell=False,
-            fmt=fmt,
-            kernel=RowSplitCSRSpMM(),
-            num_partitions=1,
-            overhead=OverheadBreakdown(0.0, 0.0, 0.0, build_s),
-        )
+    def _fallback_plan(self, A: sp.csr_matrix, op: str) -> ComposePlan:
+        """The CSR row-split plan (the bandit's ``csr`` arm) bound to ``op``:
+        the smallest-footprint format, built in one pass."""
+        return self._bind_op(build_arm_plan(self.liteform, A, 1, "csr"), A, op)
 
     def _bind_op(self, plan: ComposePlan, A: sp.csr_matrix, op: str) -> ComposePlan:
         """Bind the kernel that executes ``op`` onto a composed plan.
@@ -360,16 +377,14 @@ class SpMMServer:
         if kernel is not None:
             return dataclasses.replace(plan, kernel=kernel)
         if op == "sddmm":
-            tb = time.perf_counter()
-            fmt = CSRFormat.from_csr(A)
-            build_s = time.perf_counter() - tb
+            csr = build_arm_plan(self.liteform, A, 1, "csr")
             overhead = dataclasses.replace(
-                plan.overhead, build_s=plan.overhead.build_s + build_s
+                plan.overhead, build_s=plan.overhead.build_s + csr.overhead.build_s
             )
             return dataclasses.replace(
                 plan,
                 use_cell=False,
-                fmt=fmt,
+                fmt=csr.fmt,
                 kernel=CSRSDDMM(),
                 overhead=overhead,
                 incremental=None,
@@ -382,62 +397,38 @@ class SpMMServer:
         digest so later same-pattern misses can rebuild it cheaply.
 
         Must be called with the raw composed plan (before op binding) so
-        the recorded kernel is the plan's own SpMM kernel.
+        the recorded kernel is the plan's own SpMM kernel.  Only the
+        format's build arguments are kept, not its arrays.
         """
-        digest = fingerprint_csr(A, include_values=False).digest
         if plan.use_cell:
             inc = plan.incremental
-            rec = {
-                "use_cell": True,
+            fmt_kwargs = {
                 "num_partitions": plan.num_partitions,
-                "max_widths": list(plan.max_widths),
+                "max_widths": list(plan.max_widths) or None,
                 "block_multiple": inc.block_multiple if inc is not None else 2,
-                "predicted_cost": plan.predicted_cost,
             }
         else:
-            kwargs = {}
             block_shape = getattr(plan.fmt, "block_shape", None)
-            if block_shape is not None:
-                kwargs["block_shape"] = block_shape
-            rec = {
-                "use_cell": False,
-                "fmt_cls": type(plan.fmt),
-                "fmt_kwargs": kwargs,
-                "kernel_cls": type(plan.kernel),
-                "predicted_cost": plan.predicted_cost,
-            }
-        self._structures[digest] = rec
-        self._structures.move_to_end(digest)
-        while len(self._structures) > _MAX_STRUCTURES:
-            self._structures.popitem(last=False)
+            fmt_kwargs = {} if block_shape is None else {"block_shape": block_shape}
+        skeleton = dataclasses.replace(plan, fmt=None, kernel=None, incremental=None)
+        rec = (type(plan.fmt), fmt_kwargs, type(plan.kernel), skeleton)
+        _remember(self._structures, fingerprint_csr(A, include_values=False).digest, rec)
 
-    def _rebuild_structure(self, A: sp.csr_matrix, rec: dict) -> ComposePlan:
+    @staticmethod
+    def _rebuild_structure(A: sp.csr_matrix, rec: tuple) -> ComposePlan:
         """Refill a recorded geometry with ``A``'s values — the cheap
         "re-value" path that skips selection, partitioning, and the
         bucket-width search entirely (only the format arrays are built,
         exactly as the original compose built them)."""
+        fmt_cls, fmt_kwargs, kernel_cls, skeleton = rec
         tb = time.perf_counter()
-        if rec["use_cell"]:
-            widths = rec["max_widths"]
-            fmt = CELLFormat.from_csr(
-                A,
-                num_partitions=rec["num_partitions"],
-                max_widths=widths if widths else None,
-                block_multiple=rec["block_multiple"],
-            )
-            kernel: object = CELLSpMM()
-        else:
-            fmt = rec["fmt_cls"].from_csr(A, **rec["fmt_kwargs"])
-            kernel = rec["kernel_cls"]()
-        build_s = time.perf_counter() - tb
-        return ComposePlan(
-            use_cell=rec["use_cell"],
+        fmt = fmt_cls.from_csr(A, **fmt_kwargs)
+        return dataclasses.replace(
+            skeleton,
             fmt=fmt,
-            kernel=kernel,
-            num_partitions=rec.get("num_partitions", 1),
-            max_widths=list(rec.get("max_widths", [])),
-            overhead=OverheadBreakdown(0.0, 0.0, 0.0, build_s),
-            predicted_cost=rec.get("predicted_cost"),
+            kernel=kernel_cls(),
+            max_widths=list(skeleton.max_widths),
+            overhead=OverheadBreakdown(0.0, 0.0, 0.0, time.perf_counter() - tb),
         )
 
     def _pick_device(self, exclude: set[int] | frozenset[int] = frozenset()) -> int:
@@ -515,7 +506,7 @@ class SpMMServer:
                             plan.fmt, CSRFormat
                         ):
                             with tracer.span("oom_degrade", nnz=A.nnz):
-                                plan = self._bind_op(self._fallback_plan(A), A, op)
+                                plan = self._fallback_plan(A, op)
                             degraded_oom = True
                             m.oom_degraded += 1
                             continue  # fresh plan, not a retry
@@ -533,12 +524,11 @@ class SpMMServer:
                     m.device_lost += 1
                     if slot.breaker.record_failure(fatal=True):
                         m.breaker_open += 1
-                retries_used = attempts - 1
                 if attempts >= self.retry.max_attempts:
                     failed = True
                     break
                 m.retries += 1
-                backoff_ms += self.retry.pause(retries_used + 1)
+                backoff_ms += self.retry.pause(attempts)
                 failed_on.add(slot_index)
                 slot_index = self._pick_device(exclude=failed_on)
             recovered = had_failure and not failed
@@ -562,18 +552,13 @@ class SpMMServer:
         }
 
     # -- speculative recompose -----------------------------------------
-    def _speculate(self, A: sp.csr_matrix, key: str) -> None:
+    def _speculate(self, A: sp.csr_matrix, key: PlanKey) -> None:
         """Kick off a background compose for ``key`` (idempotent while one
         is already in flight)."""
         if key in self._inflight or self._spec_pool is None:
             return
-        self._inflight[key] = (
-            self._spec_pool.submit(
-                self.liteform.compose_csr, A, max(1, self._plan_J(key))
-            ),
-            int(A.nnz),
-            A,
-        )
+        future = self._spec_pool.submit(self.liteform.compose_csr, A, key.J)
+        self._inflight[key] = (future, int(A.nnz), A)
 
     def _apply_ready_swaps(self) -> int:
         """Swap completed background composes into the plan cache.
@@ -598,11 +583,11 @@ class SpMMServer:
                 m.speculative_skipped += 1
                 continue
             if key in self._oom_pinned:
-                with tracer.span("speculative_swap", key=key, skipped=True):
+                with tracer.span("speculative_swap", key=str(key), skipped=True):
                     m.speculative_skipped += 1
                 continue
-            plan = self._bind_op(plan, A, plan_op(key))
-            with tracer.span("speculative_swap", key=key, nnz=nnz):
+            plan = self._bind_op(plan, A, key.op)
+            with tracer.span("speculative_swap", key=str(key), nnz=nnz):
                 self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
             self._observe_compose(nnz, plan.overhead.total_s)
             m.compose_spent_s += plan.overhead.total_s
@@ -633,39 +618,24 @@ class SpMMServer:
         m.bandit_explorations = b.explorations
         m.bandit_retrains = b.retrains
 
-    def _arm_plan(self, A: sp.csr_matrix, key: str, arm: str, op: str) -> ComposePlan:
+    def _arm_plan(self, A: sp.csr_matrix, key: PlanKey, arm: str) -> ComposePlan:
         """The op-bound plan of one bandit arm for ``key``, built once."""
-        per_key = self._bandit_plans.setdefault(key, {})
+        per_key = self._bandit_plans.get(key)
+        if per_key is None:
+            per_key = {}
+            _remember(self._bandit_plans, key, per_key)
         plan = per_key.get(arm)
         if plan is None:
             with get_tracer().span("bandit_build", arm=arm, nnz=A.nnz):
                 plan = self._bind_op(
-                    build_arm_plan(self.liteform, A, self._plan_J(key), arm), A, op
+                    build_arm_plan(self.liteform, A, key.J, arm), A, key.op
                 )
             self.metrics.compose_spent_s += plan.overhead.total_s
             per_key[arm] = plan
         return plan
 
-    def _bandit_decide(
-        self, A: sp.csr_matrix, key: str, cached_plan: ComposePlan, op: str
-    ) -> ComposePlan:
-        """Hit-path bandit decision: keep the cached plan, or substitute
-        the chosen arm's plan and re-pin the cache entry (a "flip")."""
-        b = self.bandit
-        if b is None or key in self._oom_pinned:
-            return cached_plan
-        arm = b.select(key)
-        self._sync_bandit_metrics()
-        if arm is None or arm == plan_arm(cached_plan):
-            return cached_plan
-        plan = self._arm_plan(A, key, arm, op)
-        with get_tracer().span("bandit_repin", arm=arm, key=key):
-            self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-        self.metrics.bandit_flips += 1
-        return plan
-
     def _bandit_observe(
-        self, A: sp.csr_matrix, key: str, plan: ComposePlan, exec_ms: float
+        self, A: sp.csr_matrix, key: PlanKey, plan: ComposePlan, exec_ms: float
     ) -> None:
         """Feed one successful request's simulated latency back as reward
         for the arm that actually executed."""
@@ -679,87 +649,83 @@ class SpMMServer:
         self._sync_bandit_metrics()
 
     # ------------------------------------------------------------------
-    def _prepare_plan(
+    def _acquire_plan(
         self,
         A: sp.csr_matrix,
-        key: str,
+        key: PlanKey,
         t0: float,
-        effective_deadline_ms: float | None,
-        force_degrade: bool,
+        deadline_ms: float | None,
+        force_degrade: bool = False,
         reuse_structure: bool = False,
-    ) -> tuple[ComposePlan, bool, bool, bool, float]:
-        """Cache lookup → admission → compose-or-fallback, shared by the
-        single-request and batched paths.
+    ) -> PlanDecision:
+        """Acquire the plan for ``key``, trying each :class:`PlanSource` in
+        order; shared by the single-request and batched paths.
 
-        Returns ``(plan, cache_hit, admission_degraded, speculative,
-        overhead_s)``.  ``effective_deadline_ms`` is the request's (or
-        batch's tightest) deadline with queueing delay already subtracted;
-        ``force_degrade`` (backpressure shedding) skips the pipeline on a
-        miss outright.  With :attr:`speculative` enabled, a miss returns
-        the CSR fallback immediately and composes in the background
-        (unless the key is OOM-pinned, in which case the pin is restored).
-        With ``reuse_structure``, a miss whose *pattern* matches a
-        recorded compose is served by refilling that geometry (the
-        "re-value" path) instead of re-running the pipeline.
-
-        Every returned plan carries the kernel of the key's op segment.
+        ``deadline_ms`` is the request's (or batch's tightest) deadline
+        with queueing delay already subtracted; ``force_degrade``
+        (backpressure shedding) sends a miss straight to admission, which
+        degrades it.  The bandit, re-value and speculative sources apply
+        only to misses that are not forced to degrade; the bandit skips
+        OOM-pinned keys, and a speculative miss of a pinned key restores
+        the pin instead of composing in the background.  Every returned
+        plan carries the kernel of ``key.op``.
         """
         m = self.metrics
         tracer = get_tracer()
-        op = plan_op(key)
+        op = key.op
+
+        def decided(plan: ComposePlan, source: PlanSource, cache: bool = True):
+            if cache:
+                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
+            return PlanDecision(plan, source, time.perf_counter() - t0)
+
         if self._inflight:
             self._apply_ready_swaps()
         entry = self.cache.get(key)
+        pinned = key in self._oom_pinned
+        arm = None
+        if self.bandit is not None and not pinned and (entry is not None or not force_degrade):
+            # Once armed with enough reward for this key, the bandit picks
+            # the format: on a hit a different arm re-pins the entry (a
+            # "flip"); on a miss (e.g. after an eviction) its arm is built
+            # instead of running the static pipeline.
+            arm = self.bandit.select(key)
+            self._sync_bandit_metrics()
         if entry is not None:
             m.cache_hits += 1
             m.compose_saved_s += entry.compose_overhead_s
-            plan = self._bandit_decide(A, key, entry.plan, op)
-            return plan, True, False, False, time.perf_counter() - t0
-
+            if arm is None or arm == plan_arm(entry.plan):
+                return decided(entry.plan, PlanSource.HIT, cache=False)
+            plan = self._arm_plan(A, key, arm)
+            m.bandit_flips += 1
+            with tracer.span("bandit_repin", arm=arm, key=str(key)):
+                return decided(plan, PlanSource.HIT)
         m.cache_misses += 1
-        if (
-            self.bandit is not None
-            and not force_degrade
-            and key not in self._oom_pinned
-        ):
-            # Miss-path override: a bandit with enough reward for this key
-            # (e.g. after an eviction) serves its chosen arm directly
-            # instead of re-running the static pipeline.
-            arm = self.bandit.select(key)
-            self._sync_bandit_metrics()
-            if arm is not None:
-                plan = self._arm_plan(A, key, arm, op)
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                return plan, False, False, False, time.perf_counter() - t0
+        if arm is not None:
+            return decided(self._arm_plan(A, key, arm), PlanSource.BANDIT)
         if reuse_structure and not force_degrade:
-            rec = self._structures.get(
-                fingerprint_csr(A, include_values=False).digest
-            )
+            rec = self._structures.get(fingerprint_csr(A, include_values=False).digest)
             if rec is not None:
                 with tracer.span("revalue", op=op, nnz=A.nnz):
                     plan = self._bind_op(self._rebuild_structure(A, rec), A, op)
                 m.plan_reuses += 1
                 m.revalue_s += plan.overhead.total_s
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                return plan, False, False, False, time.perf_counter() - t0
+                return decided(plan, PlanSource.REVALUE)
         if self.speculative and not force_degrade:
-            pinned = key in self._oom_pinned
             with tracer.span("speculative_build", nnz=A.nnz, pinned=pinned):
-                plan = self._bind_op(self._fallback_plan(A), A, op)
-            if pinned:
-                # A structural OOM already proved the full plan cannot fit
-                # this working set; restore the degraded pin instead of
-                # paying a background compose that would be discarded.
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-            else:
+                plan = self._fallback_plan(A, op)
+            if not pinned:
                 self._speculate(A, key)
-            return plan, False, False, True, time.perf_counter() - t0
+            # A structural OOM already proved the full plan cannot fit a
+            # pinned key's working set: restore the pin instead of paying
+            # a background compose that would be discarded.
+            return decided(plan, PlanSource.SPECULATIVE, cache=pinned)
         with tracer.span("admission") as adm_span:
             estimate = self.estimate_compose_s(A.nnz)
             degraded = force_degrade or (
-                effective_deadline_ms is not None
+                deadline_ms is not None
                 and estimate is not None
-                and estimate * 1e3 > effective_deadline_ms
+                and estimate * 1e3 > deadline_ms
             )
             adm_span.set(
                 admitted=not degraded,
@@ -768,39 +734,149 @@ class SpMMServer:
             )
         if degraded:
             with tracer.span("degraded_build"):
-                plan = self._bind_op(self._fallback_plan(A), A, op)
-            # degraded plans are intentionally NOT cached: a later
-            # best-effort request for the same matrix should get the
-            # full pipeline, not a pinned fallback.
-            return plan, False, True, False, time.perf_counter() - t0
+                plan = self._fallback_plan(A, op)
+            # Not cached: a later best-effort request for the same matrix
+            # should get the full pipeline, not a pinned fallback.
+            return decided(plan, PlanSource.DEGRADED, cache=False)
         with tracer.span("compose", nnz=A.nnz, op=op):
-            plan = self.liteform.compose_csr(A, max(1, self._plan_J(key)))
+            plan = self.liteform.compose_csr(A, key.J)
         self._observe_compose(A.nnz, plan.overhead.total_s)
         m.compose_spent_s += plan.overhead.total_s
         if reuse_structure:
             # Record before op binding so the recipe holds the plan's own
             # SpMM kernel; later rebuilds re-bind per op.
             self._record_structure(A, plan)
-        plan = self._bind_op(plan, A, op)
-        self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-        return plan, False, False, False, time.perf_counter() - t0
+        return decided(self._bind_op(plan, A, op), PlanSource.COMPOSE)
 
-    @staticmethod
-    def _plan_J(key: str) -> int:
-        """Recover ``J`` from a plan key (``.../J<width>``)."""
-        return int(key.rsplit("/J", 1)[1])
+    def _complete(
+        self,
+        requests: list[OpRequest],
+        waits: list[float],
+        trace_ids: list[str | None],
+        A: sp.csr_matrix,
+        key: PlanKey,
+        decision: PlanDecision,
+        span,
+        shed: bool = False,
+    ) -> list[OpResponse]:
+        """Execute ``decision.plan`` once for every request sharing ``key``
+        and account each one; shared by the single-request and batched
+        paths.
+
+        More than one request runs as a fused launch: the dense operands
+        are stacked column-wise into one ``(K, n*J)`` operand and the
+        result is split back per request.  Output column ``j`` depends
+        only on operand column ``j``, so each slice is bit-identical to an
+        individually served result.
+        """
+        m = self.metrics
+        n, J, source = len(requests), key.J, decision.source
+        operand = requests[0].operands if key.op == "sddmm" else requests[0].B
+        if n > 1 and operand is not None:
+            operand = np.hstack([r.B for r in requests])
+        if source is PlanSource.DEGRADED:
+            m.degraded += n
+        elif source is PlanSource.SPECULATIVE:
+            m.speculative_misses += n
+        outcome = self._execute(A, decision.plan, operand, n * J, op=key.op)
+        plan, failed = outcome["plan"], outcome["failed"]
+        if outcome["degraded_oom"] and not failed:
+            # Pin the degraded CSR plan under this key: later requests for
+            # the same (matrix, op, J) must not re-pay the structural OOM
+            # and the rebuild on every hit.  The pin also blocks any
+            # in-flight speculative swap for this key.
+            self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
+            self._oom_pinned.add(key)
+        measurement = outcome["measurement"]
+        exec_ms = measurement.time_ms if measurement is not None else 0.0
+        overhead_ms = decision.overhead_s * 1e3
+        backoff_ms = outcome["backoff_ms"]
+        if failed:
+            status = ResponseStatus.FAILED
+        elif outcome["degraded_oom"] or source in (PlanSource.DEGRADED, PlanSource.SPECULATIVE):
+            status = ResponseStatus.DEGRADED
+        else:
+            status = ResponseStatus.OK
+        if not failed:
+            # One reward per launch (a fused launch's per-request share):
+            # the bandit's unit of evidence is a launch, not a member.
+            self._bandit_observe(A, key, plan, exec_ms / n)
+        C = outcome["C"]
+        responses = []
+        for i, (request, wait, trace_id) in enumerate(zip(requests, waits, trace_ids)):
+            deadline_missed = (
+                request.deadline_ms is not None
+                and overhead_ms + wait > request.deadline_ms
+            )
+            if deadline_missed:
+                m.deadline_misses += 1
+            latency_ms = wait + overhead_ms + backoff_ms + exec_ms
+            if failed:
+                # Failed requests never enter the success latency series —
+                # a 0 ms "latency" would drag p50/p95 down (they are
+                # tracked separately, with the retry cost they paid).
+                m.failed += 1
+                m.observe_failed_latency(latency_ms)
+            else:
+                if outcome["recovered"]:
+                    m.recovered += 1
+                m.observe_latency(exec_ms, latency_ms)
+            m.attribution.record(
+                trace_id,
+                {
+                    "queue_wait": wait,
+                    "compose": overhead_ms,
+                    "launch": exec_ms,
+                    "retry_backoff": backoff_ms,
+                },
+                total_ms=latency_ms,
+            )
+            C_i = C
+            if n > 1 and C is not None:
+                C_i = np.ascontiguousarray(C[:, i * J : (i + 1) * J])
+            responses.append(
+                OpResponse(
+                    C=C_i,
+                    measurement=measurement,
+                    plan=plan,
+                    key=key,
+                    plan_source=source,
+                    status=status,
+                    deadline_missed=deadline_missed,
+                    device_index=outcome["slot_index"],
+                    compose_overhead_s=decision.overhead_s,
+                    latency_ms=latency_ms,
+                    attempts=outcome["attempts"],
+                    recovered=outcome["recovered"],
+                    backoff_ms=backoff_ms,
+                    degraded_oom=outcome["degraded_oom"],
+                    batch_size=n,
+                    queue_wait_ms=wait,
+                    shed=shed,
+                    trace_id=trace_id,
+                    op=request.op,
+                )
+            )
+        span.set(
+            plan_source=source.value,
+            cache_hit=source is PlanSource.HIT,
+            status=status.value,
+            deadline_missed=any(r.deadline_missed for r in responses),
+            sim_exec_ms=exec_ms,
+        )
+        return responses
 
     # ------------------------------------------------------------------
     def _serve_one(
         self,
-        request: SpMMRequest,
+        request: OpRequest,
         *,
         queue_wait_ms: float = 0.0,
         force_degrade: bool = False,
         shed: bool = False,
         A: sp.csr_matrix | None = None,
-        key: str | None = None,
-    ) -> SpMMResponse:
+        key: PlanKey | None = None,
+    ) -> OpResponse:
         """Serve one request; every path updates :attr:`metrics`.
 
         With a tracer installed (:func:`repro.obs.get_tracer`), each
@@ -809,15 +885,13 @@ class SpMMServer:
         nests the pipeline's per-stage spans), and ``execute`` (which
         nests the simulated ``kernel_launch`` spans).
         """
-        m = self.metrics
-        m.requests += 1
+        self.metrics.requests += 1
         tracer = get_tracer()
         ctx = request.ctx
         if ctx is None and tracer.enabled:
             # Standalone server = its own ingress point: mint here so the
             # whole request subtree (compose, kernel launches) is linked.
             ctx = TraceContext.mint("req")
-        trace_id = ctx.trace_id if ctx is not None else None
         with tracer.span(
             "request",
             ctx=ctx,
@@ -830,110 +904,23 @@ class SpMMServer:
                 if A is None:
                     A = self._canonical(request.matrix)
                 if key is None:
-                    key = plan_key(fingerprint_csr(A), request.J, request.op)
-
-            effective_deadline = (
+                    key = PlanKey(fingerprint_csr(A), request.op, request.J)
+            deadline_ms = (
                 None
                 if request.deadline_ms is None
                 else request.deadline_ms - queue_wait_ms
             )
-            reuses_before = m.plan_reuses
-            plan, cache_hit, degraded, speculative, overhead_s = self._prepare_plan(
-                A,
-                key,
-                t0,
-                effective_deadline,
-                force_degrade,
-                reuse_structure=request.reuse_structure,
+            decision = self._acquire_plan(
+                A, key, t0, deadline_ms, force_degrade, request.reuse_structure
             )
-            plan_reused = m.plan_reuses > reuses_before
-            if degraded:
-                m.degraded += 1
-            if speculative:
-                m.speculative_misses += 1
-
-            operand = request.operands if request.op == "sddmm" else request.B
-            outcome = self._execute(A, plan, operand, request.J, op=request.op)
-            plan = outcome["plan"]
-            measurement = outcome["measurement"]
-            failed = outcome["failed"]
-            if outcome["degraded_oom"] and not failed:
-                # Pin the degraded CSR plan under this key: later requests
-                # for the same (matrix, J) must not re-pay the structural
-                # OOM and the rebuild on every hit.  The pin also blocks
-                # any in-flight speculative swap for this key.
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                self._oom_pinned.add(key)
-            exec_ms = measurement.time_ms if measurement is not None else 0.0
-
-            overhead_ms = overhead_s * 1e3
-            deadline_missed = (
-                request.deadline_ms is not None
-                and overhead_ms + queue_wait_ms > request.deadline_ms
+            trace_id = ctx.trace_id if ctx is not None else None
+            (response,) = self._complete(
+                [request], [queue_wait_ms], [trace_id], A, key, decision, req_span, shed=shed
             )
-            if deadline_missed:
-                m.deadline_misses += 1
-            latency_ms = queue_wait_ms + overhead_ms + outcome["backoff_ms"] + exec_ms
-            if failed:
-                # Failed requests never enter the success latency series —
-                # a 0 ms "latency" would drag p50/p95 down (they are tracked
-                # separately, with the retry cost they actually paid).
-                m.failed += 1
-                m.observe_failed_latency(latency_ms)
-            else:
-                if outcome["recovered"]:
-                    m.recovered += 1
-                m.observe_latency(exec_ms, latency_ms)
-                self._bandit_observe(A, key, plan, exec_ms)
-            if failed:
-                status = ResponseStatus.FAILED
-            elif degraded or outcome["degraded_oom"] or speculative:
-                status = ResponseStatus.DEGRADED
-            else:
-                status = ResponseStatus.OK
-            req_span.set(
-                cache_hit=cache_hit,
-                status=status.value,
-                speculative=speculative,
-                deadline_missed=deadline_missed,
-                sim_exec_ms=exec_ms,
-            )
-            m.attribution.record(
-                trace_id,
-                {
-                    "queue_wait": queue_wait_ms,
-                    "compose": overhead_ms,
-                    "launch": exec_ms,
-                    "retry_backoff": outcome["backoff_ms"],
-                },
-                total_ms=latency_ms,
-            )
-        return SpMMResponse(
-            C=outcome["C"],
-            measurement=measurement,
-            plan=plan,
-            key=key,
-            cache_hit=cache_hit,
-            status=status,
-            admission_degraded=degraded,
-            deadline_missed=deadline_missed,
-            device_index=outcome["slot_index"],
-            compose_overhead_s=overhead_s,
-            latency_ms=latency_ms,
-            attempts=outcome["attempts"],
-            recovered=outcome["recovered"],
-            backoff_ms=outcome["backoff_ms"],
-            degraded_oom=outcome["degraded_oom"],
-            queue_wait_ms=queue_wait_ms,
-            shed=shed,
-            speculative=speculative,
-            trace_id=trace_id,
-            op=request.op,
-            plan_reused=plan_reused,
-        )
+        return response
 
     # -- async-style surface -------------------------------------------
-    def submit(self, request: SpMMRequest) -> int:
+    def submit(self, request: OpRequest) -> int:
         """Enqueue a request; returns a ticket for :meth:`poll`.
 
         The in-process server is lazy-synchronous: the work happens at
@@ -949,20 +936,19 @@ class SpMMServer:
             ticket, request = self._pending.popleft()
             self._completed[ticket] = self._serve_one(request)
 
-    def poll(self, ticket: int) -> SpMMResponse | None:
+    def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response (processing anything pending
         first); None if the ticket is unknown or already claimed."""
         self._process_pending()
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[SpMMResponse]:
+    def drain(self) -> list[OpResponse]:
         """Serve everything pending; returns all unclaimed responses in
         submission order (each response is delivered exactly once)."""
         self._process_pending()
-        out = [self._completed.pop(t) for t in sorted(self._completed)]
-        return out
+        return [self._completed.pop(t) for t in sorted(self._completed)]
 
-    def serve(self, request: SpMMRequest) -> SpMMResponse:
+    def serve(self, request: OpRequest) -> OpResponse:
         """Serve one request now — thin wrapper over submit/poll."""
         ticket = self.submit(request)
         response = self.poll(ticket)
@@ -972,23 +958,18 @@ class SpMMServer:
     # -- coalesced micro-batches ---------------------------------------
     def serve_batch(
         self,
-        requests: list[SpMMRequest],
+        requests: list[OpRequest],
         *,
         queue_waits_ms: list[float] | None = None,
-        prepared: list[tuple[sp.csr_matrix, str]] | None = None,
-    ) -> list[SpMMResponse]:
-        """Serve requests sharing one ``(fingerprint, J)`` key as a single
-        fused launch.
+        prepared: list[tuple[sp.csr_matrix, PlanKey]] | None = None,
+    ) -> list[OpResponse]:
+        """Serve requests sharing one plan key as a single fused launch.
 
-        One plan lookup (or compose) covers the whole group; the dense
-        operands are stacked column-wise into a ``(K, n*J)`` operand and
-        executed once, then the result is split back per request — each
-        slice bit-identical to an individually served response, because
-        output column ``j`` depends only on operand column ``j``.  All
-        requests must agree on the plan key and on operand kind (all
-        numeric or all measure-only); a mixed group raises
-        :exc:`ValueError` — the :class:`~repro.serve.scheduler.Batcher`
-        never forms one.
+        One plan acquisition covers the whole group and one launch
+        executes it (see :meth:`_complete`).  All requests must agree on
+        the plan key and on operand kind (all numeric or all
+        measure-only); a mixed group raises :exc:`ValueError` — the
+        :class:`~repro.serve.scheduler.Batcher` never forms one.
 
         ``queue_waits_ms`` (scheduler-provided) is the per-request
         virtual queueing delay; the group's admission decision uses the
@@ -1006,12 +987,12 @@ class SpMMServer:
             prepared = []
             for r in requests:
                 A = self._canonical(r.matrix)
-                prepared.append((A, plan_key(fingerprint_csr(A), r.J, r.op)))
+                prepared.append((A, PlanKey(fingerprint_csr(A), r.op, r.J)))
         keys = {key for _, key in prepared}
         if len(keys) != 1:
             raise ValueError(
                 f"serve_batch requires one (fingerprint, J) group per op, "
-                f"got {len(keys)} distinct plan keys: {sorted(keys)}"
+                f"got {len(keys)} distinct plan keys: {sorted(map(str, keys))}"
             )
         numeric = [r.B is not None for r in requests]
         if any(numeric) and not all(numeric):
@@ -1019,13 +1000,7 @@ class SpMMServer:
                 "serve_batch cannot mix numeric and measure-only requests"
             )
         A, key = prepared[0]
-        if n == 1:
-            return [
-                self._serve_one(
-                    requests[0], queue_wait_ms=waits[0], A=A, key=key
-                )
-            ]
-        if plan_op(key) != "spmm":
+        if n == 1 or key.op != "spmm":
             # SDDMM operand pairs and SpMV columns have no column-stacked
             # fused-launch equivalence; group members still share the one
             # plan lookup through the cache, just not a launch.
@@ -1034,12 +1009,11 @@ class SpMMServer:
                 for r, w, (a, k) in zip(requests, waits, prepared)
             ]
 
-        m = self.metrics
-        J = requests[0].J
-        m.requests += n
+        self.metrics.requests += n
         tracer = get_tracer()
-        member_ids = [r.ctx.trace_id for r in requests if r.ctx is not None]
-        with tracer.span("batch", size=n, J=J, key=key) as batch_span:
+        trace_ids = [r.ctx.trace_id if r.ctx is not None else None for r in requests]
+        member_ids = [t for t in trace_ids if t is not None]
+        with tracer.span("batch", size=n, J=key.J, key=str(key)) as batch_span:
             if member_ids:
                 # A fused launch serves many trace ids at once; list them
                 # on the batch span so any member's trace finds it.
@@ -1050,110 +1024,12 @@ class SpMMServer:
                 for r, w in zip(requests, waits)
                 if r.deadline_ms is not None
             ]
-            effective_deadline = min(deadlines) if deadlines else None
-            reuses_before = m.plan_reuses
-            plan, cache_hit, degraded, speculative, overhead_s = self._prepare_plan(
-                A,
-                key,
-                t0,
-                effective_deadline,
-                False,
-                reuse_structure=any(r.reuse_structure for r in requests),
-            )
-            plan_reused = m.plan_reuses > reuses_before
-            if degraded:
-                m.degraded += n
-            if speculative:
-                m.speculative_misses += n
+            deadline_ms = min(deadlines) if deadlines else None
+            reuse = any(r.reuse_structure for r in requests)
+            decision = self._acquire_plan(A, key, t0, deadline_ms, reuse_structure=reuse)
+            return self._complete(requests, waits, trace_ids, A, key, decision, batch_span)
 
-            if all(numeric):
-                B = np.hstack([r.B for r in requests])
-            else:
-                B = None
-            outcome = self._execute(A, plan, B, n * J)
-            plan = outcome["plan"]
-            measurement = outcome["measurement"]
-            failed = outcome["failed"]
-            if outcome["degraded_oom"] and not failed:
-                self.cache.put(key, plan, compose_overhead_s=plan.overhead.total_s)
-                self._oom_pinned.add(key)
-            exec_ms = measurement.time_ms if measurement is not None else 0.0
-            overhead_ms = overhead_s * 1e3
-            if not failed:
-                # One reward per fused launch (the per-request share), not
-                # per member: the bandit's unit of evidence is a launch.
-                self._bandit_observe(A, key, plan, exec_ms / n)
-            batch_span.set(
-                cache_hit=cache_hit,
-                degraded=degraded,
-                failed=failed,
-                sim_exec_ms=exec_ms,
-            )
-
-        C_all = outcome["C"]
-        responses = []
-        for i, (request, wait) in enumerate(zip(requests, waits)):
-            C_i = None
-            if C_all is not None:
-                C_i = np.ascontiguousarray(C_all[:, i * J : (i + 1) * J])
-            deadline_missed = (
-                request.deadline_ms is not None
-                and overhead_ms + wait > request.deadline_ms
-            )
-            if deadline_missed:
-                m.deadline_misses += 1
-            latency_ms = wait + overhead_ms + outcome["backoff_ms"] + exec_ms
-            if failed:
-                m.failed += 1
-                m.observe_failed_latency(latency_ms)
-                status = ResponseStatus.FAILED
-            else:
-                if outcome["recovered"]:
-                    m.recovered += 1
-                m.observe_latency(exec_ms, latency_ms)
-                status = (
-                    ResponseStatus.DEGRADED
-                    if degraded or outcome["degraded_oom"] or speculative
-                    else ResponseStatus.OK
-                )
-            trace_id = request.ctx.trace_id if request.ctx is not None else None
-            m.attribution.record(
-                trace_id,
-                {
-                    "queue_wait": wait,
-                    "compose": overhead_ms,
-                    "launch": exec_ms,
-                    "retry_backoff": outcome["backoff_ms"],
-                },
-                total_ms=latency_ms,
-            )
-            responses.append(
-                SpMMResponse(
-                    C=C_i,
-                    measurement=measurement,
-                    plan=plan,
-                    key=key,
-                    cache_hit=cache_hit,
-                    status=status,
-                    admission_degraded=degraded,
-                    deadline_missed=deadline_missed,
-                    device_index=outcome["slot_index"],
-                    compose_overhead_s=overhead_s,
-                    latency_ms=latency_ms,
-                    attempts=outcome["attempts"],
-                    recovered=outcome["recovered"],
-                    backoff_ms=outcome["backoff_ms"],
-                    degraded_oom=outcome["degraded_oom"],
-                    batch_size=n,
-                    queue_wait_ms=wait,
-                    speculative=speculative,
-                    trace_id=trace_id,
-                    plan_reused=plan_reused,
-                )
-            )
-        return responses
-
-    def replay(self, requests: list[SpMMRequest]) -> ServerMetrics:
+    def replay(self, requests: list[OpRequest]) -> ServerMetrics:
         """Serve a whole workload in order and return the scoreboard.
 
         The whole replay runs under one root ``replay`` span so a traced

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from repro.matrices.collection import SuiteSparseLikeCollection
 from repro.matrices.gnn import GNN_DATASETS, make_gnn_standin
-from repro.serve.server import SpMMRequest
+from repro.serve.server import OpRequest
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
@@ -117,7 +117,7 @@ def _build_pool(spec: WorkloadSpec) -> list[tuple[str, sp.csr_matrix]]:
     return pool
 
 
-def generate_workload(spec: WorkloadSpec) -> list[SpMMRequest]:
+def generate_workload(spec: WorkloadSpec) -> list[OpRequest]:
     """Materialize the request trace described by ``spec``.
 
     Dense operands are shared per ``(cols, J)`` pair — regenerating a
@@ -159,7 +159,7 @@ def generate_workload(spec: WorkloadSpec) -> list[SpMMRequest]:
             else None
         )
         requests.append(
-            SpMMRequest(
+            OpRequest(
                 matrix=A,
                 B=operand(A.shape[1], J) if spec.with_operands else None,
                 J=J,

@@ -3,8 +3,11 @@ fast-burn page fires, and the merged Perfetto trace links rerouted
 requests across shard lanes by trace id."""
 
 import json
+from collections import Counter
 
 import pytest
+
+from repro.serve import PlanSource
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +16,7 @@ def cluster(run_cli, artifacts_dir):
     # contracts share one run.
     slo_report = artifacts_dir / "slo_report.json"
     trace_path = artifacts_dir / "cluster_trace.json"
-    snap = run_cli(
+    out = run_cli(
         "serve",
         "--requests",
         240,
@@ -44,12 +47,12 @@ def cluster(run_cli, artifacts_dir):
         "--seed",
         3,
         "--json",
-    )["cluster"]
-    return snap, slo_report, trace_path
+    )
+    return out["cluster"], slo_report, trace_path, out["shards"]
 
 
 def test_chaos_kill_loses_no_requests(cluster):
-    snap, _, _ = cluster
+    snap, _, _, _ = cluster
     assert snap["completed"] == 240, snap["completed"]
     assert snap["failed"] == 0, f"requests lost to chaos: {snap['failed']}"
     assert snap["availability"] == 1.0, snap["availability"]
@@ -61,7 +64,7 @@ def test_chaos_kill_loses_no_requests(cluster):
 def test_slo_fast_burn_page_fired_without_breaching_target(cluster):
     # The fast-burn page fired during the fault storm, while
     # request-level availability never breached its 99% target.
-    snap, slo_report, _ = cluster
+    snap, slo_report, _, _ = cluster
     slo = json.loads(slo_report.read_text())
     pages = [a for a in slo["alerts"] if a["severity"] == "page"]
     assert pages, f"no page alert fired: {slo['alerts']}"
@@ -73,7 +76,7 @@ def test_merged_trace_links_reroutes_across_shard_lanes(cluster):
     # Merged Perfetto trace: one lane per component, and at least one
     # rerouted request's spans linked across two shards' lanes by a
     # single trace id.
-    _, _, trace_path = cluster
+    _, _, trace_path, _ = cluster
     trace = json.loads(trace_path.read_text())
     events = trace["traceEvents"]
     names = {
@@ -93,3 +96,18 @@ def test_merged_trace_links_reroutes_across_shard_lanes(cluster):
         if sum(1 for lane in ls if lane.startswith("shard")) >= 2
     ]
     assert crossed, "no trace id spans two shard lanes"
+
+
+def test_every_served_request_names_its_plan_source(cluster):
+    # Each shard-level serve (reroutes included) tags its request span
+    # with where its plan came from, so the per-source counts add up to
+    # the requests the shards served.
+    _, _, trace_path, shards = cluster
+    events = json.loads(trace_path.read_text())["traceEvents"]
+    sources = Counter(
+        e["args"].get("plan_source")
+        for e in events
+        if e.get("ph") == "X" and e["name"] == "request"
+    )
+    assert set(sources) <= {s.value for s in PlanSource}, sources
+    assert sum(sources.values()) == sum(s["requests"] for s in shards), sources

@@ -9,7 +9,7 @@ import pytest
 from repro.core import LiteForm, generate_training_data
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.obs import NULL_TRACER, Tracer, tracing
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
+from repro.serve import OpRequest, PlanCache, SpMMServer
 
 CHROME_REQUIRED_FIELDS = ("ph", "ts", "dur", "name", "pid", "tid")
 
@@ -25,7 +25,7 @@ def _requests(n=4, J=32):
     for seed in range(1, n + 1):
         A = power_law_graph(400, 6, seed=seed)
         B = np.random.default_rng(seed).standard_normal((A.shape[1], J))
-        out.append(SpMMRequest(matrix=A, B=B.astype(np.float32), J=J, name=f"g{seed}"))
+        out.append(OpRequest(matrix=A, B=B.astype(np.float32), J=J, name=f"g{seed}"))
     return out
 
 

@@ -20,14 +20,14 @@ from repro.serve import (
     ClusterFrontend,
     FormatBandit,
     FormatDriftDevice,
+    OpRequest,
     PlanCache,
-    SpMMRequest,
+    PlanKey,
     SpMMServer,
     WorkloadSpec,
     fingerprint_csr,
     generate_workload,
     plan_arm,
-    plan_key,
 )
 
 
@@ -176,10 +176,12 @@ class TestPersistence:
 
     def test_load_rejects_foreign_pickle(self, tmp_path):
         path = tmp_path / "bogus.bandit"
-        with path.open("wb") as fh:
-            pickle.dump({"magic": "something-else"}, fh)
-        with pytest.raises(ValueError, match="bandit-state"):
-            FormatBandit.load(path)
+        # v1 state was keyed by plan-key strings; it is not migrated.
+        for magic in ("something-else", "repro-banditstate-v1"):
+            with path.open("wb") as fh:
+                pickle.dump({"magic": magic, "stats": {}}, fh)
+            with pytest.raises(ValueError, match="bandit-state"):
+                FormatBandit.load(path)
         with pytest.raises(ValueError, match=BANDIT_MAGIC):
             FormatBandit().merge_state({"magic": "nope"})
 
@@ -207,8 +209,8 @@ class TestServerIntegration:
         """When the bandit's decision differs from the cached plan's arm,
         the cache entry is replaced with the new arm's plan."""
         A = power_law_graph(600, 6, seed=3)
-        req = SpMMRequest(matrix=A, B=None, J=32)
-        key = plan_key(fingerprint_csr(A), 32)
+        req = OpRequest(matrix=A, B=None, J=32)
+        key = PlanKey(fingerprint_csr(A), "spmm", 32)
         device = FormatDriftDevice(slowdown=8.0)
         server = _server(
             liteform,
@@ -239,6 +241,21 @@ class TestServerIntegration:
         snap = m.snapshot()
         assert snap["bandit_observations"] == b.observations
         assert "bandit" in m.report()
+
+    def test_arm_plan_memo_is_bounded(self, liteform, monkeypatch):
+        """Arm plans live outside the cache's byte budget, so their memo
+        keeps only the most recent _MEMO_LIMIT keys."""
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_MEMO_LIMIT", 4)
+        # explore=1.0: every miss plays a random arm, building its plan.
+        server = _server(liteform, FormatBandit(min_obs=50, explore=1.0, seed=3))
+        keys = []
+        for seed in range(7):
+            A = power_law_graph(150, 4, seed=100 + seed)
+            keys.append(server.serve(OpRequest(matrix=A, B=None, J=32)).key)
+        assert server.metrics.bandit_explorations == 7
+        assert list(server._bandit_plans) == keys[-4:]
 
     def test_retrain_requires_evidence(self, liteform):
         bandit = FormatBandit()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import LiteForm, generate_training_data
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache
+from repro.serve import PlanCache, PlanKey, fingerprint_csr
 from repro.serve.plan_cache import CACHE_MAGIC
 
 
@@ -106,63 +106,29 @@ class TestSpill:
 
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "old.pkl"
-        with path.open("wb") as fh:
-            pickle.dump({"magic": "repro-plancache-v0", "entries": []}, fh)
-        with pytest.raises(ValueError, match="incompatible cache tag"):
-            PlanCache.load(path)
-        assert CACHE_MAGIC != "repro-plancache-v0"
-
-    def test_load_migrates_v1_spill_to_op_keys(self, tmp_path, plans):
-        """A pre-op-key (v1) spill warm-starts under ``(fingerprint,
-        "spmm")`` keys instead of raising."""
-        cache = PlanCache(max_bytes=1 << 30)
-        for i, (k, p) in enumerate(plans.items()):
-            cache.put(f"fp-{k}/J{32 + i}", p, compose_overhead_s=0.3)
-        path = tmp_path / "v1.pkl"
-        cache.save(path)
-        # rewrite the bundle as a v1 spill: old magic, pre-op keys
-        with path.open("rb") as fh:
-            payload = pickle.load(fh)
-        payload["magic"] = "repro-plancache-v1"
-        with path.open("wb") as fh:
-            pickle.dump(payload, fh)
-        warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == {
-            f"fp-k{i}/spmm/J{32 + i}" for i in range(4)
-        }
-        entry = warmed.get("fp-k1/spmm/J33")
-        assert entry is not None
-        assert entry.compose_overhead_s == pytest.approx(0.3)
-        assert warmed.hits == 1 and warmed.misses == 0  # the get() above
+        # v1 (pre-op string keys) and v2 (op-segmented string keys) spills
+        # are not migrated to PlanKey-keyed bundles.
+        for magic in ("repro-plancache-v0", "repro-plancache-v1", "repro-plancache-v2"):
+            with path.open("wb") as fh:
+                pickle.dump({"magic": magic, "max_bytes": 1 << 20, "entries": []}, fh)
+            with pytest.raises(ValueError, match="incompatible cache tag"):
+                PlanCache.load(path)
+            assert CACHE_MAGIC != magic
 
     def test_load_leaves_current_magic_keys_untouched(self, tmp_path, plans):
-        """A v2 spill whose keys already carry ops must not be rewritten."""
+        """A spill round-trips its PlanKey keys unchanged."""
+        fp = fingerprint_csr(power_law_graph(300, 6, seed=0))
+        keys = [PlanKey(fp, "sddmm", 16), PlanKey(fp, "spmm", 32)]
         cache = PlanCache(max_bytes=1 << 30)
-        cache.put("fp-a/sddmm/J16", plans["k0"])
-        cache.put("fp-b/spmm/J32", plans["k1"])
-        cache.put("opaque-key", plans["k2"])  # no /J suffix at all
-        path = tmp_path / "v2.pkl"
+        for key, plan in zip(keys, plans.values()):
+            cache.put(key, plan)
+        path = tmp_path / "v3.pkl"
         cache.save(path)
         warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == {
-            "fp-a/sddmm/J16", "fp-b/spmm/J32", "opaque-key"
-        }
-
-    def test_v1_migration_skips_keys_already_op_typed(self, tmp_path, plans):
-        """Defensive: a v1-tagged bundle whose keys already name an op
-        (a hand-edited or half-migrated spill) is not double-rewritten."""
-        cache = PlanCache(max_bytes=1 << 30)
-        cache.put("fp-a/spmv/J1", plans["k0"])
-        cache.put("fp-b/J64", plans["k1"])
-        path = tmp_path / "mixed.pkl"
-        cache.save(path)
-        with path.open("rb") as fh:
-            payload = pickle.load(fh)
-        payload["magic"] = "repro-plancache-v1"
-        with path.open("wb") as fh:
-            pickle.dump(payload, fh)
-        warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == {"fp-a/spmv/J1", "fp-b/spmm/J64"}
+        assert warmed.keys() == keys
+        assert [str(k) for k in warmed.keys()] == [
+            f"{fp.key}/sddmm/J16", f"{fp.key}/spmm/J32"
+        ]
 
     def test_load_keeps_saved_budget_when_unspecified(self, tmp_path, plans):
         cache = PlanCache(max_bytes=12345678)

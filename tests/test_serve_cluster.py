@@ -17,8 +17,8 @@ from repro.gpu import FaultPolicy, FaultyDevice
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.serve import (
     ClusterFrontend,
+    OpRequest,
     RetryPolicy,
-    SpMMRequest,
     SpMMServer,
     WindowedFrequencySketch,
 )
@@ -42,7 +42,7 @@ def _requests(mats, count: int, J: int = 32, with_B: bool = False, seed: int = 0
         B = None
         if with_B:
             B = rng.standard_normal((A.shape[1], J)).astype(np.float32)
-        out.append(SpMMRequest(matrix=A, B=B, J=J, name=f"m{i % len(mats)}"))
+        out.append(OpRequest(matrix=A, B=B, J=J, name=f"m{i % len(mats)}"))
     return out
 
 
@@ -53,7 +53,7 @@ class TestBitIdentity:
         single = SpMMServer(liteform=liteform)
         cluster = ClusterFrontend(liteform, num_shards=4)
         for r in reqs:
-            a = single.serve(SpMMRequest(matrix=r.matrix, B=r.B, J=r.J))
+            a = single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
             b = cluster.serve(r)
             assert b.ok
             assert np.array_equal(a.C, b.C)
@@ -67,7 +67,7 @@ class TestBitIdentity:
             hot_min_count=2,
         )
         for r in reqs:
-            a = single.serve(SpMMRequest(matrix=r.matrix, B=r.B, J=r.J))
+            a = single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
             b = cluster.serve(r)
             assert np.array_equal(a.C, b.C)
 
@@ -115,7 +115,7 @@ class TestHotKeyReplication:
         # 70% of traffic on matrix 0 — a Zipf head.
         pattern = [0, 0, 0, 0, 0, 0, 0, 1, 2, 3]
         reqs = [
-            SpMMRequest(matrix=mats[pattern[i % 10]], B=None, J=32)
+            OpRequest(matrix=mats[pattern[i % 10]], B=None, J=32)
             for i in range(50)
         ]
         fe = ClusterFrontend(

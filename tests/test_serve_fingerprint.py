@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.formats.base import as_csr
 from repro.matrices import power_law_graph, uniform_random_matrix
-from repro.serve import fingerprint_csr, plan_key
+from repro.serve import PlanKey, fingerprint_csr
 
 
 class TestDeterminism:
@@ -102,8 +102,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             fingerprint_csr(A, sample_budget_bytes=8)
 
+    def test_plan_key_string_form_is_stable(self):
+        """``str(key)`` is what ring placement, hot-key routing and span
+        tags hash and print, so it is pinned byte for byte."""
+        key = PlanKey(fingerprint_csr(power_law_graph(100, 4, seed=8)), "sddmm", 16)
+        assert str(key) == "8f9d2fb3f936a86c25634447ed668af8-100x100-384/sddmm/J16"
+        assert (key.op, key.J) == ("sddmm", 16)
+        assert key == PlanKey(key.fp, "sddmm", 16) and hash(key) == hash(
+            PlanKey(key.fp, "sddmm", 16)
+        )
+        with pytest.raises(ValueError, match="unknown op"):
+            PlanKey(key.fp, "gemm", 16)
+        with pytest.raises(ValueError, match="J must be >= 1"):
+            PlanKey(key.fp, "spmm", 0)
+
     def test_plan_key_varies_with_J(self):
         fp = fingerprint_csr(power_law_graph(100, 4, seed=8))
-        assert plan_key(fp, 32) != plan_key(fp, 128)
+        assert PlanKey(fp, "spmm", 32) != PlanKey(fp, "spmm", 128)
         with pytest.raises(ValueError):
-            plan_key(fp, 0)
+            PlanKey(fp, "spmm", 0)

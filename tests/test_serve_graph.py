@@ -25,8 +25,6 @@ from repro.serve import (
     PlanCache,
     Scheduler,
     SpMMServer,
-    plan_key,
-    plan_op,
 )
 from repro.serve.graph import plan_key_for_graph, row_softmax, row_sum_normalize
 
@@ -194,12 +192,12 @@ class TestChainNumerics:
         A = power_law_graph(100, 4, seed=8)
         H = _features(100, seed=8)
 
-        from repro.serve.server import OpResponse, ResponseStatus
+        from repro.serve.server import OpResponse, PlanSource, ResponseStatus
 
         def fail(request, **kwargs):
-            return OpResponse(C=None, measurement=None, plan=None, key="",
-                              cache_hit=False, status=ResponseStatus.FAILED,
-                              admission_degraded=False, deadline_missed=False,
+            return OpResponse(C=None, measurement=None, plan=None, key=None,
+                              plan_source=PlanSource.COMPOSE,
+                              status=ResponseStatus.FAILED, deadline_missed=False,
                               device_index=0, compose_overhead_s=0.0,
                               latency_ms=0.0, op=request.op)
 
@@ -354,8 +352,8 @@ class TestRoutingKey:
         H = _features(100)
         g = GraphRequest(stages=_gat_stages(A, H, _features(16, J=4)))
         key = plan_key_for_graph(g)
-        assert plan_op(key) == "sddmm"
-        assert key.endswith("/J16")
+        assert key.op == "sddmm" and key.J == 16
+        assert str(key).endswith("/sddmm/J16")
 
     def test_fallback_key_for_local_only_graph(self):
         g = GraphRequest(

@@ -11,7 +11,7 @@ from repro.formats.csr import CSRFormat
 from repro.gpu import FaultPolicy, FaultyDevice, SimulatedDevice, SimulatedOOMError
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import CircuitBreaker, PlanCache, RetryPolicy, SpMMRequest, SpMMServer
+from repro.serve import CircuitBreaker, OpRequest, PlanCache, RetryPolicy, SpMMServer
 from repro.serve.resilience import CLOSED, HALF_OPEN, OPEN
 
 
@@ -28,7 +28,7 @@ def _request(seed=1, n=400, J=32, with_B=False):
         B = np.random.default_rng(seed).standard_normal(
             (A.shape[1], J)
         ).astype(np.float32)
-    return SpMMRequest(matrix=A, B=B, J=J)
+    return OpRequest(matrix=A, B=B, J=J)
 
 
 def _faulty_pool(rates, seed=5, **kwargs):

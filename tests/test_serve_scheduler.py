@@ -8,16 +8,16 @@ from repro.gpu import FaultPolicy, FaultyDevice
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.serve import (
     Batcher,
+    OpRequest,
     PlanCache,
     ResponseStatus,
     RetryPolicy,
     Scheduler,
-    SpMMRequest,
     SpMMServer,
     WorkloadSpec,
     generate_workload,
 )
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.scheduler import _QueuedRequest
 
 
@@ -39,7 +39,7 @@ def _request(seed=1, n=400, J=32, deadline_ms=None, arrival_ms=0.0, with_B=True)
         B = np.random.default_rng(seed).standard_normal(
             (A.shape[1], J)
         ).astype(np.float32)
-    return SpMMRequest(
+    return OpRequest(
         matrix=A, B=B, J=J, deadline_ms=deadline_ms, arrival_ms=arrival_ms
     )
 
@@ -50,7 +50,7 @@ def _queued(request, ticket=0, enqueued_ms=0.0):
         ticket=ticket,
         request=request,
         A=A,
-        key=plan_key(fingerprint_csr(A), request.J),
+        key=PlanKey(fingerprint_csr(A), "spmm", request.J),
         enqueued_ms=enqueued_ms,
     )
 
@@ -132,7 +132,7 @@ class TestServeBatch:
         A = power_law_graph(500, 6, seed=3)
         for _ in range(4):
             B = rng.standard_normal((A.shape[1], 32)).astype(np.float32)
-            requests.append(SpMMRequest(matrix=A, B=B, J=32))
+            requests.append(OpRequest(matrix=A, B=B, J=32))
         sequential = SpMMServer(liteform=liteform)
         expected = [sequential.serve(r).C for r in requests]
         responses = server.serve_batch(requests)

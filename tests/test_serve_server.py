@@ -8,7 +8,15 @@ from repro.core import LiteForm, generate_training_data
 from repro.formats.base import as_csr
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
+from repro.obs import tracing
+from repro.serve import (
+    FormatBandit,
+    OpRequest,
+    PlanCache,
+    PlanSource,
+    Scheduler,
+    SpMMServer,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +30,12 @@ def server(liteform):
     return SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
 
 
-def _request(seed=1, n=400, J=32, deadline_ms=None):
+def _request(seed=1, n=400, J=32, deadline_ms=None, reuse_structure=False):
     A = power_law_graph(n, 6, seed=seed)
     B = np.random.default_rng(seed).standard_normal((A.shape[1], J)).astype(np.float32)
-    return SpMMRequest(matrix=A, B=B, J=J, deadline_ms=deadline_ms)
+    return OpRequest(
+        matrix=A, B=B, J=J, deadline_ms=deadline_ms, reuse_structure=reuse_structure
+    )
 
 
 class TestCaching:
@@ -59,14 +69,14 @@ class TestCaching:
 
     def test_different_J_is_a_different_plan(self, server):
         A = power_law_graph(300, 5, seed=5)
-        r32 = server.serve(SpMMRequest(matrix=A, B=None, J=32))
-        r64 = server.serve(SpMMRequest(matrix=A, B=None, J=64))
+        r32 = server.serve(OpRequest(matrix=A, B=None, J=32))
+        r64 = server.serve(OpRequest(matrix=A, B=None, J=64))
         assert not r64.cache_hit
         assert r32.key != r64.key
 
     def test_measure_only_request(self, server):
         req = _request(seed=6)
-        resp = server.serve(SpMMRequest(matrix=req.matrix, B=None, J=32))
+        resp = server.serve(OpRequest(matrix=req.matrix, B=None, J=32))
         assert resp.C is None
         assert resp.measurement is not None and resp.measurement.time_s > 0
 
@@ -82,8 +92,8 @@ class TestCaching:
             data[lo:hi] = data[lo:hi][::-1]
         unsorted = sp.csr_matrix((data, indices, A.indptr.copy()), shape=A.shape)
         assert not unsorted.has_canonical_format
-        first = server.serve(SpMMRequest(matrix=A, B=None, J=32))
-        second = server.serve(SpMMRequest(matrix=unsorted, B=None, J=32))
+        first = server.serve(OpRequest(matrix=A, B=None, J=32))
+        second = server.serve(OpRequest(matrix=unsorted, B=None, J=32))
         assert second.key == first.key
         assert second.cache_hit
 
@@ -99,21 +109,21 @@ class TestCaching:
         )
         summed = as_csr(dup.copy())
         assert summed.nnz == 3  # the duplicate collapsed
-        r1 = server.serve(SpMMRequest(matrix=dup, B=None, J=32))
-        r2 = server.serve(SpMMRequest(matrix=summed, B=None, J=32))
+        r1 = server.serve(OpRequest(matrix=dup, B=None, J=32))
+        r2 = server.serve(OpRequest(matrix=summed, B=None, J=32))
         assert r1.key == r2.key and r2.cache_hit
 
 
 class TestAdmissionControl:
     def test_no_history_admits_optimistically(self, server):
         resp = server.serve(_request(seed=7, deadline_ms=1e-9))
-        assert not resp.degraded  # nothing to estimate from yet
+        assert not resp.admission_degraded  # nothing to estimate from yet
         assert resp.plan.overhead.total_s > 0
 
     def test_deadline_fallback_triggers_and_is_counted(self, server):
         server.serve(_request(seed=8))  # prime the overhead estimate
         resp = server.serve(_request(seed=9, deadline_ms=1e-9))
-        assert resp.degraded
+        assert resp.admission_degraded
         assert not resp.plan.use_cell
         assert type(resp.plan.fmt).__name__ == "CSRFormat"
         assert server.metrics.degraded == 1
@@ -126,7 +136,7 @@ class TestAdmissionControl:
     def test_degraded_plan_is_not_cached(self, server):
         server.serve(_request(seed=8))
         degraded = server.serve(_request(seed=10, deadline_ms=1e-9))
-        assert degraded.degraded
+        assert degraded.admission_degraded
         best_effort = server.serve(_request(seed=10))
         assert not best_effort.cache_hit  # fallback was not pinned
         assert best_effort.plan.overhead.total_s > 0
@@ -134,7 +144,7 @@ class TestAdmissionControl:
     def test_generous_deadline_admits(self, server):
         server.serve(_request(seed=8))
         resp = server.serve(_request(seed=11, deadline_ms=60_000.0))
-        assert not resp.degraded and not resp.deadline_missed
+        assert not resp.admission_degraded and not resp.deadline_missed
 
     def test_estimate_tracks_history(self, server):
         assert server.estimate_compose_s(1000) is None
@@ -186,7 +196,7 @@ class TestResponseStatus:
 
         resp = server.serve(_request(seed=21))
         assert resp.status is ResponseStatus.OK
-        assert resp.ok and not resp.failed and not resp.degraded
+        assert resp.ok and not resp.failed and not resp.admission_degraded
 
     def test_degraded_status_mirrors_property(self, server):
         from repro.serve import ResponseStatus
@@ -194,7 +204,7 @@ class TestResponseStatus:
         server.serve(_request(seed=22, n=300))  # warm the estimator
         resp = server.serve(_request(seed=23, n=2000, deadline_ms=1e-4))
         assert resp.status is ResponseStatus.DEGRADED
-        assert resp.degraded and not resp.failed and not resp.ok
+        assert resp.admission_degraded and not resp.failed and not resp.ok
 
     def test_status_serializes_as_string(self, server):
         import json
@@ -223,3 +233,109 @@ class TestAsyncSurface:
         resp = server.serve(_request(seed=28))
         assert resp.C is not None
         assert server.metrics.requests == 1
+
+
+def _armed_for(source, liteform):
+    """A server and a request whose plan the server will take from
+    ``source`` (warm-up traffic served first where a source needs it)."""
+    server = SpMMServer(
+        liteform=liteform,
+        cache=PlanCache(max_bytes=1 << 30),
+        speculative=source is PlanSource.SPECULATIVE,
+        bandit=(
+            FormatBandit(min_obs=1, explore=0.0, seed=0)
+            if source is PlanSource.BANDIT
+            else None
+        ),
+    )
+    req = _request(seed=21, reuse_structure=source is PlanSource.REVALUE)
+    if source in (PlanSource.HIT, PlanSource.BANDIT, PlanSource.REVALUE):
+        server.serve(req)
+    if source is PlanSource.BANDIT:
+        server.cache.clear()  # a miss on a key the bandit has reward for
+    elif source is PlanSource.REVALUE:
+        A = req.matrix.copy()
+        A.data = A.data * np.float32(2.0)  # same pattern, new values
+        req = OpRequest(matrix=A, B=req.B, J=req.J, reuse_structure=True)
+    elif source is PlanSource.DEGRADED:
+        server.serve(_request(seed=22))  # history for the compose estimate
+        req.deadline_ms = 1e-9
+    return server, req
+
+
+class TestPlanSource:
+    @pytest.mark.parametrize("source", list(PlanSource), ids=lambda s: s.value)
+    def test_each_source_is_reported(self, liteform, source):
+        server, req = _armed_for(source, liteform)
+        with tracing() as tracer:
+            resp = server.serve(req)
+        server.wait_for_speculation()
+        assert resp.plan_source is source
+        (span,) = [s for s in tracer.spans if s.name == "request"]
+        assert span.attributes["plan_source"] == source.value
+        assert span.attributes["cache_hit"] == resp.cache_hit
+        assert resp.cache_hit == (source is PlanSource.HIT)
+        assert resp.admission_degraded == (source is PlanSource.DEGRADED)
+        assert resp.speculative == (source is PlanSource.SPECULATIVE)
+        assert resp.plan_reused == (source is PlanSource.REVALUE)
+        np.testing.assert_allclose(
+            resp.C, spmm_reference(req.matrix, req.B), rtol=1e-4, atol=1e-4
+        )
+
+    def test_batch_span_tags_the_source(self, server):
+        req = _request(seed=23)
+        with tracing() as tracer:
+            responses = server.serve_batch([req, req])
+        assert [r.plan_source for r in responses] == [PlanSource.COMPOSE] * 2
+        (span,) = [s for s in tracer.spans if s.name == "batch"]
+        assert span.attributes["plan_source"] == "compose"
+
+    @pytest.mark.parametrize("speculative", [False, True], ids=["batched", "speculative"])
+    def test_sources_conserve_requests(self, liteform, speculative):
+        """Over a mixed batched replay every response names one source,
+        the per-source counts add up to the served requests, and per
+        launch (one plan lookup each) they match the server's hit, miss
+        and re-value counters, which match the cache's lookups."""
+        server = SpMMServer(
+            liteform=liteform,
+            cache=PlanCache(max_bytes=1 << 30),
+            speculative=speculative,
+        )
+        scheduler = Scheduler(server, max_batch=4, max_wait_ms=0.5)
+        for i in range(18):
+            step = i // 3  # three same-key arrivals per step fuse into one launch
+            if step < 4:  # compose x3, then a hit
+                req = _request(seed=30 + step % 3, reuse_structure=True)
+            elif step == 4:  # same pattern as seed 31, new values: re-value
+                req = _request(seed=31, reuse_structure=True)
+                req.matrix = req.matrix.copy()
+                req.matrix.data = req.matrix.data * np.float32(3.0)
+            else:  # new matrix, deadline below any compose estimate: degraded
+                req = _request(seed=40, deadline_ms=1e-9)
+            req.arrival_ms = float(step)
+            scheduler.submit(req)
+        responses = scheduler.drain()
+        server.wait_for_speculation()
+        m, cache = server.metrics, server.cache
+
+        def count(items):
+            return {s: sum(r.plan_source is s for r in items) for s in PlanSource}
+
+        per_request = count(responses)
+        assert sum(per_request.values()) == len(responses) == m.requests == 18
+        assert per_request[PlanSource.DEGRADED] == m.degraded
+        assert per_request[PlanSource.SPECULATIVE] == m.speculative_misses
+        launches = count({id(r.measurement): r for r in responses}.values())
+        assert sum(launches.values()) == cache.hits + cache.misses == 6
+        assert launches[PlanSource.HIT] == m.cache_hits == cache.hits
+        assert sum(launches.values()) - launches[PlanSource.HIT] == m.cache_misses
+        assert launches[PlanSource.REVALUE] == m.plan_reuses
+        if not speculative:
+            assert launches == {
+                PlanSource.HIT: 1,
+                PlanSource.BANDIT: 0,
+                PlanSource.REVALUE: 1,
+                PlanSource.SPECULATIVE: 0,
+                PlanSource.DEGRADED: 1,
+                PlanSource.COMPOSE: 3,
+            }

@@ -26,8 +26,8 @@ from repro.formats.csr import CSRFormat
 from repro.gpu import SimulatedDevice, SimulatedOOMError
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache, SpMMRequest, SpMMServer
-from repro.serve.fingerprint import fingerprint_csr, plan_key
+from repro.serve import OpRequest, PlanCache, SpMMServer
+from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import ResponseStatus
 
@@ -45,11 +45,11 @@ def _request(seed=1, n=400, J=32, with_B=False):
         B = np.random.default_rng(seed).standard_normal(
             (A.shape[1], J)
         ).astype(np.float32)
-    return SpMMRequest(matrix=A, B=B, J=J)
+    return OpRequest(matrix=A, B=B, J=J)
 
 
 def _key(request):
-    return plan_key(fingerprint_csr(as_csr(request.matrix)), request.J)
+    return PlanKey(fingerprint_csr(as_csr(request.matrix)), "spmm", request.J)
 
 
 def _server(liteform, **kwargs):
