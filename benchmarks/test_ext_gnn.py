@@ -141,10 +141,10 @@ def test_ext_gnn_chain_bit_identical_to_sequential(liteform, epoch_replay):
 
 
 def test_ext_gnn_wave_replay_matches_sequential_graphs(liteform, epoch_replay):
-    """serve_graphs (stage-lockstep wave replay with SpMM coalescing)
+    """replay_graphs (stage-lockstep wave replay with SpMM coalescing)
     returns the same per-graph outputs as serving each graph alone."""
     _, _, responses = epoch_replay
     waved = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
-    wave_responses = waved.serve_graphs(generate_gnn_workload(GNN_SPEC))
+    wave_responses = waved.replay_graphs(generate_gnn_workload(GNN_SPEC))
     for a, b in zip(responses, wave_responses):
         assert np.array_equal(a.output, b.output)

@@ -121,9 +121,14 @@ def _load_matrix(spec: str):
 
 
 @contextmanager
-def _maybe_trace(args):
+def _maybe_trace(args, frontend=None):
     """Install a tracer for the command body when ``--trace`` was given;
-    on exit, write the Chrome trace JSON and print a flame summary."""
+    on exit, write the Chrome trace JSON and print a flame summary.
+
+    For a :class:`~repro.serve.ClusterFrontend` the export is the
+    *merged* multi-lane trace (the frontend lane plus one per shard),
+    not the frontend lane alone.
+    """
     path = getattr(args, "trace", None)
     if not path:
         yield None
@@ -134,13 +139,20 @@ def _maybe_trace(args):
         yield tracer
     finally:
         set_tracer(previous)
-        out = tracer.write(path)
-        print(
-            f"trace: {len(tracer.spans)} spans, {tracer.coverage():.1%} of "
-            f"wall time covered, written to {out}",
-            file=sys.stderr,
-        )
-        print(tracer.flame_summary(), file=sys.stderr)
+        if frontend is not None:
+            out, lanes = frontend.write_trace(path), frontend.lanes()
+            print(
+                f"trace: {len(lanes)} lanes ({', '.join(sorted(lanes))}) merged into {out}",
+                file=sys.stderr,
+            )
+        else:
+            out = tracer.write(path)
+            print(
+                f"trace: {len(tracer.spans)} spans, {tracer.coverage():.1%} of "
+                f"wall time covered, written to {out}",
+                file=sys.stderr,
+            )
+            print(tracer.flame_summary(), file=sys.stderr)
 
 
 def _get_liteform(args) -> LiteForm:
@@ -279,23 +291,146 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _serve_gnn(args) -> int:
-    """``serve --workload gnn``: replay a seeded multi-epoch GNN forward
-    pass as graph (DAG) requests — one GraphRequest per epoch, each a
-    chain of SDDMM/normalize/SpMM/dense stages (docs/GNN.md)."""
-    from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
-    from repro.serve import PlanCache, RetryPolicy, SpMMServer
-
-    for flag, name in (
-        (args.kill_shard is not None, "--kill-shard"),
-        (args.slo, "--slo"),
-        (args.slo_report, "--slo-report"),
-        (args.faults or args.death_rate or args.spike_rate, "fault injection"),
-        (args.drift_after is not None, "--drift-after"),
-        (args.bandit_state, "--bandit-state"),
+def _reject_unused_flags(args) -> None:
+    """Exit on a ``serve`` flag the chosen mode would silently ignore —
+    the one incompatibility table of every serve mode."""
+    gnn = args.workload == "gnn"
+    for ignored, message in (
+        (args.kill_shard is not None and not args.shards, "--kill-shard requires --shards"),
+        (args.replication > 1 and not args.shards, "--replication > 1 requires --shards"),
+        ((args.slo or args.slo_report) and not args.shards,
+         "--slo / --slo-report require --shards (cluster mode)"),
+        (args.slo_report and not args.slo, "--slo-report requires --slo"),
+        (args.max_queue is not None and not args.batch, "--max-queue requires --batch"),
+        (args.bandit_state and not args.adaptive, "--bandit-state requires --adaptive"),
+        (args.bandit_state and args.shards,
+         "--bandit-state is single-node only (each shard keeps its own bandit)"),
+        (_faults(args) and args.drift_after is not None,
+         "--drift-after cannot combine with fault injection"),
+        (gnn and args.kill_shard is not None,
+         "--kill-shard is only supported with --workload zipf"),
+        (gnn and args.slo, "--slo is only supported with --workload zipf"),
     ):
-        if flag:
-            raise SystemExit(f"{name} is only supported with --workload zipf")
+        if ignored:
+            raise SystemExit(message)
+
+
+def _faults(args) -> bool:
+    return bool(args.faults or args.death_rate or args.spike_rate)
+
+
+def _device_factory(args):
+    """``device_factory(shard_index, device_index)`` for the fault and
+    drift flags (None without them).  A single node uses shard 0's."""
+    if _faults(args):
+        from repro.gpu.faults import FaultPolicy, FaultyDevice
+
+        print(
+            f"fault injection: transient OOM {args.faults:.1%}, "
+            f"death {args.death_rate:.2%}, spikes {args.spike_rate:.1%} "
+            f"per launch (retries={args.retries}, "
+            f"degrade={'off' if args.no_degrade else 'on'})",
+            file=sys.stderr,
+        )
+        return lambda shard, device: FaultyDevice(
+            faults=FaultPolicy(
+                transient_oom_rate=args.faults,
+                death_rate=args.death_rate,
+                latency_spike_rate=args.spike_rate,
+                seed=args.seed + 1000 + shard * 100 + device,
+            )
+        )
+    if args.drift_after is not None:
+        from repro.serve import FormatDriftDevice
+
+        print(
+            f"format drift: {args.drift_kernel}* kernels "
+            f"{args.drift_slowdown:g}x slower after {args.drift_after} "
+            f"launches per device",
+            file=sys.stderr,
+        )
+        return lambda shard, device: FormatDriftDevice(
+            slow_prefixes=(args.drift_kernel,),
+            slowdown=args.drift_slowdown,
+            shift_after_launches=args.drift_after,
+        )
+    return None
+
+
+def _build_surface(args, lf: LiteForm, bandit):
+    """The serving surface the ``serve`` flags describe: a
+    :class:`~repro.serve.ClusterFrontend` with ``--shards``, else a
+    :class:`~repro.serve.Scheduler` over a server with ``--batch``, else
+    a bare :class:`~repro.serve.SpMMServer`."""
+    from repro.serve import ClusterFrontend, PlanCache, RetryPolicy, Scheduler, SpMMServer
+
+    factory = _device_factory(args)
+    policy = dict(
+        retry=RetryPolicy(max_attempts=args.retries),
+        degrade_on_oom=not args.no_degrade,
+        speculative=args.speculative,
+    )
+    queueing = dict(max_wait_ms=args.max_wait_ms, max_queue=args.max_queue)
+    if not args.shards:
+        server = SpMMServer(
+            liteform=lf,
+            cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
+            num_devices=args.devices,
+            devices=None if factory is None else [factory(0, d) for d in range(args.devices)],
+            bandit=bandit,
+            **policy,
+        )
+        return Scheduler(server=server, max_batch=args.batch, **queueing) if args.batch else server
+    from repro.gpu.multi import MultiGPUSpec
+
+    slo = None
+    if args.slo:
+        slo = SLOEngine(
+            specs=default_slos(latency_threshold_ms=args.slo_latency_ms),
+            policies=default_policies(args.slo_window_ms),
+        )
+        print(
+            f"SLO engine: latency threshold {args.slo_latency_ms:g} ms, "
+            f"burn-rate windows scaled to {args.slo_window_ms:g} ms",
+            file=sys.stderr,
+        )
+    if args.adaptive:
+        print(
+            f"adaptive: per-shard bandits (min_obs={args.bandit_min_obs}, "
+            f"explore={args.bandit_explore:g})",
+            file=sys.stderr,
+        )
+    chaos = f", killing a shard at {args.kill_shard:g} ms" if args.kill_shard is not None else ""
+    print(
+        f"cluster: {args.shards} shards x {args.devices} devices, "
+        f"replication {args.replication}{chaos}",
+        file=sys.stderr,
+    )
+    return ClusterFrontend(
+        lf,
+        num_shards=args.shards,
+        virtual_nodes=args.virtual_nodes,
+        replication=args.replication,
+        multi_spec=MultiGPUSpec(num_gpus=args.devices),
+        device_factory=factory,
+        cache_bytes_per_shard=int(args.cache_mb * 2**20),
+        batch=args.batch,
+        adaptive=args.adaptive,
+        bandit_min_obs=args.bandit_min_obs,
+        bandit_explore=args.bandit_explore,
+        seed=args.seed,
+        slo=slo,
+        **queueing,
+        **policy,
+    )
+
+
+def _gnn_graphs(args) -> list:
+    """``--workload gnn``: seeded multi-epoch GNN forward passes as graph
+    (DAG) requests — one per epoch, each a chain of
+    SDDMM/normalize/SpMM/dense stages (docs/GNN.md)."""
+    from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
+
     spec = GNNWorkloadSpec(
         dataset=args.gnn_dataset,
         model=args.gnn_model,
@@ -307,95 +442,20 @@ def _serve_gnn(args) -> int:
         mean_gap_ms=(1e3 / args.arrival_rate) if args.arrival_rate else 0.0,
         deadline_ms=args.deadline_ms if args.deadline_ms else float("inf"),
     )
-    lf = _get_liteform(args)
     graphs = generate_gnn_workload(spec)
-    stages = sum(len(g.stages) for g in graphs)
     print(
         f"gnn workload: {spec.dataset}/{spec.model}, {spec.layers} layers x "
         f"{spec.epochs} epochs -> {len(graphs)} graph requests "
-        f"({stages} stages) ...",
+        f"({sum(len(g.stages) for g in graphs)} stages) ...",
         file=sys.stderr,
     )
-    if args.shards:
-        from repro.gpu.multi import MultiGPUSpec
-        from repro.serve import ClusterFrontend
-
-        frontend = ClusterFrontend(
-            lf,
-            num_shards=args.shards,
-            virtual_nodes=args.virtual_nodes,
-            replication=args.replication,
-            multi_spec=MultiGPUSpec(num_gpus=args.devices),
-            cache_bytes_per_shard=int(args.cache_mb * 2**20),
-            retry=RetryPolicy(max_attempts=args.retries),
-            degrade_on_oom=not args.no_degrade,
-            speculative=args.speculative,
-            adaptive=args.adaptive,
-            bandit_min_obs=args.bandit_min_obs,
-            bandit_explore=args.bandit_explore,
-            seed=args.seed,
-        )
-        trace_path = getattr(args, "trace", None)
-        if trace_path:
-            tracer = Tracer()
-            previous = set_tracer(tracer)
-            try:
-                for g in graphs:
-                    frontend.serve_graph(g)
-            finally:
-                set_tracer(previous)
-            out_path = frontend.write_trace(trace_path)
-            print(f"trace: merged multi-lane trace written to {out_path}",
-                  file=sys.stderr)
-        else:
-            for g in graphs:
-                frontend.serve_graph(g)
-        if args.json:
-            print(json.dumps(frontend.snapshot(), indent=2))
-        else:
-            print(frontend.report())
-        return 0
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
-        num_devices=args.devices,
-        retry=RetryPolicy(max_attempts=args.retries),
-        degrade_on_oom=not args.no_degrade,
-        speculative=args.speculative,
-        bandit=_make_bandit(args),
-    )
-    if args.batch:
-        from repro.serve import Scheduler
-
-        scheduler = Scheduler(
-            server=server,
-            max_batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-        )
-        with _maybe_trace(args):
-            scheduler.replay_graphs(graphs)
-        if args.json:
-            print(json.dumps(scheduler.snapshot(), indent=2))
-        else:
-            print(scheduler.report())
-        return 0
-    with _maybe_trace(args):
-        server.serve_graphs(sorted(graphs, key=lambda g: g.arrival_ms))
-    if args.json:
-        print(json.dumps(server.snapshot(), indent=2))
-    else:
-        print(server.report())
-    return 0
+    return graphs
 
 
-def cmd_serve(args) -> int:
-    from repro.serve import PlanCache, RetryPolicy, SpMMServer, WorkloadSpec, generate_workload
+def _zipf_requests(args) -> list:
+    """``--workload zipf``: a seeded Zipf trace of independent requests."""
+    from repro.serve import WorkloadSpec, generate_workload
 
-    if (args.slo or args.slo_report) and not args.shards:
-        raise SystemExit("--slo / --slo-report require --shards (cluster mode)")
-    if args.workload == "gnn":
-        return _serve_gnn(args)
     spec = WorkloadSpec(
         num_requests=args.requests,
         num_matrices=args.matrices,
@@ -408,199 +468,35 @@ def cmd_serve(args) -> int:
         arrival_rate_rps=args.arrival_rate,
         seed=args.seed,
     )
-    lf = _get_liteform(args)
     print(
         f"replaying {spec.num_requests} requests over {spec.num_matrices} "
         f"matrices (Zipf {spec.zipf_s}) ...",
         file=sys.stderr,
     )
-    devices = None
-    if args.faults or args.death_rate or args.spike_rate:
-        from repro.gpu.faults import FaultPolicy, FaultyDevice
+    return generate_workload(spec)
 
-        devices = [
-            FaultyDevice(
-                faults=FaultPolicy(
-                    transient_oom_rate=args.faults,
-                    death_rate=args.death_rate,
-                    latency_spike_rate=args.spike_rate,
-                    seed=args.seed + 1000 + i,
-                )
-            )
-            for i in range(args.devices)
-        ]
-        print(
-            f"fault injection: transient OOM {args.faults:.1%}, "
-            f"death {args.death_rate:.2%}, spikes {args.spike_rate:.1%} "
-            f"per launch (retries={args.retries}, "
-            f"degrade={'off' if args.no_degrade else 'on'})",
-            file=sys.stderr,
-        )
-    if args.drift_after is not None:
-        if devices is not None:
-            raise SystemExit("--drift-after cannot combine with fault injection")
-        from repro.serve import FormatDriftDevice
 
-        devices = [
-            FormatDriftDevice(
-                slow_prefixes=(args.drift_kernel,),
-                slowdown=args.drift_slowdown,
-                shift_after_launches=args.drift_after,
-            )
-            for _ in range(args.devices)
-        ]
-        print(
-            f"format drift: {args.drift_kernel}* kernels "
-            f"{args.drift_slowdown:g}x slower after {args.drift_after} "
-            f"launches per device",
-            file=sys.stderr,
-        )
-    requests = generate_workload(spec)
-    if args.shards:
-        from repro.gpu.multi import MultiGPUSpec
-        from repro.serve import ClusterFrontend
-
-        slo = None
-        if args.slo:
-            slo = SLOEngine(
-                specs=default_slos(latency_threshold_ms=args.slo_latency_ms),
-                policies=default_policies(args.slo_window_ms),
-            )
-            print(
-                f"SLO engine: latency threshold {args.slo_latency_ms:g} ms, "
-                f"burn-rate windows scaled to {args.slo_window_ms:g} ms",
-                file=sys.stderr,
-            )
-        device_factory = None
-        if args.faults or args.death_rate or args.spike_rate:
-            from repro.gpu.faults import FaultPolicy, FaultyDevice
-
-            def device_factory(shard_index, device_index):
-                return FaultyDevice(
-                    faults=FaultPolicy(
-                        transient_oom_rate=args.faults,
-                        death_rate=args.death_rate,
-                        latency_spike_rate=args.spike_rate,
-                        seed=args.seed + 1000 + shard_index * 100 + device_index,
-                    )
-                )
-
-        elif args.drift_after is not None:
-            from repro.serve import FormatDriftDevice
-
-            def device_factory(shard_index, device_index):
-                return FormatDriftDevice(
-                    slow_prefixes=(args.drift_kernel,),
-                    slowdown=args.drift_slowdown,
-                    shift_after_launches=args.drift_after,
-                )
-
-        frontend = ClusterFrontend(
-            lf,
-            num_shards=args.shards,
-            virtual_nodes=args.virtual_nodes,
-            replication=args.replication,
-            multi_spec=MultiGPUSpec(num_gpus=args.devices),
-            device_factory=device_factory,
-            cache_bytes_per_shard=int(args.cache_mb * 2**20),
-            batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-            retry=RetryPolicy(max_attempts=args.retries),
-            degrade_on_oom=not args.no_degrade,
-            speculative=args.speculative,
-            adaptive=args.adaptive,
-            bandit_min_obs=args.bandit_min_obs,
-            bandit_explore=args.bandit_explore,
-            seed=args.seed,
-            slo=slo,
-        )
-        if args.adaptive:
-            print(
-                f"adaptive: per-shard bandits (min_obs={args.bandit_min_obs}, "
-                f"explore={args.bandit_explore:g})",
-                file=sys.stderr,
-            )
-        chaos = (
-            f", killing a shard at {args.kill_shard:g} ms"
-            if args.kill_shard is not None
-            else ""
-        )
-        print(
-            f"cluster: {args.shards} shards x {args.devices} devices, "
-            f"replication {args.replication}{chaos}",
-            file=sys.stderr,
-        )
-        # Cluster tracing bypasses _maybe_trace: the frontend owns the
-        # per-shard lanes, so the export must be the *merged* multi-lane
-        # trace, not the frontend lane alone.
-        trace_path = getattr(args, "trace", None)
-        if trace_path:
-            tracer = Tracer()
-            previous = set_tracer(tracer)
-            try:
-                frontend.replay(requests, kill_shard_at_ms=args.kill_shard)
-            finally:
-                set_tracer(previous)
-            out_path = frontend.write_trace(trace_path)
-            lanes = frontend.lanes()
-            print(
-                f"trace: {len(lanes)} lanes "
-                f"({', '.join(sorted(lanes))}) merged into {out_path}",
-                file=sys.stderr,
-            )
-        else:
-            frontend.replay(requests, kill_shard_at_ms=args.kill_shard)
-        if args.slo_report:
-            if frontend.slo is None:
-                raise SystemExit("--slo-report requires --slo")
-            report_path = Path(args.slo_report)
-            report_path.write_text(
-                json.dumps(frontend.slo.snapshot(), indent=2) + "\n"
-            )
-            print(f"SLO report written to {report_path}", file=sys.stderr)
-        if args.json:
-            print(json.dumps(frontend.snapshot(), indent=2))
-        else:
-            print(frontend.report())
-        return 0
-    bandit = _make_bandit(args)
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
-        num_devices=args.devices,
-        devices=devices,
-        retry=RetryPolicy(max_attempts=args.retries),
-        degrade_on_oom=not args.no_degrade,
-        speculative=args.speculative,
-        bandit=bandit,
-    )
-    if args.batch:
-        from repro.serve import Scheduler
-
-        scheduler = Scheduler(
-            server=server,
-            max_batch=args.batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue=args.max_queue,
-        )
-        with _maybe_trace(args):
-            scheduler.replay(requests)
-        _save_bandit(args, bandit)
-        if args.json:
-            print(json.dumps(scheduler.snapshot(), indent=2))
-        else:
-            print(scheduler.report())
-        return 0
+def cmd_serve(args) -> int:
+    _reject_unused_flags(args)
+    gnn = args.workload == "gnn"
+    traffic = _gnn_graphs(args) if gnn else _zipf_requests(args)
+    lf = _get_liteform(args)
+    bandit = None if args.shards else _make_bandit(args)
+    surface = _build_surface(args, lf, bandit)
     # The trace region covers exactly the replay, so the exported spans
     # account for (nearly) all of the traced wall time.
-    with _maybe_trace(args):
-        server.replay(requests)
+    with _maybe_trace(args, frontend=surface if args.shards else None):
+        if gnn:
+            surface.replay_graphs(traffic)
+        else:
+            chaos = {"kill_shard_at_ms": args.kill_shard} if args.shards else {}
+            surface.replay(traffic, **chaos)
     _save_bandit(args, bandit)
-    if args.json:
-        print(json.dumps(server.snapshot(), indent=2))
-    else:
-        print(server.report())
+    if args.slo_report:
+        report_path = Path(args.slo_report)
+        report_path.write_text(json.dumps(surface.slo.snapshot(), indent=2) + "\n")
+        print(f"SLO report written to {report_path}", file=sys.stderr)
+    print(json.dumps(surface.snapshot(), indent=2) if args.json else surface.report())
     return 0
 
 

@@ -19,9 +19,11 @@ traffic for replay — optionally timed with Poisson/burst ``arrival_ms``
 stamps — and :mod:`~repro.serve.metrics` aggregates the serving counters
 and latency percentiles.
 
-The serving surface is async-style (``submit() / poll() / drain()``,
-with ``serve(request)`` as the one-request wrapper), implemented both by
-the server and by :class:`~repro.serve.scheduler.Scheduler`, the
+The serving protocol is async-style (``submit() / poll() / drain()``,
+with ``serve(request)`` as the one-request wrapper and ``replay`` /
+``replay_graphs`` for whole traces), inherited from one
+:class:`~repro.serve.server.ServingSurface` by the server, by the
+cluster frontend, and by :class:`~repro.serve.scheduler.Scheduler`, the
 open-loop batched scheduler: a
 :class:`~repro.serve.scheduler.Batcher` coalesces queued requests that
 share a plan key into one fused launch (operands
@@ -93,6 +95,7 @@ from repro.serve.server import (
     OpResponse,
     PlanSource,
     ResponseStatus,
+    ServingSurface,
     SpMMServer,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload, zipf_weights
@@ -130,6 +133,7 @@ __all__ = [
     "Batcher",
     "Scheduler",
     "ResponseStatus",
+    "ServingSurface",
     "OpRequest",
     "OpResponse",
     "PlanSource",

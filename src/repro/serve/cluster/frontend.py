@@ -33,12 +33,15 @@ the fleet layer on top:
   instead of being surfaced as a failure, so cluster availability is at
   least the single-node availability PR 3 established.
 
-The serving surface mirrors the server/scheduler contract:
-``submit() / poll() / drain()`` with ``serve()`` and ``replay()`` as
-wrappers.  Because every shard composes with the same deterministic
-pipeline and executes on the same analytical device model, responses are
-bit-identical to single-node serving no matter which shard (or replica)
-serves a request — the cluster benchmark asserts exactly this.
+The frontend speaks the serving protocol of
+:class:`~repro.serve.server.ServingSurface`, like the server and the
+scheduler, and speaks it to its shards too: a routed request reaches the
+shard's scheduler (or server) through ``submit(prepared=...)`` and
+``drain``, carrying the fingerprint taken at ingress.  Because every
+shard composes with the same deterministic pipeline and executes on the
+same analytical device model, responses are bit-identical to single-node
+serving no matter which shard (or replica) serves a request — the
+cluster benchmark asserts exactly this.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from repro.serve.metrics import FLEET_COUNTERS
 from repro.serve.plan_cache import DEFAULT_MAX_BYTES, CacheEntry, PlanCache
 from repro.serve.resilience import RetryPolicy
 from repro.serve.scheduler import Scheduler
-from repro.serve.server import OpRequest, OpResponse, SpMMServer
+from repro.serve.server import OpRequest, OpResponse, ServingSurface, SpMMServer
 
 
 @dataclass
@@ -134,8 +137,14 @@ class MembershipChange:
         return self.keys_moved / self.cached_keys if self.cached_keys else 0.0
 
 
-class ClusterFrontend:
+class ClusterFrontend(ServingSurface):
     """Sharded serving fleet with cache-aware consistent-hash routing."""
+
+    #: Requests submitted between drains during :meth:`replay`.  Small
+    #: enough that hot-key replication reacts within a trace (a replica
+    #: can only receive a plan the primary has already composed), large
+    #: enough that per-shard schedulers still coalesce micro-batches.
+    REPLAY_CHUNK = 8
 
     def __init__(
         self,
@@ -192,6 +201,7 @@ class ClusterFrontend:
             raise ValueError(f"replication must be >= 1, got {replication}")
         if not 0.0 < hot_fraction <= 1.0:
             raise ValueError(f"hot_fraction must be in (0, 1], got {hot_fraction}")
+        super().__init__()
         self.liteform = liteform
         self.replication = int(replication)
         self.hot_fraction = float(hot_fraction)
@@ -231,8 +241,6 @@ class ClusterFrontend:
         self._rng = np.random.default_rng(seed)
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0
-        self._next_ticket = 0
-        self._completed: dict[int, OpResponse] = {}
         #: Ring version at which each hot key was last replicated.
         self._replicated: dict[PlanKey | str, int] = {}
         self._ring_version = 0
@@ -520,9 +528,9 @@ class ClusterFrontend:
         self._replicated[key] = self._ring_version
         return True
 
-    # -- serving surface -----------------------------------------------
-    def submit(self, request: OpRequest) -> int:
-        """Fingerprint, route, and enqueue a request; returns a ticket.
+    # -- serving protocol ----------------------------------------------
+    def _enqueue(self, ticket: int, request: OpRequest, prepared) -> None:
+        """Fingerprint (unless ``prepared``), route, and queue a request.
 
         This is the cluster's trace ingress: with tracing on, a
         :class:`~repro.obs.TraceContext` is minted here (unless the
@@ -531,14 +539,14 @@ class ClusterFrontend:
         every span the request touches, on every lane, shares one trace
         id.
         """
-        ticket = self._next_ticket
-        self._next_ticket += 1
         tracer = get_tracer()
         if request.ctx is None and tracer.enabled:
             request.ctx = TraceContext.mint("req")
         with tracer.span("ingress", ctx=request.ctx, ticket=ticket) as span:
-            A = SpMMServer._canonical(request.matrix)
-            key = PlanKey(fingerprint_csr(A), request.op, request.J)
+            if prepared is None:
+                A = SpMMServer._canonical(request.matrix)
+                prepared = (A, PlanKey(fingerprint_csr(A), request.op, request.J))
+            A, key = prepared
             shard = self._route(key)
             span.set(key=str(key)[:16], shard=shard.shard_id)
             item = _Pending(ticket=ticket, request=request, A=A, key=key)
@@ -546,24 +554,6 @@ class ClusterFrontend:
             shard.routed += 1
             self.metrics.routed += 1
             self._mark_enqueued(shard, item, kind="submit")
-        return ticket
-
-    def poll(self, ticket: int) -> OpResponse | None:
-        """Claim one completed response (serving anything pending first)."""
-        self._process_all()
-        return self._completed.pop(ticket, None)
-
-    def drain(self) -> list[OpResponse]:
-        """Serve everything pending on every shard; returns all unclaimed
-        responses in submission (ticket) order."""
-        self._process_all()
-        return [self._completed.pop(t) for t in sorted(self._completed)]
-
-    def serve(self, request: OpRequest) -> OpResponse:
-        """Serve one request now — thin wrapper over submit/poll."""
-        response = self.poll(self.submit(request))
-        assert response is not None  # in-process poll always completes
-        return response
 
     def serve_graph(self, graph):
         """Serve one :class:`repro.serve.graph.GraphRequest` on the shard
@@ -606,7 +596,7 @@ class ClusterFrontend:
             self.metrics.failed += 1
         return response
 
-    def _process_all(self) -> None:
+    def _process(self) -> None:
         # Rerouting a failed request enqueues it on another shard, so
         # loop until every queue is empty.
         while True:
@@ -625,16 +615,12 @@ class ClusterFrontend:
         lane = self._shard_lane(shard.shard_id)
         previous = set_tracer(lane) if lane is not None else None
         try:
-            if shard.scheduler is not None:
-                for item in items:
-                    shard.scheduler.submit(item.request)
-                # Scheduler tickets are monotone, and drain returns unclaimed
-                # responses in ticket order — i.e. our submission order.
-                return shard.scheduler.drain()
-            return [
-                shard.server._serve_one(item.request, A=item.A, key=item.key)
-                for item in items
-            ]
+            surface = shard.server if shard.scheduler is None else shard.scheduler
+            for item in items:
+                surface.submit(item.request, prepared=(item.A, item.key))
+            # Shard tickets are monotone and drain returns the unclaimed
+            # responses in ticket order: our submission order.
+            return surface.drain()
         finally:
             if previous is not None:
                 set_tracer(previous)
@@ -840,12 +826,6 @@ class ClusterFrontend:
         return len(items)
 
     # -- replay --------------------------------------------------------
-    #: Requests submitted between drains during :meth:`replay`.  Small
-    #: enough that hot-key replication reacts within a trace (a replica
-    #: can only receive a plan the primary has already composed), large
-    #: enough that per-shard schedulers still coalesce micro-batches.
-    REPLAY_CHUNK = 8
-
     def replay(
         self,
         requests: list[OpRequest],
@@ -881,8 +861,7 @@ class ClusterFrontend:
                 if (index + 1) % self.REPLAY_CHUNK == 0:
                     self.drain()
             self.drain()
-            if self.speculative:
-                self.wait_for_speculation()
+            self.wait_for_speculation()
         return self.metrics
 
     def wait_for_speculation(self, timeout: float | None = None) -> int:

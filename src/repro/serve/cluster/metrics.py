@@ -16,35 +16,43 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs import AttributionCollector, MetricsRegistry
+from repro.serve.metrics import Scoreboard, _counter
 
 
 @dataclass
-class ClusterMetrics:
+class ClusterMetrics(Scoreboard):
     """Scoreboard updated by :class:`repro.serve.cluster.ClusterFrontend`."""
 
     #: Routing decisions made (original submits + reroutes after failure).
-    routed: int = 0
+    routed: int = _counter("cluster_routed_total", "Routing decisions made")
     #: Routes resolved by power-of-two-choices among a hot key's replicas.
-    replica_routes: int = 0
+    replica_routes: int = _counter(
+        "cluster_replica_routes_total", "Routes resolved among hot-key replicas")
     #: Requests re-routed to another shard after their shard failed them.
-    rerouted: int = 0
+    rerouted: int = _counter(
+        "cluster_rerouted_total", "Requests re-routed after a shard-level failure")
     #: Requests with a final response (served or failed, after reroutes).
-    completed: int = 0
+    completed: int = _counter(
+        "cluster_completed_total", "Requests with a final cluster-level response")
     #: Requests that failed on every shard the router was willing to try.
-    failed: int = 0
+    failed: int = _counter("cluster_failed_total", "Requests failed on every shard tried")
     #: Graph (DAG) requests routed and served end to end.
-    graphs: int = 0
+    graphs: int = _counter("cluster_graphs_total", "Graph (DAG) requests served end to end")
     #: Device op stages executed inside graph requests, fleet-wide.
-    graph_stages: int = 0
+    graph_stages: int = _counter(
+        "cluster_graph_stages_total", "Device op stages executed inside graph requests")
     #: Distinct fingerprints that ever crossed the hot threshold.
-    hot_keys: int = 0
+    hot_keys: int = _counter(
+        "cluster_hot_keys_total", "Distinct fingerprints that crossed the hot threshold")
     #: Cached plans copied to replica shards (hot-key replication).
-    plans_replicated: int = 0
+    plans_replicated: int = _counter(
+        "cluster_plans_replicated_total", "Cached plans copied to replica shards")
     #: Cached plans moved between shards by membership changes.
-    plans_migrated: int = 0
-    shards_added: int = 0
-    shards_removed: int = 0
-    shards_killed: int = 0
+    plans_migrated: int = _counter(
+        "cluster_plans_migrated_total", "Cached plans moved by membership changes")
+    shards_added: int = _counter("cluster_shards_added_total", "Shards added")
+    shards_removed: int = _counter("cluster_shards_removed_total", "Shards removed gracefully")
+    shards_killed: int = _counter("cluster_shards_killed_total", "Shards killed by chaos")
     #: Cached-key remigration fraction of the latest membership change.
     last_remigration_fraction: float = 0.0
     #: Registry this scoreboard publishes onto.
@@ -60,37 +68,8 @@ class ClusterMetrics:
             self.attribution = AttributionCollector(
                 self.registry, prefix="cluster_stage"
             )
+        self._publish_counters()
         r = self.registry
-        for name, help_text, attr in (
-            ("cluster_routed_total", "Routing decisions made", "routed"),
-            ("cluster_replica_routes_total",
-             "Routes resolved among hot-key replicas", "replica_routes"),
-            ("cluster_rerouted_total",
-             "Requests re-routed after a shard-level failure", "rerouted"),
-            ("cluster_completed_total",
-             "Requests with a final cluster-level response", "completed"),
-            ("cluster_failed_total",
-             "Requests failed on every shard tried", "failed"),
-            ("cluster_graphs_total",
-             "Graph (DAG) requests served end to end", "graphs"),
-            ("cluster_graph_stages_total",
-             "Device op stages executed inside graph requests",
-             "graph_stages"),
-            ("cluster_hot_keys_total",
-             "Distinct fingerprints that crossed the hot threshold",
-             "hot_keys"),
-            ("cluster_plans_replicated_total",
-             "Cached plans copied to replica shards", "plans_replicated"),
-            ("cluster_plans_migrated_total",
-             "Cached plans moved by membership changes", "plans_migrated"),
-            ("cluster_shards_added_total", "Shards added", "shards_added"),
-            ("cluster_shards_removed_total",
-             "Shards removed gracefully", "shards_removed"),
-            ("cluster_shards_killed_total",
-             "Shards killed by chaos", "shards_killed"),
-        ):
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
         r.gauge("cluster_availability",
                 "Fraction of completed requests served",
                 callback=lambda self=self: self.availability)
@@ -108,20 +87,8 @@ class ClusterMetrics:
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the cluster scoreboard."""
         return {
-            "routed": self.routed,
-            "replica_routes": self.replica_routes,
-            "rerouted": self.rerouted,
-            "completed": self.completed,
-            "failed": self.failed,
+            **self._counter_snapshot(),
             "availability": self.availability,
-            "graphs": self.graphs,
-            "graph_stages": self.graph_stages,
-            "hot_keys": self.hot_keys,
-            "plans_replicated": self.plans_replicated,
-            "plans_migrated": self.plans_migrated,
-            "shards_added": self.shards_added,
-            "shards_removed": self.shards_removed,
-            "shards_killed": self.shards_killed,
             "last_remigration_fraction": self.last_remigration_fraction,
             "attribution": self.attribution.snapshot(),
         }

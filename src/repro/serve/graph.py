@@ -263,6 +263,7 @@ class GraphEngine:
         common = dict(
             matrix=A,
             name=name,
+            deadline_ms=graph.deadline_ms,
             ctx=ctx,
             op=stage.op,
             reuse_structure=graph.reuse_structure,
@@ -315,8 +316,6 @@ class GraphEngine:
                 with tracer.span("stage", name=stage.name, op=stage.op):
                     if stage.op in DEVICE_OPS:
                         request = self._stage_request(graph, stage, resp.outputs, ctx)
-                        if graph.deadline_ms is not None:
-                            request.deadline_ms = graph.deadline_ms
                         r = server._serve_one(request)
                         m.graph_stages += 1
                         self._fold_device_stage(resp, stage, r)

@@ -18,6 +18,7 @@ latencies) so ``cli stats`` can render a Prometheus-style exposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -99,7 +100,8 @@ class LatencySeries:
 
 
 def _counter(name: str, help_text: str, default: float = 0, fleet: bool = False):
-    """Declare a scoreboard counter published on the registry as ``name``.
+    """Declare a :class:`Scoreboard` counter published on the registry as
+    ``name``.
 
     ``fleet`` marks the counters :meth:`ClusterFrontend.snapshot
     <repro.serve.cluster.ClusterFrontend.snapshot>` sums across shards.
@@ -107,8 +109,33 @@ def _counter(name: str, help_text: str, default: float = 0, fleet: bool = False)
     return field(default=default, metadata={"prometheus": (name, help_text), "fleet": fleet})
 
 
+@cache
+def counter_fields(cls: type) -> tuple:
+    """The :func:`_counter` fields of a scoreboard class, in declaration
+    order."""
+    return tuple(f for f in fields(cls) if "prometheus" in f.metadata)
+
+
+class Scoreboard:
+    """Base of the dataclass scoreboards whose counters are declared with
+    :func:`_counter`: the registry mirror and the counter part of
+    ``snapshot()`` derive from the declarations."""
+
+    def _publish_counters(self) -> None:
+        """Mirror every declared counter onto ``self.registry``."""
+        for f in counter_fields(type(self)):
+            name, help_text = f.metadata["prometheus"]
+            self.registry.counter(
+                name, help_text, callback=lambda self=self, a=f.name: getattr(self, a)
+            )
+
+    def _counter_snapshot(self) -> dict:
+        """``{field name: value}`` of every declared counter."""
+        return {f.name: getattr(self, f.name) for f in counter_fields(type(self))}
+
+
 @dataclass
-class ServerMetrics:
+class ServerMetrics(Scoreboard):
     """Scoreboard updated by :class:`repro.serve.server.SpMMServer`.
 
     Every counter is declared once, with its Prometheus name and help
@@ -199,11 +226,8 @@ class ServerMetrics:
             self.attribution = AttributionCollector(
                 self.registry, prefix="serve_stage"
             )
+        self._publish_counters()
         r = self.registry
-        for f in COUNTER_FIELDS:
-            name, help_text = f.metadata["prometheus"]
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=f.name: getattr(self, a))
         r.gauge("serve_cache_hit_rate", "Plan-cache hit rate",
                 callback=lambda self=self: self.hit_rate)
         self._exec_hist = r.histogram(
@@ -248,7 +272,7 @@ class ServerMetrics:
 
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the scoreboard."""
-        out = {f.name: getattr(self, f.name) for f in COUNTER_FIELDS}
+        out = self._counter_snapshot()
         out.update(
             hit_rate=self.hit_rate,
             availability=self.availability,
@@ -311,8 +335,5 @@ class ServerMetrics:
         return "\n".join(lines)
 
 
-#: The declared counters, in declaration order.
-COUNTER_FIELDS = tuple(f for f in fields(ServerMetrics) if "prometheus" in f.metadata)
-
 #: Counters the cluster snapshot sums across its shards' servers.
-FLEET_COUNTERS = tuple(f.name for f in COUNTER_FIELDS if f.metadata["fleet"])
+FLEET_COUNTERS = tuple(f.name for f in counter_fields(ServerMetrics) if f.metadata["fleet"])

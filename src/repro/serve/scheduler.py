@@ -27,12 +27,13 @@ to the pipeline one at a time.  This module adds the two missing pieces:
   growing the queue without bound.  Each dispatched batch reuses the
   server's retry/breaker/OOM-degradation machinery unchanged.
 
-The scheduler exposes the same async-style ``submit() / poll() /
-drain()`` surface as :class:`SpMMServer`; ``replay`` is the one-call
-open-loop run.  Time is virtual throughout: the loop never sleeps, it
-advances a clock across arrival/flush events and device-busy intervals,
-so a multi-second trace replays in milliseconds of wall time and
-throughput is reported in requests per *simulated* second.
+The scheduler speaks the serving protocol of
+:class:`~repro.serve.server.ServingSurface`, like :class:`SpMMServer`;
+``replay`` is the one-call open-loop run.  Time is virtual throughout:
+the loop never sleeps, it advances a clock across arrival/flush events
+and device-busy intervals, so a multi-second trace replays in
+milliseconds of wall time and throughput is reported in requests per
+*simulated* second.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ import scipy.sparse as sp
 
 from repro.obs import MetricsRegistry, get_tracer
 from repro.serve.fingerprint import PlanKey, fingerprint_csr
-from repro.serve.metrics import LatencySeries
-from repro.serve.server import OpRequest, OpResponse, SpMMServer
+from repro.serve.metrics import LatencySeries, Scoreboard, _counter
+from repro.serve.server import OpRequest, OpResponse, ServingSurface, SpMMServer
 
 #: Bucket bounds of the batch-size histogram (powers of two — batches are
 #: capped by ``max_batch``, itself typically a power of two).
@@ -53,7 +54,7 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 @dataclass
-class SchedulerMetrics:
+class SchedulerMetrics(Scoreboard):
     """Scoreboard of the batched scheduler (queueing view of traffic).
 
     Complements :class:`~repro.serve.metrics.ServerMetrics` (which keeps
@@ -64,15 +65,17 @@ class SchedulerMetrics:
     """
 
     #: Requests handed to :meth:`Scheduler.submit`.
-    submitted: int = 0
+    submitted: int = _counter("sched_submitted_total", "Requests submitted to the scheduler")
     #: Requests dispatched through the batcher (excludes shed requests).
-    dispatched: int = 0
-    #: Micro-batches launched (each one plan lookup + one fused launch).
-    batches: int = 0
+    dispatched: int = _counter("sched_dispatched_total", "Requests dispatched through batches")
+    #: Launches of dispatched requests: a fused group is one launch, a
+    #: group the server serves singly (spmv, sddmm) one per member.
+    batches: int = _counter("sched_batches_total", "Micro-batches launched")
     #: Requests that shared their launch with at least one other request.
-    coalesced: int = 0
+    coalesced: int = _counter(
+        "sched_coalesced_total", "Requests sharing a launch with at least one other")
     #: Arrivals shed to the degraded CSR path by backpressure.
-    shed: int = 0
+    shed: int = _counter("sched_shed_total", "Arrivals shed by backpressure")
     #: Virtual milliseconds spent queued before dispatch, per request.
     queue_wait_ms: LatencySeries = field(default_factory=LatencySeries)
     #: Requests per launched micro-batch.
@@ -84,19 +87,8 @@ class SchedulerMetrics:
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def __post_init__(self) -> None:
+        self._publish_counters()
         r = self.registry
-        for name, help_text, attr in (
-            ("sched_submitted_total", "Requests submitted to the scheduler",
-             "submitted"),
-            ("sched_dispatched_total", "Requests dispatched through batches",
-             "dispatched"),
-            ("sched_batches_total", "Micro-batches launched", "batches"),
-            ("sched_coalesced_total",
-             "Requests sharing a launch with at least one other", "coalesced"),
-            ("sched_shed_total", "Arrivals shed by backpressure", "shed"),
-        ):
-            r.counter(name, help_text,
-                      callback=lambda self=self, a=attr: getattr(self, a))
         r.gauge("sched_coalesce_rate",
                 "Fraction of dispatched requests that shared a launch",
                 callback=lambda self=self: self.coalesce_rate)
@@ -112,7 +104,7 @@ class SchedulerMetrics:
         )
 
     def observe_batch(self, size: int, waits_ms: list[float]) -> None:
-        """Record one launched micro-batch and its members' queue waits."""
+        """Record one launch of ``size`` requests and their queue waits."""
         self.batches += 1
         self.dispatched += size
         if size > 1:
@@ -143,13 +135,9 @@ class SchedulerMetrics:
     def snapshot(self) -> dict:
         """Flat, JSON-friendly view of the scheduler scoreboard."""
         return {
-            "submitted": self.submitted,
-            "dispatched": self.dispatched,
-            "batches": self.batches,
-            "coalesced": self.coalesced,
+            **self._counter_snapshot(),
             "coalesce_rate": self.coalesce_rate,
             "mean_batch_size": self.mean_batch_size,
-            "shed": self.shed,
             "makespan_ms": self.makespan_ms,
             "throughput_rps": self.throughput_rps,
             "queue_wait_ms": self.queue_wait_ms.summary(),
@@ -275,17 +263,17 @@ class Batcher:
 
 
 @dataclass
-class Scheduler:
+class Scheduler(ServingSurface):
     """Open-loop batched scheduler over an :class:`SpMMServer`.
 
-    Same ``submit() / poll() / drain()`` surface as the server, but
-    :meth:`drain` runs a virtual-time event loop instead of serving in
-    submission order: arrivals are admitted at their ``arrival_ms``,
-    coalesced by the :class:`Batcher`, and dispatched batch-at-a-time
-    onto the least-loaded simulated device.  All serving semantics
-    (cache, admission control, retries, breakers, OOM degradation,
-    per-request metrics) live in the server underneath; the scheduler
-    adds queueing, batching, and backpressure on top.
+    Same serving protocol as the server, but :meth:`drain` runs a
+    virtual-time event loop instead of serving in submission order:
+    arrivals are admitted at their ``arrival_ms``, coalesced by the
+    :class:`Batcher`, and dispatched batch-at-a-time onto the
+    least-loaded simulated device.  All serving semantics (cache,
+    admission control, retries, breakers, OOM degradation, per-request
+    metrics) live in the server underneath; the scheduler adds queueing,
+    batching, and backpressure on top.
     """
 
     server: SpMMServer
@@ -298,24 +286,23 @@ class Scheduler:
     max_queue: int | None = None
     metrics: SchedulerMetrics = field(default_factory=SchedulerMetrics)
 
+    #: :meth:`replay` submits the whole trace before draining: the event
+    #: loop needs the whole arrival stream to batch correctly.
+    REPLAY_CHUNK = 0
+
     def __post_init__(self) -> None:
+        super().__init__()
         if self.max_queue is not None and self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         self._batcher = Batcher(self.max_batch, self.max_wait_ms)
-        self._next_ticket = 0
-        self._submitted: list[tuple[int, OpRequest]] = []
-        self._completed: dict[int, OpResponse] = {}
+        self._submitted: list[tuple[int, OpRequest, tuple | None]] = []
         #: Virtual time at which each server device finishes its queue.
         self._free_at_ms = [0.0] * len(self.server.devices)
 
     # ------------------------------------------------------------------
-    def submit(self, request: OpRequest) -> int:
-        """Enqueue a request for the next :meth:`drain`; returns a ticket."""
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._submitted.append((ticket, request))
+    def _enqueue(self, ticket: int, request: OpRequest, prepared) -> None:
+        self._submitted.append((ticket, request, prepared))
         self.metrics.submitted += 1
-        return ticket
 
     def poll(self, ticket: int) -> OpResponse | None:
         """Claim one completed response; None until a :meth:`drain` has
@@ -323,43 +310,16 @@ class Scheduler:
         stream to batch correctly, so poll never runs it early)."""
         return self._completed.pop(ticket, None)
 
-    def drain(self) -> list[OpResponse]:
-        """Replay every submitted request through the event loop; returns
-        all unclaimed responses in submission order."""
-        self._run()
-        out = [self._completed.pop(t) for t in sorted(self._completed)]
-        return out
+    def wait_for_speculation(self, timeout: float | None = None) -> int:
+        """Settle the server's in-flight background composes (see
+        :meth:`SpMMServer.wait_for_speculation`)."""
+        return self.server.wait_for_speculation(timeout=timeout)
 
-    def replay(self, requests: list[OpRequest]) -> SchedulerMetrics:
-        """Open-loop one-call run: submit the trace, drain it, return the
-        scheduler scoreboard (server-side counters stay on
-        ``scheduler.server.metrics``)."""
-        for request in requests:
-            self.submit(request)
-        self.drain()
-        if self.server.speculative:
-            # Settle outstanding background composes once per replay (not
-            # per drain — blocking inside the loop would serialize the
-            # speculation the feature exists to overlap).
-            self.server.wait_for_speculation()
-        return self.metrics
-
-    # -- DAG (graph) requests --------------------------------------------
-    def serve_graph(self, graph):
-        """Serve one :class:`repro.serve.graph.GraphRequest` on this
-        scheduler's server (graphs carry their own stage ordering, so
-        they bypass the arrival queue)."""
-        return self.server.serve_graph(graph)
-
-    def replay_graphs(self, graphs) -> list:
-        """Replay graph requests in arrival order with cross-graph
-        per-stage coalescing: same-wave SpMM stages sharing one plan key
-        fuse into a single launch (:meth:`SpMMServer.serve_graphs`)."""
-        ordered = sorted(graphs, key=lambda g: g.arrival_ms)
-        return self.server.serve_graphs(ordered)
+    def _graph_server(self) -> SpMMServer:
+        return self.server
 
     # ------------------------------------------------------------------
-    def _run(self) -> None:
+    def _process(self) -> None:
         """The discrete-event loop (virtual milliseconds).
 
         Events are arrival timestamps and batch timeouts; device busy
@@ -370,15 +330,14 @@ class Scheduler:
         flushed — nothing new can join a group, so waiting out
         ``max_wait_ms`` would be pure added latency.
         """
-        arrivals = sorted(self._submitted, key=lambda tr: tr[1].arrival_ms)
+        arrivals = sorted(self._submitted, key=lambda item: item[1].arrival_ms)
         self._submitted = []
         i, n = 0, len(arrivals)
         now = 0.0
         while i < n or len(self._batcher):
             while i < n and arrivals[i][1].arrival_ms <= now:
-                ticket, request = arrivals[i]
+                self._admit(*arrivals[i], now)
                 i += 1
-                self._admit(ticket, request, now)
             for group in self._batcher.ready(now, flush=i >= n):
                 self._dispatch(group, now)
             if i < n or len(self._batcher):
@@ -393,8 +352,9 @@ class Scheduler:
             [self.metrics.makespan_ms, *self._free_at_ms]
         )
 
-    def _admit(self, ticket: int, request: OpRequest, now: float) -> None:
+    def _admit(self, ticket: int, request: OpRequest, prepared, now: float) -> None:
         at = max(now, request.arrival_ms)
+        A, key = prepared or (None, None)
         if self.max_queue is not None and len(self._batcher) >= self.max_queue:
             # Backpressure: the queue is full.  Shedding serves the
             # request immediately on the forced-degraded path (a cache
@@ -403,13 +363,14 @@ class Scheduler:
             # added to everything behind it.
             self.metrics.shed += 1
             response = self.server._serve_one(
-                request, force_degrade=True, shed=True
+                request, force_degrade=True, shed=True, A=A, key=key
             )
             self._occupy(response, at)
             self._completed[ticket] = response
             return
-        A = self.server._canonical(request.matrix)
-        key = PlanKey(fingerprint_csr(A), request.op, request.J)
+        if prepared is None:
+            A = self.server._canonical(request.matrix)
+            key = PlanKey(fingerprint_csr(A), request.op, request.J)
         self._batcher.push(
             _QueuedRequest(
                 ticket=ticket, request=request, A=A, key=key, enqueued_ms=at
@@ -435,8 +396,15 @@ class Scheduler:
                 queue_waits_ms=waits,
                 prepared=[(item.A, item.key) for item in group],
             )
-        self.metrics.observe_batch(len(group), waits)
-        self._occupy(responses[0], now)
+        # A fused launch answers ``batch_size`` consecutive members with
+        # one shared measurement; a group the server serves singly is one
+        # launch per member.  Charge and count each launch once.
+        i = 0
+        while i < len(responses):
+            size = responses[i].batch_size
+            self.metrics.observe_batch(size, waits[i : i + size])
+            self._occupy(responses[i], now)
+            i += size
         for item, response in zip(group, responses):
             self._completed[item.ticket] = response
 

@@ -12,12 +12,15 @@ instead of within one).  :meth:`SpMMServer.serve_batch` does the same
 for a group of requests sharing one plan key, with one acquisition and
 one fused launch.
 
-The serving surface is async-style: :meth:`SpMMServer.submit` enqueues a
-request and returns a ticket, :meth:`SpMMServer.poll` retrieves one
-completed response, :meth:`SpMMServer.drain` completes everything
-pending, and :meth:`SpMMServer.serve` wraps the three for one request.
-:class:`repro.serve.scheduler.Scheduler` implements the same surface
-with open-loop queueing and fingerprint-coalesced micro-batching on top.
+The serving protocol is async-style and shared by every surface through
+:class:`ServingSurface`: ``submit`` enqueues a request and returns a
+ticket, ``poll`` claims one completed response, ``drain`` completes
+everything pending, ``serve`` does all three for one request, and
+``replay`` / ``replay_graphs`` run whole traces.
+:class:`repro.serve.scheduler.Scheduler` (open-loop queueing and
+fingerprint-coalesced micro-batching) and
+:class:`repro.serve.cluster.ClusterFrontend` (a sharded fleet) speak the
+same protocol on top of this server.
 
 Deadlines bound the *composition overhead* (time until the kernel can be
 launched), not the simulated kernel time — execution cost is intrinsic
@@ -230,6 +233,106 @@ class OpResponse:
         return self.plan_source is PlanSource.REVALUE
 
 
+class ServingSurface:
+    """The serving protocol of :class:`SpMMServer`, the
+    :class:`~repro.serve.scheduler.Scheduler` and the
+    :class:`~repro.serve.cluster.ClusterFrontend`: one ticket book.
+
+    :meth:`submit` hands out monotone tickets; :meth:`poll` claims one
+    completed response and :meth:`drain` every unclaimed one, in
+    submission order, so each response is delivered exactly once.  A
+    surface supplies ``_enqueue(ticket, request, prepared)``, which queues
+    one submitted request, and ``_process()``, which serves everything
+    queued and files each response in ``_completed`` under its ticket.
+    docs/SERVING.md tabulates where the three surfaces differ.
+    """
+
+    #: Requests :meth:`replay` submits between drains (0 = the whole
+    #: trace before the first drain).
+    REPLAY_CHUNK = 1
+
+    def __init__(self) -> None:
+        self._next_ticket = 0
+        self._completed: dict[int, OpResponse] = {}
+
+    def submit(
+        self, request: OpRequest, *, prepared: tuple[sp.csr_matrix, PlanKey] | None = None
+    ) -> int:
+        """Enqueue a request; returns a ticket for :meth:`poll`.
+
+        ``prepared`` is the request's canonical matrix and plan key, as
+        in :meth:`SpMMServer.serve_batch`, for callers that already
+        fingerprinted it (the cluster frontend's ingress): the surface
+        then does not hash the matrix again.
+        """
+        ticket = self._next_ticket
+        self._next_ticket += 1
+        self._enqueue(ticket, request, prepared)
+        return ticket
+
+    def poll(self, ticket: int) -> OpResponse | None:
+        """Claim one completed response (serving anything queued first);
+        None if the ticket is unknown or already claimed."""
+        self._process()
+        return self._completed.pop(ticket, None)
+
+    def drain(self) -> list[OpResponse]:
+        """Serve everything queued; returns all unclaimed responses in
+        submission order."""
+        self._process()
+        return [self._completed.pop(t) for t in sorted(self._completed)]
+
+    def serve(self, request: OpRequest) -> OpResponse:
+        """Serve one request now (and anything queued before it)."""
+        ticket = self.submit(request)
+        self._process()
+        return self._completed.pop(ticket)
+
+    def replay(self, requests: list[OpRequest]):
+        """Serve a whole trace under one ``replay`` span and return this
+        surface's scoreboard; the responses are not kept.
+
+        In-flight speculative composes settle once, after the last
+        drain: settling per drain would serialize the composes that
+        speculation exists to overlap.
+        """
+        chunk = self.REPLAY_CHUNK
+        with get_tracer().span("replay", requests=len(requests)):
+            for i, request in enumerate(requests, 1):
+                self.submit(request)
+                if chunk and i % chunk == 0:
+                    self.drain()
+            self.drain()
+            self.wait_for_speculation()
+        return self.metrics
+
+    def serve_graph(self, graph):
+        """Serve one :class:`repro.serve.graph.GraphRequest` end to end;
+        returns its :class:`~repro.serve.graph.GraphResponse`."""
+        from repro.serve.graph import GraphEngine
+
+        return GraphEngine(self._graph_server()).run(graph)
+
+    def replay_graphs(self, graphs) -> list:
+        """Serve graph requests in arrival order; returns their responses
+        in that order.  On one server the graphs replay in stage-index
+        lockstep, and same-wave SpMM stages sharing a plan key fuse into
+        one launch (:meth:`~repro.serve.graph.GraphEngine.run_wave`)."""
+        from repro.serve.graph import GraphEngine
+
+        ordered = sorted(graphs, key=lambda g: g.arrival_ms)
+        server = self._graph_server()
+        if server is None:
+            return [self.serve_graph(g) for g in ordered]
+        return GraphEngine(server).run_wave(ordered)
+
+    def _graph_server(self) -> SpMMServer | None:
+        """The server graph requests run on: graphs carry their own stage
+        order, so they bypass any arrival queue.  None serves graph by
+        graph through :meth:`serve_graph`."""
+        return None
+
+
 @dataclass
 class _DeviceSlot:
     device: SimulatedDevice
@@ -244,7 +347,7 @@ class _DeviceSlot:
 
 
 @dataclass
-class SpMMServer:
+class SpMMServer(ServingSurface):
     """Serve SpMM requests with plan caching and admission control."""
 
     liteform: LiteForm
@@ -278,6 +381,7 @@ class SpMMServer:
     bandit_retrain_every: int = 0
 
     def __post_init__(self) -> None:
+        super().__init__()
         if self.devices is None:
             if self.num_devices < 1:
                 raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
@@ -296,9 +400,7 @@ class SpMMServer:
         ]
         #: EWMA of compose seconds per non-zero, None until the first compose.
         self._compose_s_per_nnz: float | None = None
-        self._next_ticket = 0
-        self._pending: deque[tuple[int, OpRequest]] = deque()
-        self._completed: dict[int, OpResponse] = {}
+        self._pending: deque[tuple[int, OpRequest, tuple | None]] = deque()
         #: key -> (background compose future, matrix nnz, canonical CSR).
         self._inflight: dict[PlanKey, tuple[Future, int, sp.csr_matrix]] = {}
         #: pattern digest -> recorded composed geometry (the structural-
@@ -919,41 +1021,23 @@ class SpMMServer:
             )
         return response
 
-    # -- async-style surface -------------------------------------------
-    def submit(self, request: OpRequest) -> int:
-        """Enqueue a request; returns a ticket for :meth:`poll`.
+    # -- serving protocol ------------------------------------------------
+    #: Bound here, not inherited, so profilers that wrap this class's own
+    #: attributes find the request entry point.
+    serve = ServingSurface.serve
 
-        The in-process server is lazy-synchronous: the work happens at
-        the next :meth:`poll` / :meth:`drain` call.
-        """
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._pending.append((ticket, request))
-        return ticket
+    def _enqueue(self, ticket: int, request: OpRequest, prepared) -> None:
+        # Lazy-synchronous: the work happens at the next poll or drain.
+        self._pending.append((ticket, request, prepared))
 
-    def _process_pending(self) -> None:
+    def _process(self) -> None:
         while self._pending:
-            ticket, request = self._pending.popleft()
-            self._completed[ticket] = self._serve_one(request)
+            ticket, request, prepared = self._pending.popleft()
+            A, key = prepared or (None, None)
+            self._completed[ticket] = self._serve_one(request, A=A, key=key)
 
-    def poll(self, ticket: int) -> OpResponse | None:
-        """Claim one completed response (processing anything pending
-        first); None if the ticket is unknown or already claimed."""
-        self._process_pending()
-        return self._completed.pop(ticket, None)
-
-    def drain(self) -> list[OpResponse]:
-        """Serve everything pending; returns all unclaimed responses in
-        submission order (each response is delivered exactly once)."""
-        self._process_pending()
-        return [self._completed.pop(t) for t in sorted(self._completed)]
-
-    def serve(self, request: OpRequest) -> OpResponse:
-        """Serve one request now — thin wrapper over submit/poll."""
-        ticket = self.submit(request)
-        response = self.poll(ticket)
-        assert response is not None  # in-process poll always completes
-        return response
+    def _graph_server(self) -> SpMMServer:
+        return self
 
     # -- coalesced micro-batches ---------------------------------------
     def serve_batch(
@@ -1028,36 +1112,6 @@ class SpMMServer:
             reuse = any(r.reuse_structure for r in requests)
             decision = self._acquire_plan(A, key, t0, deadline_ms, reuse_structure=reuse)
             return self._complete(requests, waits, trace_ids, A, key, decision, batch_span)
-
-    def replay(self, requests: list[OpRequest]) -> ServerMetrics:
-        """Serve a whole workload in order and return the scoreboard.
-
-        The whole replay runs under one root ``replay`` span so a traced
-        run attributes (nearly) all wall time to spans.
-        """
-        with get_tracer().span("replay", requests=len(requests)):
-            for request in requests:
-                self.serve(request)
-            if self.speculative:
-                # Settle outstanding background composes so the returned
-                # scoreboard (swap counters, cache stats) is stable.
-                self.wait_for_speculation()
-        return self.metrics
-
-    # -- DAG (graph) requests --------------------------------------------
-    def serve_graph(self, graph):
-        """Serve one :class:`repro.serve.graph.GraphRequest` end to end;
-        returns its :class:`~repro.serve.graph.GraphResponse`."""
-        from repro.serve.graph import GraphEngine
-
-        return GraphEngine(self).run(graph)
-
-    def serve_graphs(self, graphs):
-        """Serve many graph requests with cross-graph stage coalescing:
-        same-wave SpMM stages sharing a plan key fuse into one launch."""
-        from repro.serve.graph import GraphEngine
-
-        return GraphEngine(self).run_wave(list(graphs))
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

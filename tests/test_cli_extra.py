@@ -80,3 +80,29 @@ class TestCompareOOMReference:
         for line in out.splitlines():
             if line.startswith(("sputnik", "liteform")):
                 assert "-" in line.split()[2] or line.split()[2] == "-"
+
+
+class TestServeRejectsUnusedFlags:
+    """``serve`` exits on a flag its mode would silently ignore, before
+    any training or replay (so the state file is never touched)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shards", "2", "--adaptive", "--bandit-state", "{state}"], "single-node only"),
+            (["--bandit-state", "{state}"], "requires --adaptive"),
+            (["--kill-shard", "3"], "--kill-shard requires --shards"),
+            (["--replication", "2"], "--replication > 1 requires --shards"),
+            (["--slo"], "require --shards"),
+            (["--shards", "2", "--slo-report", "{state}"], "--slo-report requires --slo"),
+            (["--max-queue", "4"], "--max-queue requires --batch"),
+            (["--faults", "0.1", "--drift-after", "5"], "cannot combine with fault injection"),
+            (["--workload", "gnn", "--shards", "2", "--kill-shard", "3"], "--workload zipf"),
+            (["--workload", "gnn", "--shards", "2", "--slo"], "--workload zipf"),
+        ],
+    )
+    def test_rejected(self, tmp_path, argv, message):
+        state = tmp_path / "state.bin"
+        with pytest.raises(SystemExit, match=message):
+            cli_main(["serve", *(a.format(state=state) for a in argv)])
+        assert not state.exists()

@@ -297,7 +297,7 @@ class TestWaveReplay:
         sequential = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
         seq = [sequential.serve_graph(g) for g in generate_gnn_workload(spec)]
         waved = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
-        wav = waved.serve_graphs(generate_gnn_workload(spec))
+        wav = waved.replay_graphs(generate_gnn_workload(spec))
         assert len(seq) == len(wav) == 3
         for a, b in zip(seq, wav):
             assert np.array_equal(a.output, b.output)
@@ -308,13 +308,13 @@ class TestWaveReplay:
         spec = GNNWorkloadSpec(dataset="cora", model="gcn", layers=1, epochs=2,
                                feature_dim=16, hidden_dim=16, seed=5)
         server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
-        responses = server.serve_graphs(generate_gnn_workload(spec))
+        responses = server.replay_graphs(generate_gnn_workload(spec))
         assert all(r.ok for r in responses)
         batched = [r.responses["agg0"].batch_size for r in responses]
         assert batched == [2, 2]
 
     def test_empty_wave(self, server):
-        assert server.serve_graphs([]) == []
+        assert server.replay_graphs([]) == []
 
 
 class TestWorkloadGenerator:

@@ -230,7 +230,7 @@ class TestScheduler:
     def test_poll_claims_exactly_once(self, liteform):
         sched = Scheduler(server=SpMMServer(liteform=liteform))
         ticket = sched.submit(_request(seed=1))
-        sched._run()
+        sched._process()
         assert sched.poll(ticket) is not None
         assert sched.poll(ticket) is None
 
