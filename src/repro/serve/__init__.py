@@ -87,7 +87,7 @@ from repro.serve.graph import (
     OpStage,
 )
 from repro.serve.metrics import LatencySeries, ServerMetrics
-from repro.serve.plan_cache import CACHE_MAGIC, CacheEntry, PlanCache
+from repro.serve.plan_cache import CacheEntry, PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 from repro.serve.scheduler import Batcher, Scheduler, SchedulerMetrics
 from repro.serve.server import (
@@ -126,7 +126,6 @@ __all__ = [
     "OpStage",
     "PlanCache",
     "CacheEntry",
-    "CACHE_MAGIC",
     "LatencySeries",
     "ServerMetrics",
     "SchedulerMetrics",

@@ -30,8 +30,7 @@ loop with a per-fingerprint contextual bandit:
 The server consults the bandit on every request (hit or miss); a
 decision that differs from the arm of the cached plan *re-pins* the
 cache entry to the newly chosen arm's plan.  State is pickled with a
-magic tag (:data:`BANDIT_MAGIC`) mirroring the plan-cache spill
-convention, and per-key state rides the cluster's spill-bundle transport
+magic tag (:data:`BANDIT_MAGIC`), and per-key state moves with its plans
 on shard migration (see ``docs/ADAPTIVE.md``).
 
 :class:`FormatDriftDevice` is the companion chaos tool: a
@@ -66,8 +65,7 @@ from repro.serve.fingerprint import PlanKey
 #: The bandit's arms — the format families the pipeline can produce.
 ARMS: tuple[str, ...] = ("cell", "csr", "bcsr")
 
-#: Format tag checked on load, bumped on incompatible changes (the same
-#: convention as :data:`repro.serve.plan_cache.CACHE_MAGIC`).  v2 state is
+#: Format tag checked on load, bumped on incompatible changes.  v2 state is
 #: keyed by :class:`~repro.serve.fingerprint.PlanKey`, v1 by key strings.
 BANDIT_MAGIC = "repro-banditstate-v2"
 
@@ -323,8 +321,7 @@ class FormatBandit:
         return adopted
 
     def save(self, path: str | Path) -> None:
-        """Spill the full bandit state to ``path`` (magic-tagged pickle,
-        the same convention as :meth:`repro.serve.plan_cache.PlanCache.save`)."""
+        """Write the full bandit state to ``path`` (magic-tagged pickle)."""
         with Path(path).open("wb") as fh:
             pickle.dump(self.state_dict(), fh)
 

@@ -19,12 +19,11 @@ the fleet layer on top:
   and traffic is spread among the replicas with power-of-two-choices
   routing (pick two seeded-random replicas, send to the less loaded);
 * **elastic membership** — :meth:`add_shard` / :meth:`remove_shard`
-  re-balance only the ~1/N of the key space the ring reassigns, moving
-  the affected cached plans between shards with the existing
-  :meth:`~repro.serve.plan_cache.PlanCache.save` /
-  :meth:`~repro.serve.plan_cache.PlanCache.load` spill bundles as the
-  migration transport (cross-shard warm start: the receiving shard's
-  first request for a migrated key is a cache hit, not a recompose);
+  re-balance only the ~1/N of the key space the ring reassigns, handing
+  the affected cached plans, their OOM pins and their bandit evidence
+  to the new owner in memory (cross-shard warm start: the receiving
+  shard's first request for a migrated key is a cache hit, not a
+  recompose);
 * **rebalance-safe chaos** — :meth:`kill_shard` models abrupt shard
   death: the ring is repaired, the dead shard's queued requests are
   re-routed to the survivors, and its cache is simply lost (survivors
@@ -46,7 +45,6 @@ cluster benchmark asserts exactly this.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,8 +123,8 @@ class MembershipChange:
     cached_keys: int
     #: Cached plans whose owning shard changed.
     keys_moved: int
-    #: Cached plans actually migrated through a spill bundle (killed
-    #: shards lose theirs instead).
+    #: Cached plans actually handed to their new owner (killed shards
+    #: lose theirs instead).
     plans_migrated: int
     #: Queued requests re-routed off the departing shard.
     requeued: int
@@ -185,8 +183,8 @@ class ClusterFrontend(ServingSurface):
         replication (a fingerprint above ``hot_fraction`` of the last
         ``hot_window`` requests is replicated to that many shards);
         ``batch`` > 0 puts a coalescing :class:`Scheduler` in front of
-        every shard.  ``spill_dir`` holds the migration bundles (a fresh
-        temp directory by default).
+        every shard.  ``spill_dir`` is accepted and ignored: plans move
+        between shards in memory.
 
         ``slo`` attaches a burn-rate alerting engine
         (:class:`repro.obs.SLOEngine`; ``True`` = the stock objectives)
@@ -245,14 +243,6 @@ class ClusterFrontend(ServingSurface):
         self._replicated: dict[PlanKey | str, int] = {}
         self._ring_version = 0
         self._hot_seen: set[PlanKey | str] = set()
-        if spill_dir is None:
-            self._spill_tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
-            self._spill_dir = Path(self._spill_tmp.name)
-        else:
-            self._spill_tmp = None
-            self._spill_dir = Path(spill_dir)
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-        self._spill_seq = 0
         for _ in range(num_shards):
             shard = self._new_shard()
             self._shards[shard.shard_id] = shard
@@ -427,76 +417,35 @@ class ClusterFrontend(ServingSurface):
             return 1.0
         return max(counts) / (total / len(counts))
 
-    # -- plan movement (spill-bundle transport) ------------------------
-    def _spill(self, entries: list[CacheEntry]) -> Path:
-        """Write ``entries`` as a :meth:`PlanCache.save` bundle on disk."""
-        budget = max(1, sum(e.size_bytes for e in entries)) * 2
-        carrier = PlanCache(max_bytes=budget)
-        for e in entries:
-            carrier.put(e.key, e.plan, compose_overhead_s=e.compose_overhead_s)
-        path = self._spill_dir / f"migrate-{self._spill_seq:06d}.pkl"
-        self._spill_seq += 1
-        carrier.save(path)
-        return path
+    # -- plan movement (in-process handoff) ----------------------------
+    def _handoff(self, moves: list[tuple[CacheEntry, _Shard]], receiver: _Shard) -> int:
+        """Hand ``(entry, donor)`` pairs to ``receiver``; returns plans added.
 
-    def _absorb(self, shard: _Shard, path: Path) -> int:
-        """Warm-start ``shard`` from a spill bundle; returns plans added."""
-        added = 0
-        for e in PlanCache.load(path).entries():
-            if shard.server.cache.peek(e.key) is None:
-                if shard.server.cache.put(
-                    e.key, e.plan, compose_overhead_s=e.compose_overhead_s
-                ):
-                    added += 1
-        return added
-
-    def _spill_bandit_state(
-        self, keys: list[PlanKey], target: _Shard, path: Path
-    ) -> Path | None:
-        """Write the donors' bandit state for ``keys`` as a sidecar next
-        to the plan spill bundle (None when no donor has evidence)."""
-        carrier = FormatBandit(
-            min_obs=self.bandit_min_obs,
-            explore=self.bandit_explore,
-            seed=self._bandit_seed,
-        )
-        for donor in self._live():
-            if donor is target or donor.server.bandit is None:
-                continue
-            carrier.merge_state(donor.server.bandit.state_dict(keys))
-        if not carrier.key_observations_total():
-            return None
-        bandit_path = path.with_name(path.name + ".bandit")
-        carrier.save(bandit_path)
-        return bandit_path
-
-    def _transfer(self, entries: list[CacheEntry], shard: _Shard) -> int:
-        """Move entries to ``shard`` through one save/load spill bundle.
-
-        With adaptive serving on, the donors' bandit state for the moved
-        keys travels as a ``.bandit`` sidecar of the spill bundle, so the
-        receiving shard's bandit starts from the fleet's accumulated
-        reward instead of re-exploring from scratch.
+        A plan enters the receiver's cache unless it already holds the
+        key, and a key its donor pinned after a structural OOM stays
+        pinned there, so the receiver never re-composes the plan that
+        cannot fit.  With adaptive serving the receiver's bandit adopts
+        the moved keys' evidence: first from donors that left the ring
+        (nowhere else holds it), then from the other live shards in ring
+        order; the first source that has a key wins.  A replica shares
+        its donor's plan object: served plans are never mutated.
         """
-        if not entries:
-            return 0
-        path = self._spill(entries)
-        bandit_path = None
-        if self.adaptive and shard.server.bandit is not None:
-            bandit_path = self._spill_bandit_state(
-                [e.key for e in entries], shard, path
-            )
-        try:
-            added = self._absorb(shard, path)
-            if bandit_path is not None:
-                shard.server.bandit.merge_state(
-                    FormatBandit.load(bandit_path).state_dict()
-                )
-            return added
-        finally:
-            path.unlink(missing_ok=True)
-            if bandit_path is not None:
-                bandit_path.unlink(missing_ok=True)
+        server = receiver.server
+        added = 0
+        for entry, donor in moves:
+            if entry.key in donor.server._oom_pinned:
+                server._oom_pinned.add(entry.key)
+            if server.cache.peek(entry.key) is None and server.cache.put(
+                entry.key, entry.plan, compose_overhead_s=entry.compose_overhead_s
+            ):
+                added += 1
+        if server.bandit is not None and moves:
+            keys = [entry.key for entry, _ in moves]
+            departed = {d.shard_id: d for _, d in moves if not d.alive}
+            live = [s for s in self._live() if s is not receiver]
+            for source in [*departed.values(), *live]:
+                server.bandit.merge_state(source.server.bandit.state_dict(keys))
+        return added
 
     def _ensure_replicated(self, key: PlanKey | str) -> bool:
         """Copy a hot key's cached plan to its replica shards (once per
@@ -522,8 +471,8 @@ class ClusterFrontend(ServingSurface):
                 "migrate", kind="replicate", key=str(key)[:16], replicas=len(targets)
             ):
                 for sid in targets:
-                    self.metrics.plans_replicated += self._transfer(
-                        [entry], self._shards[sid]
+                    self.metrics.plans_replicated += self._handoff(
+                        [(entry, primary)], self._shards[sid]
                     )
         self._replicated[key] = self._ring_version
         return True
@@ -715,7 +664,7 @@ class ClusterFrontend(ServingSurface):
 
     def add_shard(self) -> MembershipChange:
         """Grow the fleet by one shard, migrating the ~1/N of cached plans
-        the ring reassigns to it (spill-bundle warm start)."""
+        the ring reassigns to it (warm start)."""
         shard = self._new_shard()
         with get_tracer().span("migrate", kind="add", shard=shard.shard_id):
             owned = self._primary_owned()
@@ -724,14 +673,15 @@ class ClusterFrontend(ServingSurface):
             self._ring_version += 1
             # Only arcs captured by the new shard's points change owner —
             # exactly the keys now routing somewhere other than their old
-            # primary.  Their entries move through one spill bundle.
+            # primary.
             moving = [
                 (key, donor)
                 for key, donor in owned.items()
                 if self.ring.route(key) != donor.shard_id
             ]
-            entries = [donor.server.cache.pop(key) for key, donor in moving]
-            migrated = self._transfer([e for e in entries if e], shard)
+            migrated = self._handoff(
+                [(donor.server.cache.pop(key), donor) for key, donor in moving], shard
+            )
         self.metrics.shards_added += 1
         self.metrics.plans_migrated += migrated
         change = MembershipChange(
@@ -762,11 +712,11 @@ class ClusterFrontend(ServingSurface):
             shard.alive = False
             requeued = self._requeue(shard)
             migrated = 0
-            by_dest: dict[str, list[CacheEntry]] = {}
+            by_dest: dict[str, list[tuple[CacheEntry, _Shard]]] = {}
             for e in departing:
-                by_dest.setdefault(self.ring.route(e.key), []).append(e)
-            for dest, batch in sorted(by_dest.items()):
-                migrated += self._transfer(batch, self._shards[dest])
+                by_dest.setdefault(self.ring.route(e.key), []).append((e, shard))
+            for dest, moves in sorted(by_dest.items()):
+                migrated += self._handoff(moves, self._shards[dest])
             shard.server.cache.clear()
         self.metrics.shards_removed += 1
         self.metrics.plans_migrated += migrated

@@ -5,26 +5,15 @@ The unit of accounting is the plan's *device footprint*
 budget models keeping hot formats resident.  Eviction is strict LRU; a
 plan larger than the whole budget is rejected outright (counted in
 ``rejected``) rather than thrashing the cache.
-
-Caches can be spilled to disk and warm-started, reusing the pickle-bundle
-convention of :mod:`repro.core.persistence` (a ``magic`` tag checked on
-load, bumped on incompatible changes).
 """
 
 from __future__ import annotations
 
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.core.pipeline import ComposePlan
 from repro.serve.fingerprint import PlanKey
-
-#: Format tag checked on load, bumped on incompatible changes.  v3 bundles
-#: pickle :class:`~repro.serve.fingerprint.PlanKey` keys; v2 keys were
-#: ``<fp>/<op>/J<J>`` strings and v1 keys had no op segment.
-CACHE_MAGIC = "repro-plancache-v3"
 
 #: Default budget: 256 MiB of resident format arrays.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -145,44 +134,3 @@ class PlanCache:
             "rejected": self.rejected,
             "hit_rate": self.hit_rate,
         }
-
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Spill the resident entries (not the counters) to ``path``."""
-        payload = {
-            "magic": CACHE_MAGIC,
-            "max_bytes": self.max_bytes,
-            "entries": [
-                (e.key, e.plan, e.compose_overhead_s) for e in self._entries.values()
-            ],
-        }
-        with Path(path).open("wb") as fh:
-            pickle.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path: str | Path, max_bytes: int | None = None) -> "PlanCache":
-        """Warm-start a cache from a :meth:`save` bundle."""
-        with Path(path).open("rb") as fh:
-            payload = pickle.load(fh)
-        if not isinstance(payload, dict) or "magic" not in payload:
-            raise ValueError(f"{path} is not a saved plan-cache bundle")
-        if payload["magic"] != CACHE_MAGIC:
-            raise ValueError(
-                f"{path} has incompatible cache tag {payload['magic']!r} "
-                f"(expected {CACHE_MAGIC!r})"
-            )
-        # "No override" is spelled None, not falsy: an explicit
-        # ``max_bytes=0`` must reach the constructor and raise the same
-        # ValueError it would anywhere else, not silently fall back to
-        # the saved budget.
-        if max_bytes is None:
-            max_bytes = payload["max_bytes"]
-        cache = cls(max_bytes=max_bytes)
-        for key, plan, overhead_s in payload["entries"]:
-            cache.put(key, plan, compose_overhead_s=overhead_s)
-        # Warm-starting is not traffic: reset *every* counter the loop
-        # above may have bumped.  Loading into a smaller budget evicts or
-        # rejects entries via put(), and leaving those counts in place
-        # would inflate the traffic counters before the first request.
-        cache.hits = cache.misses = cache.evictions = cache.rejected = 0
-        return cache

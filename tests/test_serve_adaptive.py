@@ -3,10 +3,11 @@
 The contract pinned here (docs/ADAPTIVE.md): the bandit defers to the
 static selector until some arm of a key reaches ``min_obs`` raw
 observations, then overrides it deterministically under a fixed seed;
-its state pickles with a magic tag alongside the v2 plan-cache spill and
-rides the cluster's spill transport on shard migration.
+its state pickles with a magic tag and moves with its plans on shard
+migration.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -144,16 +145,13 @@ class TestPersistence:
         return server, bandit
 
     def test_round_trip_alongside_plan_cache_spill(self, liteform, tmp_path):
-        """Bandit state spills next to the v2 plan-cache bundle and both
-        restore: same keys, same per-arm statistics, same context."""
-        server, bandit = self._traced_bandit(liteform)
-        spill = tmp_path / "cache.spill"
-        server.cache.save(spill)
-        sidecar = spill.with_name(spill.name + ".bandit")
-        bandit.save(sidecar)
+        """Saved bandit state restores: same hyperparameters, same
+        per-arm statistics, same context."""
+        _, bandit = self._traced_bandit(liteform)
+        path = tmp_path / "state.bandit"
+        bandit.save(path)
 
-        PlanCache.load(spill)  # the spill itself still restores
-        restored = FormatBandit.load(sidecar)
+        restored = FormatBandit.load(path)
         assert restored.min_obs == bandit.min_obs
         assert restored.explore == bandit.explore
         assert restored.decay == bandit.decay
@@ -264,7 +262,7 @@ class TestServerIntegration:
 
 
 class TestClusterMigration:
-    def test_bandit_state_rides_the_spill_transport(self, liteform):
+    def test_bandit_state_moves_with_the_handoff(self, liteform):
         frontend = ClusterFrontend(
             liteform=liteform,
             num_shards=2,
@@ -283,9 +281,36 @@ class TestClusterMigration:
         frontend.add_shard()
         new = frontend._live()[-1]
         assert new.server.bandit is not None
-        # The new shard warm-started from donor spill sidecars: it holds
-        # per-key statistics it never observed locally.
+        # The new shard adopted the donors' evidence for its moved keys:
+        # it holds per-key statistics it never observed locally.
         assert new.server.bandit.key_observations_total() > 0
         assert new.server.bandit.observations == 0
         snap = frontend.snapshot()["cluster"]
         assert snap["bandit_observations"] == SPEC.num_requests
+
+    def test_remove_shard_hands_over_the_departing_evidence(self, liteform):
+        """The departing shard is off the ring when its plans move, yet
+        its bandit evidence for them is the only evidence there is: the
+        receivers must adopt it stat for stat."""
+        spec = dataclasses.replace(SPEC, num_requests=40, num_matrices=8)
+        frontend = ClusterFrontend(
+            liteform=liteform,
+            num_shards=3,
+            seed=7,
+            adaptive=True,
+            bandit_min_obs=2,
+        )
+        frontend.replay(generate_workload(spec))
+        victim = max(frontend._live(), key=lambda s: len(s.server.cache))
+        moved = [
+            k for k in victim.server.cache.keys()
+            if frontend.ring.route(k) == victim.shard_id
+        ]
+        evidence = victim.server.bandit.state_dict(moved)["stats"]
+        assert len(evidence) >= 2
+
+        change = frontend.remove_shard(victim.shard_id)
+        assert change.plans_migrated == len(moved)
+        for key, stats in evidence.items():
+            receiver = frontend._shards[frontend.ring.route(key)]
+            assert receiver.server.bandit.state_dict([key])["stats"] == {key: stats}

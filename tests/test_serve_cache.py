@@ -1,13 +1,10 @@
-"""Plan-cache LRU/byte-budget behaviour and spill/warm-start round trips."""
-
-import pickle
+"""Plan-cache LRU/byte-budget behaviour."""
 
 import pytest
 
 from repro.core import LiteForm, generate_training_data
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
-from repro.serve import PlanCache, PlanKey, fingerprint_csr
-from repro.serve.plan_cache import CACHE_MAGIC
+from repro.serve import PlanCache
 
 
 @pytest.fixture(scope="module")
@@ -81,121 +78,6 @@ class TestLRU:
         for key in ("entries", "bytes", "max_bytes", "hits", "misses",
                     "evictions", "rejected", "hit_rate"):
             assert key in s
-
-
-class TestSpill:
-    def test_save_load_round_trip(self, tmp_path, plans):
-        cache = PlanCache(max_bytes=1 << 30)
-        for k, p in plans.items():
-            cache.put(k, p, compose_overhead_s=0.1)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        warmed = PlanCache.load(path)
-        assert set(warmed.keys()) == set(plans)
-        assert warmed.hits == 0 and warmed.misses == 0  # warm-start isn't traffic
-        entry = warmed.get("k1")
-        assert entry.compose_overhead_s == pytest.approx(0.1)
-        assert entry.plan.fmt.to_csr().nnz == plans["k1"].fmt.to_csr().nnz
-
-    def test_load_rejects_non_bundle(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        with path.open("wb") as fh:
-            pickle.dump([1, 2, 3], fh)
-        with pytest.raises(ValueError, match="not a saved plan-cache bundle"):
-            PlanCache.load(path)
-
-    def test_load_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "old.pkl"
-        # v1 (pre-op string keys) and v2 (op-segmented string keys) spills
-        # are not migrated to PlanKey-keyed bundles.
-        for magic in ("repro-plancache-v0", "repro-plancache-v1", "repro-plancache-v2"):
-            with path.open("wb") as fh:
-                pickle.dump({"magic": magic, "max_bytes": 1 << 20, "entries": []}, fh)
-            with pytest.raises(ValueError, match="incompatible cache tag"):
-                PlanCache.load(path)
-            assert CACHE_MAGIC != magic
-
-    def test_load_leaves_current_magic_keys_untouched(self, tmp_path, plans):
-        """A spill round-trips its PlanKey keys unchanged."""
-        fp = fingerprint_csr(power_law_graph(300, 6, seed=0))
-        keys = [PlanKey(fp, "sddmm", 16), PlanKey(fp, "spmm", 32)]
-        cache = PlanCache(max_bytes=1 << 30)
-        for key, plan in zip(keys, plans.values()):
-            cache.put(key, plan)
-        path = tmp_path / "v3.pkl"
-        cache.save(path)
-        warmed = PlanCache.load(path)
-        assert warmed.keys() == keys
-        assert [str(k) for k in warmed.keys()] == [
-            f"{fp.key}/sddmm/J16", f"{fp.key}/spmm/J32"
-        ]
-
-    def test_load_keeps_saved_budget_when_unspecified(self, tmp_path, plans):
-        cache = PlanCache(max_bytes=12345678)
-        for k, p in plans.items():
-            cache.put(k, p)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        assert PlanCache.load(path).max_bytes == 12345678
-        assert PlanCache.load(path, max_bytes=None).max_bytes == 12345678
-
-    def test_load_rejects_explicit_invalid_budget(self, tmp_path, plans):
-        """Regression: ``max_bytes=0`` is falsy but is an explicit
-        override, not "use the saved budget" — it must raise the same
-        ValueError the constructor raises everywhere else."""
-        cache = PlanCache(max_bytes=1 << 30)
-        for k, p in plans.items():
-            cache.put(k, p)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        with pytest.raises(ValueError, match="max_bytes must be >= 1"):
-            PlanCache.load(path, max_bytes=0)
-        with pytest.raises(ValueError, match="max_bytes must be >= 1"):
-            PlanCache.load(path, max_bytes=-4)
-
-    def test_load_respects_smaller_budget(self, tmp_path, plans):
-        cache = PlanCache(max_bytes=1 << 30)
-        for k, p in plans.items():
-            cache.put(k, p)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        smallest = min(p.fmt.footprint_bytes for p in plans.values())
-        warmed = PlanCache.load(path, max_bytes=smallest)
-        assert warmed.total_bytes <= smallest
-        assert len(warmed) <= 1
-
-    def test_load_into_smaller_budget_does_not_pollute_counters(self, tmp_path, plans):
-        """Regression: warm-start evictions/rejections are not traffic."""
-        cache = PlanCache(max_bytes=1 << 30)
-        for k, p in plans.items():
-            cache.put(k, p)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        # loading into a budget fitting only the smallest plan forces the
-        # put() loop to evict/reject — none of which is request traffic
-        smallest = min(p.fmt.footprint_bytes for p in plans.values())
-        warmed = PlanCache.load(path, max_bytes=smallest)
-        assert warmed.evictions == 0
-        assert warmed.rejected == 0
-        assert warmed.hits == 0 and warmed.misses == 0
-
-    def test_save_load_round_trip_smaller_budget_entries_usable(self, tmp_path, plans):
-        """Surviving entries of a shrunken warm start still serve plans."""
-        cache = PlanCache(max_bytes=1 << 30)
-        for k, p in plans.items():
-            cache.put(k, p, compose_overhead_s=0.2)
-        path = tmp_path / "cache.pkl"
-        cache.save(path)
-        sizes = {k: p.fmt.footprint_bytes for k, p in plans.items()}
-        budget = sizes["k2"] + sizes["k3"]  # room for the two loaded last
-        warmed = PlanCache.load(path, max_bytes=budget)
-        assert warmed.total_bytes <= budget
-        assert len(warmed) >= 1
-        survivor = warmed.keys()[-1]  # most recently loaded survives
-        entry = warmed.get(survivor)
-        assert entry is not None
-        assert entry.compose_overhead_s == pytest.approx(0.2)
-        assert entry.plan.fmt.to_csr().nnz == plans[survivor].fmt.to_csr().nnz
 
 
 class TestEvictionControlFlow:

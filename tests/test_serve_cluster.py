@@ -9,18 +9,30 @@ following their keys across the fleet.
 
 from __future__ import annotations
 
+import pathlib
+from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core import LiteForm, generate_training_data
-from repro.gpu import FaultPolicy, FaultyDevice
+from repro.formats.csr import CSRFormat
+from repro.gpu import (
+    FaultPolicy,
+    FaultyDevice,
+    SimulatedDevice,
+    SimulatedOOMError,
+)
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.serve import (
     ClusterFrontend,
     OpRequest,
+    PlanKey,
     RetryPolicy,
     SpMMServer,
     WindowedFrequencySketch,
+    fingerprint_csr,
 )
 
 
@@ -240,6 +252,96 @@ class TestElasticMembership:
         responses = fe.drain()
         assert len(responses) == 18
         assert all(not r.failed for r in responses)
+
+    def test_migration_touches_no_file(self, liteform, monkeypatch):
+        """Plans and bandit evidence move between shards in memory."""
+        def no_files(*args, **kwargs):
+            raise AssertionError("cluster migration opened a file")
+
+        mats = _matrices(4)
+        head = [mats[0]] * 7 + mats[1:]
+        reqs = [OpRequest(matrix=head[i % 10], B=None, J=32) for i in range(40)]
+        fe = ClusterFrontend(
+            liteform, num_shards=3, replication=2, hot_fraction=0.3,
+            hot_min_count=3, adaptive=True,
+        )
+        monkeypatch.setattr(pathlib.Path, "open", no_files)
+        assert fe.replay(reqs).plans_replicated >= 1
+        fe.add_shard()
+        fe.remove_shard(fe.shards[0])
+        assert fe.metrics.plans_migrated >= 1
+        assert fe.replay(reqs).failed == 0
+
+
+@dataclass
+class _CellOOMDevice(SimulatedDevice):
+    """Every CELL launch is a structural OOM; other formats run normally."""
+
+    def measure(self, stats):
+        if stats.label.startswith("cell"):
+            raise SimulatedOOMError(2 * self.spec.dram_bytes, self.spec.dram_bytes)
+        return super().measure(stats)
+
+
+class TestMigrationCarriesOOMPins:
+    """A key pinned to its CSR fallback after a structural OOM stays
+    pinned on every shard its plan moves to: an eviction there must not
+    start a CELL compose that pays the OOM again."""
+
+    A = power_law_graph(400, 6, seed=50)
+    KEY = PlanKey(fingerprint_csr(A), "spmm", 32)
+
+    def _frontend(self, liteform, monkeypatch, **kwargs):
+        monkeypatch.setattr(
+            liteform,
+            "compose_csr",
+            partial(LiteForm.compose_csr, liteform, force_cell=True),
+        )
+        return ClusterFrontend(
+            liteform,
+            num_shards=2,
+            speculative=True,
+            device_factory=lambda shard, device: _CellOOMDevice(),
+            **kwargs,
+        )
+
+    def _serve(self, fe):
+        return fe.serve(OpRequest(matrix=self.A, B=None, J=32))
+
+    def _pin_on_owner(self, fe):
+        """Serve until the owner swaps CELL in, OOMs on it and pins."""
+        owner = fe._shards[fe.ring.route(self.KEY)]
+        self._serve(fe)
+        fe.wait_for_speculation()
+        assert self._serve(fe).degraded_oom
+        assert self.KEY in owner.server._oom_pinned
+        return owner
+
+    def _assert_pin_holds(self, fe, receiver):
+        assert self.KEY in receiver.server._oom_pinned
+        assert isinstance(receiver.server.cache.peek(self.KEY).plan.fmt, CSRFormat)
+        assert receiver.server.cache.pop(self.KEY) is not None  # eviction
+        assert not self._serve(fe).failed
+        assert not receiver.server._inflight, "pinned key must not re-compose"
+        fe.wait_for_speculation()
+        assert not self._serve(fe).degraded_oom
+        # The structural OOM was paid exactly once across the fleet.
+        assert sum(s.server.metrics.oom_degraded for s in fe._shards.values()) == 1
+
+    def test_remove_shard_carries_the_pin(self, liteform, monkeypatch):
+        fe = self._frontend(liteform, monkeypatch)
+        owner = self._pin_on_owner(fe)
+        assert fe.remove_shard(owner.shard_id).plans_migrated == 1
+        self._assert_pin_holds(fe, fe._live()[0])
+
+    def test_replication_carries_the_pin(self, liteform, monkeypatch):
+        fe = self._frontend(liteform, monkeypatch, replication=2, hot_min_count=3)
+        primary = self._pin_on_owner(fe)
+        self._serve(fe)  # third request: hot, the pinned plan replicates
+        assert fe.metrics.plans_replicated == 1
+        replica = next(s for s in fe._live() if s is not primary)
+        fe.kill_shard(primary.shard_id)
+        self._assert_pin_holds(fe, replica)
 
 
 class TestBatchedMode:
