@@ -15,7 +15,7 @@ refined by microbenchmarking (Roofline-style).  This reproduction:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,19 +89,14 @@ class HybridPanelSpMM(SpMMKernel):
         for p in fmt.panels:
             kinds.add(p.kind)
             kern = self._cell if p.kind == "ell" else self._csr
-            s = kern.plan(p.fmt, J)
-            s.num_launches = 0
-            stats.append(s)
+            stats.append(replace(kern.plan(p.fmt, J), num_launches=0))
         if not stats:
             return KernelStats(num_launches=1, label=self.name)
         merged = KernelStats.merge(stats)
         # Same-kind panels fuse into one launch; atomic CELL panels still
         # need their zero-initialization launch.
-        merged.num_launches = max(1, len(kinds)) + (
-            1 if merged.atomic_store_bytes > 0 else 0
-        )
-        merged.label = self.name
-        return merged
+        launches = max(1, len(kinds)) + (1 if merged.atomic_store_bytes > 0 else 0)
+        return replace(merged, num_launches=launches, label=self.name)
 
     def execute(self, fmt: HybridPanelFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])

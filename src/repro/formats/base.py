@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +101,14 @@ class SparseFormat(abc.ABC):
     @property
     def padding_ratio(self) -> float:
         return padding_ratio(self.stored_elements, self.nnz)
+
+    @cached_property
+    def kernel_memo(self) -> dict:
+        """``(kernel, J) -> PackedStats`` filled by
+        :meth:`repro.kernels.base.SpMMKernel.stats`.  It lives and dies
+        with the format, so it grows only with the widths a resident plan
+        is launched at."""
+        return {}
 
     @property
     def density(self) -> float:

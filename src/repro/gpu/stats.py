@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -11,12 +11,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpu.timing import TimeBreakdown
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelStats:
     """Structural description of the work one GPU kernel launch performs.
 
     Every field is a *count* derived from the sparse format and the operand
     shapes, never from wall-clock timing, so measurements are deterministic.
+    Records are immutable (``block_costs`` is a read-only view), which is
+    what lets kernels memoize them per format and devices memoize their
+    timing per record; derive variants with :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -71,9 +74,14 @@ class KernelStats:
     #: Whether the kernel's blocks are dispatched longest-first (sorted
     #: workloads, e.g. Sputnik's row swizzle) rather than in natural order.
     lpt_dispatch: bool = False
+    #: Device-side memo of this record's timing, filled by
+    #: :meth:`repro.gpu.device.SimulatedDevice.measure`.
+    timings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.block_costs = np.asarray(self.block_costs, dtype=np.float64)
+        costs = np.asarray(self.block_costs, dtype=np.float64).view()
+        costs.flags.writeable = False
+        object.__setattr__(self, "block_costs", costs)
         if self.lane_utilization <= 0.0 or self.lane_utilization > 1.0:
             raise ValueError(
                 f"lane_utilization must be in (0, 1], got {self.lane_utilization}"
@@ -161,6 +169,50 @@ class KernelStats:
             compute_efficiency=float(ceff),
             lpt_dispatch=all(s.lpt_dispatch for s in stats),
         )
+
+
+#: Fields a :class:`PackedStats` keeps as they are (the timing memo included).
+_PACKED_FIELDS = tuple(f.name for f in fields(KernelStats) if f.name != "block_costs")
+
+
+class PackedStats:
+    """A :class:`KernelStats` kept at rest in compact form.
+
+    Block costs take few distinct values (one per bucket width, or per
+    row-length class), so each block's cost is stored as a one- or
+    two-byte code into the sorted distinct values instead of an
+    eight-byte float (or as is, when codes would not be smaller).
+    :meth:`unpack` rebuilds a record equal to the packed one, field for
+    field, that shares its timing memo.
+    """
+
+    __slots__ = ("_fields", "_values", "_codes")
+
+    def __init__(self, stats: KernelStats):
+        costs = stats.block_costs
+        values, codes = np.unique(costs, return_inverse=True)
+        codes = codes.astype(np.min_scalar_type(max(values.size - 1, 0)))
+        if values.nbytes + codes.nbytes < costs.nbytes:
+            self._values, self._codes = values, codes
+        else:
+            self._values, self._codes = costs, None
+        self._fields = tuple(getattr(stats, name) for name in _PACKED_FIELDS)
+
+    def unpack(self) -> KernelStats:
+        costs = self._values
+        if self._codes is not None:
+            costs = costs[self._codes]
+            costs.flags.writeable = False
+        # Fields are already validated; fill the frozen record directly.
+        stats = object.__new__(KernelStats)
+        vars(stats).update(zip(_PACKED_FIELDS, self._fields), block_costs=costs)
+        return stats
+
+    @property
+    def nbytes(self) -> int:
+        """Array bytes held at rest."""
+        codes = 0 if self._codes is None else self._codes.nbytes
+        return self._values.nbytes + codes
 
 
 @dataclass

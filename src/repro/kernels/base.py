@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from repro.formats.base import SparseFormat, VALUE_DTYPE
 from repro.gpu.device import SimulatedDevice
-from repro.gpu.stats import KernelStats, Measurement
+from repro.gpu.stats import KernelStats, Measurement, PackedStats
 
 #: Bytes per 32-bit word.
 WORD = 4
@@ -75,7 +75,8 @@ class SpMMKernel(abc.ABC):
     Subclasses implement :meth:`plan` (emit :class:`KernelStats` for a given
     format and dense width ``J``) and :meth:`execute` (compute ``C``
     numerically from the format's own arrays).  :meth:`run` combines both on
-    a :class:`SimulatedDevice`.
+    a :class:`SimulatedDevice`; it and :meth:`measure` take their stats from
+    :meth:`stats`, which plans each ``(kernel, format, J)`` once.
     """
 
     #: Human-readable kernel name (system whose strategy it reproduces).
@@ -89,18 +90,37 @@ class SpMMKernel(abc.ABC):
     def execute(self, fmt: SparseFormat, B: np.ndarray) -> np.ndarray:
         """Compute the numeric result from the format's arrays."""
 
+    def stats(self, fmt: SparseFormat, J: int) -> KernelStats:
+        """:meth:`plan`, memoized on the format per ``(kernel, J)``.
+
+        Stats depend only on the format's structure, the kernel's
+        configuration and ``J``, and built formats are never written in
+        place, so a reused plan pays for :meth:`plan` at most twice.  The
+        record is kept (packed) from the second call on, so a plan
+        launched once, such as a cache entry never hit, carries no memo.
+        Every call hands out an equal, immutable record; those of one
+        memo entry share one timing memo.
+        """
+        key = (self, int(J))
+        memo = fmt.kernel_memo
+        packed = memo.get(key)
+        if packed is not None:
+            return packed.unpack()
+        stats = self.plan(fmt, key[1])
+        memo[key] = PackedStats(stats) if key in memo else None
+        return stats
+
     def run(
         self, fmt: SparseFormat, B: np.ndarray, device: SimulatedDevice
     ) -> tuple[np.ndarray, Measurement]:
         """Execute numerically and measure on the simulated device."""
-        stats = self.plan(fmt, int(B.shape[1]))
-        measurement = device.measure(stats)
+        measurement = device.measure(self.stats(fmt, B.shape[1]))
         C = self.execute(fmt, B)
         return C, measurement
 
     def measure(self, fmt: SparseFormat, J: int, device: SimulatedDevice) -> Measurement:
         """Timing-only path (no numeric execution) for tuners and sweeps."""
-        return device.measure(self.plan(fmt, int(J)))
+        return device.measure(self.stats(fmt, J))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.formats.base import VALUE_DTYPE
 from repro.formats.cell import Bucket, CELLFormat
@@ -41,10 +42,16 @@ class CELLSpMM(SpMMKernel):
         self.wave_blocks = wave_blocks
 
     def _bucket_stats(
-        self, fmt: CELLFormat, bucket: Bucket, J: int, partition_cols: int
+        self,
+        fmt: CELLFormat,
+        bucket: Bucket,
+        J: int,
+        partition_cols: int,
+        footprint: float,
     ) -> KernelStats:
+        """One bucket's launch; ``footprint`` is the whole plan's operand
+        footprint, computed once per plan."""
         R, W = bucket.num_rows, bucket.width
-        K = fmt.shape[1]
         stored = bucket.stored_elements
         atomic = fmt.needs_atomic(bucket)
         out_words = float(R * J)
@@ -73,7 +80,7 @@ class CELLSpMM(SpMMKernel):
             bandwidth_efficiency=1.15,  # dense coalesced Ellpack streaming
             lpt_dispatch=True,  # equal-size blocks: order is irrelevant
             num_launches=1,
-            footprint_bytes=operand_footprint(fmt.footprint_bytes, K, fmt.shape[0], J),
+            footprint_bytes=footprint,
             label=f"{self.name}[w={W}]",
         )
 
@@ -81,8 +88,9 @@ class CELLSpMM(SpMMKernel):
         if not isinstance(fmt, CELLFormat):
             raise TypeError(f"{self.name} kernel requires CELLFormat, got {type(fmt).__name__}")
         I, K = fmt.shape
+        footprint = operand_footprint(fmt.footprint_bytes, K, I, J)
         per_bucket = [
-            self._bucket_stats(fmt, bucket, J, part.num_cols)
+            self._bucket_stats(fmt, bucket, J, part.num_cols, footprint)
             for part, bucket in fmt.iter_buckets()
         ]
         if not per_bucket:
@@ -91,11 +99,12 @@ class CELLSpMM(SpMMKernel):
                 flops=0.0,
                 block_costs=np.zeros(0),
                 num_launches=1,
-                footprint_bytes=operand_footprint(fmt.footprint_bytes, K, I, J),
+                footprint_bytes=footprint,
                 label=self.name,
             )
         merged = KernelStats.merge(per_bucket)
-        merged.num_launches = 1 if self.fused else len(per_bucket)
+        launches = 1 if self.fused else len(per_bucket)
+        stores = merged.coalesced_store_bytes
         if merged.atomic_store_bytes > 0:
             # atomicAdd accumulation needs its target rows zero-initialized;
             # only the rows written by atomic buckets are memset.
@@ -104,34 +113,31 @@ class CELLSpMM(SpMMKernel):
                 for _, bucket in fmt.iter_buckets()
                 if fmt.needs_atomic(bucket)
             )
-            merged.coalesced_store_bytes += float(min(atomic_rows, I)) * J * 4
-            merged.num_launches += 1
-        merged.label = self.name
-        return merged
+            stores += float(min(atomic_rows, I)) * J * 4
+            launches += 1
+        return replace(
+            merged,
+            coalesced_store_bytes=stores,
+            num_launches=launches,
+            label=self.name,
+        )
 
     def execute(self, fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])
         I, J = fmt.shape[0], B.shape[1]
         C = np.zeros((I, J), dtype=VALUE_DTYPE)
         for _, bucket in fmt.iter_buckets():
-            # Cached compact slab: columns within each bucket row are already
-            # in CSR order, so the direct constructor needs no COO sort.
-            data, indices, indptr = bucket.csr_slab
-            if not data.size:
+            slab = bucket.slab(fmt.shape[1])
+            if not slab.nnz:
                 continue
-            slab = sp.csr_matrix(
-                (data, indices, indptr),
-                shape=(bucket.num_rows, fmt.shape[1]),
-            )
             partial = np.asarray(slab @ B)
-            row_ind = bucket.row_ind.astype(np.int64)
             if bucket.has_folds:
                 # Folded chunks alias output rows, so the scatter must
                 # accumulate duplicates — the atomicAdd path of the plan.
                 # (Cross-partition accumulation still counts as atomic in
                 # plan()'s cost model, but across buckets plain ``+=`` is
                 # exact: each bucket touches a row at most once here.)
-                np.add.at(C, row_ind, partial)
+                np.add.at(C, bucket.row_ind, partial)
             else:
-                C[row_ind] += partial
+                C[bucket.row_ind] += partial
         return C

@@ -14,6 +14,8 @@ partition-bounded gather windows on ``V``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -70,8 +72,7 @@ class _SDDMMKernel(SpMMKernel):
 
     def run(self, fmt, operands, device):
         U, V = operands
-        stats = self.plan(fmt, int(np.asarray(U).shape[1]))
-        measurement = device.measure(stats)
+        measurement = device.measure(self.stats(fmt, np.asarray(U).shape[1]))
         C = self.execute(fmt, (U, V))
         return C, measurement
 
@@ -133,6 +134,7 @@ class CELLSDDMM(_SDDMMKernel):
         if not isinstance(fmt, CELLFormat):
             raise TypeError(f"{self.name} requires CELLFormat, got {type(fmt).__name__}")
         I, Jc = fmt.shape
+        footprint = fmt.footprint_bytes + (I + Jc) * K * 4
         per_bucket = []
         for part, bucket in fmt.iter_buckets():
             R, W = bucket.num_rows, bucket.width
@@ -151,16 +153,13 @@ class CELLSDDMM(_SDDMMKernel):
                     bandwidth_efficiency=1.15,
                     lpt_dispatch=True,
                     num_launches=1,
-                    footprint_bytes=fmt.footprint_bytes + (I + Jc) * K * 4,
+                    footprint_bytes=footprint,
                     label=f"{self.name}[w={W}]",
                 )
             )
         if not per_bucket:
             return KernelStats(num_launches=1, label=self.name)
-        merged = KernelStats.merge(per_bucket)
-        merged.num_launches = 1
-        merged.label = self.name
-        return merged
+        return replace(KernelStats.merge(per_bucket), num_launches=1, label=self.name)
 
     def execute(self, fmt: CELLFormat, operands) -> sp.csr_matrix:
         U, V = operands

@@ -23,7 +23,7 @@ this repo's simulated scale) are hashed in full.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +55,10 @@ class MatrixFingerprint:
     cols: int
     nnz: int
     digest: str
+    #: The values-blind digest of the same matrix (what ``digest`` is with
+    #: ``include_values=False``), taken from the same hashing pass; not
+    #: part of the identity.
+    pattern: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def key(self) -> str:
@@ -75,7 +79,8 @@ def fingerprint_csr(
     ``include_values=False`` keys on the sparsity pattern alone — useful
     when the caller guarantees values travel with the pattern (e.g. a
     normalized adjacency matrix regenerated per request) and wants hits
-    across value-perturbed copies.  The server default keeps values in.
+    across value-perturbed copies.  The server default keeps values in;
+    either way the result carries the pattern-only digest as ``pattern``.
     """
     if not sp.issparse(A) or A.format != "csr":
         raise TypeError(f"fingerprint_csr requires a CSR matrix, got {type(A).__name__}")
@@ -88,6 +93,7 @@ def fingerprint_csr(
     h.update(int(A.nnz).to_bytes(8, "little"))
     _hash_array(h, A.indptr, sample_budget_bytes)
     _hash_array(h, A.indices, sample_budget_bytes)
+    pattern = h.copy().hexdigest()
     if include_values:
         _hash_array(h, A.data, sample_budget_bytes)
     return MatrixFingerprint(
@@ -95,6 +101,7 @@ def fingerprint_csr(
         cols=int(A.shape[1]),
         nnz=int(A.nnz),
         digest=h.hexdigest(),
+        pattern=pattern,
     )
 
 

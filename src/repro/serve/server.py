@@ -494,7 +494,13 @@ class SpMMServer(ServingSurface):
         return plan
 
     # -- structural reuse ("re-value") ----------------------------------
-    def _record_structure(self, A: sp.csr_matrix, plan: ComposePlan) -> None:
+    @staticmethod
+    def _pattern(A: sp.csr_matrix, key: PlanKey) -> str:
+        """``A``'s pattern-only digest: carried by keys from
+        :func:`fingerprint_csr`, recomputed for hand-built fingerprints."""
+        return key.fp.pattern or fingerprint_csr(A, include_values=False).digest
+
+    def _record_structure(self, pattern: str, plan: ComposePlan) -> None:
         """Remember a full compose's geometry under the matrix's *pattern*
         digest so later same-pattern misses can rebuild it cheaply.
 
@@ -514,7 +520,7 @@ class SpMMServer(ServingSurface):
             fmt_kwargs = {} if block_shape is None else {"block_shape": block_shape}
         skeleton = dataclasses.replace(plan, fmt=None, kernel=None, incremental=None)
         rec = (type(plan.fmt), fmt_kwargs, type(plan.kernel), skeleton)
-        _remember(self._structures, fingerprint_csr(A, include_values=False).digest, rec)
+        _remember(self._structures, pattern, rec)
 
     @staticmethod
     def _rebuild_structure(A: sp.csr_matrix, rec: tuple) -> ComposePlan:
@@ -806,7 +812,7 @@ class SpMMServer(ServingSurface):
         if arm is not None:
             return decided(self._arm_plan(A, key, arm), PlanSource.BANDIT)
         if reuse_structure and not force_degrade:
-            rec = self._structures.get(fingerprint_csr(A, include_values=False).digest)
+            rec = self._structures.get(self._pattern(A, key))
             if rec is not None:
                 with tracer.span("revalue", op=op, nnz=A.nnz):
                     plan = self._bind_op(self._rebuild_structure(A, rec), A, op)
@@ -847,7 +853,7 @@ class SpMMServer(ServingSurface):
         if reuse_structure:
             # Record before op binding so the recipe holds the plan's own
             # SpMM kernel; later rebuilds re-bind per op.
-            self._record_structure(A, plan)
+            self._record_structure(self._pattern(A, key), plan)
         return decided(self._bind_op(plan, A, op), PlanSource.COMPOSE)
 
     def _complete(

@@ -154,9 +154,9 @@ class TestBitIdentity:
         B = np.ones((fmt.shape[1], 4), dtype=np.float32)
         C1 = kernel.execute(fmt, B)
         _, bucket = next(fmt.iter_buckets())
-        slab_before = bucket.csr_slab
+        slab_before = bucket.slab(fmt.shape[1])
         C2 = kernel.execute(fmt, B)
-        assert bucket.csr_slab is slab_before  # cached, not rebuilt
+        assert bucket.slab(fmt.shape[1]) is slab_before  # cached, not rebuilt
         assert np.array_equal(C1, C2)
 
 

@@ -108,7 +108,7 @@ class TestCELLStats:
         fmt = CELLFormat.from_csr(A, num_partitions=1)
         k = CELLSpMM()
         for part, bucket in fmt.iter_buckets():
-            st = k._bucket_stats(fmt, bucket, 32, part.num_cols)
+            st = k._bucket_stats(fmt, bucket, 32, part.num_cols, footprint=0.0)
             if st.block_costs.size > 1:
                 assert np.allclose(st.block_costs[:-1], st.block_costs[0])
 
