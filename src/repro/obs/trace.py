@@ -79,9 +79,14 @@ class TraceContext:
         return TraceContext(trace_id=self.trace_id, parent_span_id=span_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One finished (or active) traced operation."""
+    """One finished (or active) traced operation.
+
+    A span opened by :meth:`Tracer.span` is its own context manager: it
+    enters the nesting stack of the thread that opened it and, on exit,
+    stamps its end and joins the tracer's finished spans.
+    """
 
     name: str
     span_id: int
@@ -93,6 +98,29 @@ class Span:
     #: Distributed trace id (inherited from the parent span or set by an
     #: explicit :class:`TraceContext`); None for untagged spans.
     trace_id: str | None = None
+    #: While the span is live: the opening thread's nesting stack and the
+    #: tracer's finished list.  Both are dropped when the span ends.
+    _stack: list | None = field(default=None, repr=False, compare=False)
+    _finished: list | None = field(default=None, repr=False, compare=False)
+
+    def __enter__(self) -> "Span":
+        self._stack.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.end_s = CLOCK()
+        if exc_type is not None:
+            self.attributes.setdefault("error", exc_type.__name__)
+        stack = self._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        else:  # pragma: no cover - misuse guard (out-of-order exit)
+            try:
+                stack.remove(self)
+            except ValueError:
+                pass
+        self._finished.append(self)
+        self._stack = self._finished = None
 
     def set(self, **attributes: object) -> "Span":
         """Attach attributes to the span mid-flight; returns ``self``."""
@@ -146,25 +174,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _SpanContext:
-    """Context manager pairing a live :class:`Span` with its tracer."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._push(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            self._span.attributes.setdefault("error", exc_type.__name__)
-        self._tracer._pop(self._span)
-
-
 class Tracer:
     """Thread-safe recorder of nested wall-clock spans."""
 
@@ -172,21 +181,16 @@ class Tracer:
 
     def __init__(self, name: str = "repro"):
         self.name = name
-        self._lock = threading.Lock()
+        # Appending, clearing and copying a list are atomic, so finished
+        # spans need no lock.
         self._finished: list[Span] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
 
     # ------------------------------------------------------------------
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def span(
         self, name: str, /, ctx: TraceContext | None = None, **attributes: object
-    ) -> _SpanContext:
+    ) -> Span:
         """Open a span; use as ``with tracer.span("stage", key=val) as s:``.
 
         ``ctx`` tags the span (and, via stack inheritance, its whole
@@ -194,55 +198,43 @@ class Tracer:
         inherits the trace id of its parent on the nesting stack, so only
         request roots need an explicit context.
         """
-        stack = self._stack()
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
         parent = stack[-1] if stack else None
-        attrs = dict(attributes) if attributes else {}
+        # ``attributes`` is this call's own fresh dict: the span keeps it.
         if ctx is not None:
             trace_id = ctx.trace_id
             if parent is None and ctx.parent_span_id is not None:
                 # Causal link into another tracer's lane (e.g. the
                 # cluster frontend's ingress span).
-                attrs["link_span_id"] = ctx.parent_span_id
+                attributes["link_span_id"] = ctx.parent_span_id
         else:
             trace_id = parent.trace_id if parent is not None else None
-        sp = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else None,
-            tid=threading.get_ident(),
-            start_s=CLOCK(),
-            attributes=attrs,
-            trace_id=trace_id,
+        # Positional in field order: keyword matching doubles the cost of
+        # constructing the span on this hot path.
+        return Span(
+            name,
+            next(self._ids),
+            parent.span_id if parent is not None else None,
+            threading.get_ident(),
+            CLOCK(),
+            None,  # end_s
+            attributes,
+            trace_id,
+            stack,
+            self._finished,
         )
-        return _SpanContext(self, sp)
-
-    def _push(self, span: Span) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: Span) -> None:
-        span.end_s = CLOCK()
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        else:  # pragma: no cover - misuse guard (out-of-order exit)
-            try:
-                stack.remove(span)
-            except ValueError:
-                pass
-        with self._lock:
-            self._finished.append(span)
 
     def reset(self) -> None:
         """Drop all finished spans (active spans are unaffected)."""
-        with self._lock:
-            self._finished.clear()
+        self._finished.clear()
 
     # ------------------------------------------------------------------
     @property
     def spans(self) -> tuple[Span, ...]:
         """Finished spans in start order."""
-        with self._lock:
-            return tuple(sorted(self._finished, key=lambda s: s.start_s))
+        return tuple(sorted(self._finished, key=lambda s: s.start_s))
 
     def roots(self) -> tuple[Span, ...]:
         """Finished spans with no parent."""
