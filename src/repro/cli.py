@@ -99,6 +99,7 @@ from repro.matrices import (
     read_matrix_market,
 )
 from repro.obs import (
+    MetricsRegistry,
     SLOEngine,
     Tracer,
     default_policies,
@@ -357,12 +358,15 @@ def _device_factory(args):
     return None
 
 
-def _build_surface(args, lf: LiteForm, bandit):
+def _build_surface(args, lf: LiteForm, bandit, registry: MetricsRegistry | None = None):
     """The serving surface the ``serve`` flags describe: a
     :class:`~repro.serve.ClusterFrontend` with ``--shards``, else a
     :class:`~repro.serve.Scheduler` over a server with ``--batch``, else
-    a bare :class:`~repro.serve.SpMMServer`."""
+    a bare :class:`~repro.serve.SpMMServer`.  Its metrics publish onto
+    ``registry`` (default: a fresh one)."""
     from repro.serve import ClusterFrontend, PlanCache, RetryPolicy, Scheduler, SpMMServer
+    from repro.serve.cluster import ClusterMetrics
+    from repro.serve.metrics import ServerMetrics
 
     factory = _device_factory(args)
     policy = dict(
@@ -371,6 +375,7 @@ def _build_surface(args, lf: LiteForm, bandit):
         speculative=args.speculative,
     )
     queueing = dict(max_wait_ms=args.max_wait_ms, max_queue=args.max_queue)
+    registry = MetricsRegistry() if registry is None else registry
     if not args.shards:
         server = SpMMServer(
             liteform=lf,
@@ -378,6 +383,7 @@ def _build_surface(args, lf: LiteForm, bandit):
             num_devices=args.devices,
             devices=None if factory is None else [factory(0, d) for d in range(args.devices)],
             bandit=bandit,
+            metrics=ServerMetrics(registry=registry),
             **policy,
         )
         return Scheduler(server=server, max_batch=args.batch, **queueing) if args.batch else server
@@ -419,6 +425,7 @@ def _build_surface(args, lf: LiteForm, bandit):
         bandit_min_obs=args.bandit_min_obs,
         bandit_explore=args.bandit_explore,
         seed=args.seed,
+        metrics=ClusterMetrics(registry=registry),
         slo=slo,
         **queueing,
         **policy,
@@ -456,18 +463,21 @@ def _zipf_requests(args) -> list:
     """``--workload zipf``: a seeded Zipf trace of independent requests."""
     from repro.serve import WorkloadSpec, generate_workload
 
-    spec = WorkloadSpec(
-        num_requests=args.requests,
-        num_matrices=args.matrices,
-        zipf_s=args.zipf,
-        J_choices=tuple(int(j) for j in args.J_values.split(",")),
-        max_rows=args.max_rows,
-        deadline_ms=args.deadline_ms,
-        deadline_fraction=args.deadline_fraction if args.deadline_ms else 0.0,
-        with_operands=not args.measure_only,
-        arrival_rate_rps=args.arrival_rate,
-        seed=args.seed,
-    )
+    try:
+        spec = WorkloadSpec(
+            num_requests=args.requests,
+            num_matrices=args.matrices,
+            zipf_s=args.zipf,
+            J_choices=tuple(int(j) for j in args.J_values.split(",")),
+            max_rows=args.max_rows,
+            deadline_ms=args.deadline_ms,
+            deadline_fraction=args.deadline_fraction if args.deadline_ms else 0.0,
+            with_operands=not args.measure_only,
+            arrival_rate_rps=args.arrival_rate,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid workload: {exc}") from None
     print(
         f"replaying {spec.num_requests} requests over {spec.num_matrices} "
         f"matrices (Zipf {spec.zipf_s}) ...",
@@ -501,59 +511,28 @@ def cmd_serve(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Replay a short workload and dump the process-wide metrics registry."""
-    from repro.serve import PlanCache, SpMMServer, WorkloadSpec, generate_workload
-    from repro.serve.metrics import ServerMetrics
+    """Replay a short workload and dump the process-wide metrics registry.
 
+    The replay is ``serve`` with its defaults, measure-only over the J
+    mix 32/64/128; a cluster also runs the stock SLO engine."""
+    serve = build_parser().parse_args(["serve", "--measure-only", "--J-values", "32,64,128"])
+    vars(serve).update(vars(args), slo=bool(args.shards))
+    requests = _zipf_requests(serve)
     registry = get_registry()
-    lf = _get_liteform(args)
-    spec = WorkloadSpec(
-        num_requests=args.requests,
-        num_matrices=args.matrices,
-        zipf_s=args.zipf,
-        J_choices=(32, 64, 128),
-        max_rows=args.max_rows,
-        with_operands=False,
-        seed=args.seed,
-    )
-    if args.shards:
-        from repro.serve import ClusterFrontend
-        from repro.serve.cluster import ClusterMetrics
-
-        frontend = ClusterFrontend(
-            lf,
-            num_shards=args.shards,
-            metrics=ClusterMetrics(registry=registry),
-            slo=True,
-        )
-        print(
-            f"replaying {spec.num_requests} measure-only requests over "
-            f"{args.shards} shards ...",
-            file=sys.stderr,
-        )
-        frontend.replay(generate_workload(spec))
-        if args.json:
-            out = registry.snapshot()
-            out["cluster"] = frontend.snapshot()
-            print(json.dumps(out, indent=2))
-        else:
-            print(registry.render_prometheus(), end="")
-            # frontend.report() already carries the attribution section.
-            print(frontend.report())
-        return 0
-    server = SpMMServer(
-        liteform=lf,
-        cache=PlanCache(),
-        metrics=ServerMetrics(registry=registry),
-    )
-    print(f"replaying {spec.num_requests} measure-only requests ...", file=sys.stderr)
-    server.replay(generate_workload(spec))
+    surface = _build_surface(serve, _get_liteform(serve), None, registry)
+    surface.replay(requests)
     if args.json:
-        print(json.dumps(registry.snapshot(), indent=2))
+        out = registry.snapshot()
+        if args.shards:
+            out["cluster"] = surface.snapshot()
+        print(json.dumps(out, indent=2))
     else:
         print(registry.render_prometheus(), end="")
-        if args.attribution:
-            print(server.metrics.attribution.report())
+        if args.shards:
+            # The fleet report already carries the attribution section.
+            print(surface.report())
+        elif args.attribution:
+            print(surface.metrics.attribution.report())
     return 0
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from repro.formats.base import SparseFormat, VALUE_DTYPE
 from repro.gpu.device import SimulatedDevice
+from repro.gpu.memory import CacheModel
 from repro.gpu.stats import KernelStats, Measurement, PackedStats
 
 #: Bytes per 32-bit word.
@@ -31,9 +32,9 @@ def check_dense_operand(B: np.ndarray, K: int) -> np.ndarray:
     return B
 
 
-#: Default number of co-resident thread blocks assumed by kernels when
-#: forming L2 reuse waves (the V100's 80 SMs x 8 resident blocks).
-DEFAULT_WAVE_BLOCKS = 640
+#: Number of co-resident thread blocks assumed by kernels when forming L2
+#: reuse waves (the V100's 80 SMs x 8 resident blocks).
+WAVE_BLOCKS = 640
 
 
 def wave_unique_refs(
@@ -81,6 +82,8 @@ class SpMMKernel(abc.ABC):
 
     #: Human-readable kernel name (system whose strategy it reproduces).
     name: str = "abstract"
+    #: L2 reuse model of the kernel's gathers of the dense operand.
+    CACHE = CacheModel()
 
     @abc.abstractmethod
     def plan(self, fmt: SparseFormat, J: int) -> KernelStats:

@@ -6,10 +6,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.bcsr import BCSRFormat
-from repro.gpu.memory import CacheModel, coalesced_bytes
+from repro.gpu.memory import coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
@@ -30,17 +30,9 @@ class BCSRSpMM(SpMMKernel):
 
     name = "triton"
 
-    def __init__(
-        self,
-        cache: CacheModel | None = None,
-        wave_blocks: int = DEFAULT_WAVE_BLOCKS,
-        dense_tile_efficiency: float = 3.0,
-    ):
-        self.cache = cache or CacheModel(min_miss=0.08)
-        self.wave_blocks = wave_blocks
-        #: Dense tiles run near peak (tensor-core assisted) relative to the
-        #: generic scalar efficiency of irregular kernels.
-        self.dense_tile_efficiency = dense_tile_efficiency
+    #: Dense tiles run near peak (tensor-core assisted) relative to the
+    #: generic scalar efficiency of irregular kernels.
+    DENSE_TILE_EFFICIENCY = 3.0
 
     def plan(self, fmt: BCSRFormat, J: int) -> KernelStats:
         if not isinstance(fmt, BCSRFormat):
@@ -55,9 +47,9 @@ class BCSRSpMM(SpMMKernel):
         # co-resident block-rows; distinct tile columns within a wave are
         # compulsory fetches, repeats hit per the cache model.
         unique_tiles, ref_tiles = wave_unique_refs(
-            fmt.indptr, fmt.indices, self.wave_blocks, -(-K // bw)
+            fmt.indptr, fmt.indices, WAVE_BLOCKS, -(-K // bw)
         )
-        b_bytes = self.cache.b_traffic_bytes(
+        b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique_tiles * bw,
             refs_per_wave=ref_tiles * bw,
             J=J,
@@ -74,7 +66,7 @@ class BCSRSpMM(SpMMKernel):
             block_costs=block_costs,
             threads_per_block=128,
             lane_utilization=1.0,
-            compute_efficiency=self.dense_tile_efficiency,
+            compute_efficiency=self.DENSE_TILE_EFFICIENCY,
             bandwidth_efficiency=1.15,  # dense tile streaming
             num_launches=1,
             footprint_bytes=operand_footprint(fmt.footprint_bytes, K, I, J),

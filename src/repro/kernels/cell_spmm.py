@@ -8,10 +8,10 @@ import numpy as np
 
 from repro.formats.base import VALUE_DTYPE
 from repro.formats.cell import Bucket, CELLFormat
-from repro.gpu.memory import CacheModel, coalesced_bytes
+from repro.gpu.memory import coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
@@ -31,15 +31,8 @@ class CELLSpMM(SpMMKernel):
 
     name = "cell"
 
-    def __init__(
-        self,
-        cache: CacheModel | None = None,
-        fused: bool = True,
-        wave_blocks: int = DEFAULT_WAVE_BLOCKS,
-    ):
-        self.cache = cache or CacheModel()
+    def __init__(self, fused: bool = True):
         self.fused = fused
-        self.wave_blocks = wave_blocks
 
     def _bucket_stats(
         self,
@@ -57,8 +50,8 @@ class CELLSpMM(SpMMKernel):
         out_words = float(R * J)
         # Column partitioning bounds the B working set to the partition's
         # columns — the data-locality mechanism of Section 4.
-        unique, refs = bucket.wave_traffic(bucket.block_rows * self.wave_blocks)
-        b_bytes = self.cache.b_traffic_bytes(
+        unique, refs = bucket.wave_traffic(bucket.block_rows * WAVE_BLOCKS)
+        b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
             J=J,

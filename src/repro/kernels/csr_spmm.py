@@ -8,7 +8,7 @@ from repro.formats.csr import CSRFormat
 from repro.gpu.memory import CacheModel, coalesced_bytes, scattered_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
@@ -21,7 +21,7 @@ class RowSplitCSRSpMM(SpMMKernel):
 
     One warp per sparse row; the warp's lanes tile the dense dimension
     ``J``, so accesses to ``B[k, :]`` are coalesced bursts.  Thread blocks
-    cover ``rows_per_block`` consecutive rows.  The strategy's weaknesses,
+    cover ``ROWS_PER_BLOCK`` consecutive rows.  The strategy's weaknesses,
     which the statistics expose directly, are (a) load imbalance when row
     lengths are skewed — a block finishes with its *longest* row — and
     (b) per-row loop overhead dominating on very short rows.
@@ -31,7 +31,12 @@ class RowSplitCSRSpMM(SpMMKernel):
 
     #: Generic library code: no shared-memory staging, so the reuse floor is
     #: higher than the hand-tuned kernels below.
-    DEFAULT_CACHE = CacheModel(min_miss=0.12)
+    CACHE = CacheModel(min_miss=0.12)
+    #: Consecutive rows, one warp each, per thread block.
+    ROWS_PER_BLOCK = 4
+    #: Fixed work (in element-equivalents) charged per row for loop
+    #: setup, pointer chasing, and short-row underutilization.
+    ROW_OVERHEAD = 16.0
     #: Whether the A column-index gather issues full sectors per warp
     #: (wasteful on short rows); hand-tuned kernels stage them instead.
     SECTORED_INDEX_LOADS = True
@@ -43,23 +48,6 @@ class RowSplitCSRSpMM(SpMMKernel):
     #: Whether B-traffic waves follow the (possibly swizzled) processing
     #: order instead of the natural row order.
     TRAFFIC_FOLLOWS_ROW_ORDER = False
-
-    def __init__(
-        self,
-        rows_per_block: int = 4,
-        row_overhead: float = 16.0,
-        cache: CacheModel | None = None,
-        wave_blocks: int = DEFAULT_WAVE_BLOCKS,
-    ):
-        if rows_per_block < 1:
-            raise ValueError(f"rows_per_block must be >= 1, got {rows_per_block}")
-        self.rows_per_block = rows_per_block
-        #: Fixed work (in element-equivalents) charged per row for loop
-        #: setup, pointer chasing, and short-row underutilization.
-        self.row_overhead = row_overhead
-        self.cache = cache or self.DEFAULT_CACHE
-        #: Co-resident thread blocks forming one L2 reuse wave.
-        self.wave_blocks = wave_blocks
 
     # -- schedule hooks overridden by subclasses -----------------------
     def _row_order(self, fmt: CSRFormat) -> np.ndarray | None:
@@ -84,7 +72,7 @@ class RowSplitCSRSpMM(SpMMKernel):
         order = self._row_order(fmt)
         if order is not None:
             lengths = lengths[order]
-        rpb = self.rows_per_block
+        rpb = self.ROWS_PER_BLOCK
         n_units = int(lengths.size)
         n_blocks = -(-n_units // rpb) if n_units else 0
         pad = n_blocks * rpb - n_units
@@ -96,7 +84,7 @@ class RowSplitCSRSpMM(SpMMKernel):
         jt = max(1, min(self._j_tile(J), J))
         j_repeats = -(-J // jt)
         block_costs = np.tile(
-            2.0 * (per_block.max(axis=1) + self.row_overhead) * jt, j_repeats
+            2.0 * (per_block.max(axis=1) + self.ROW_OVERHEAD) * jt, j_repeats
         )
 
         if self.TRAFFIC_FOLLOWS_ROW_ORDER and order is not None:
@@ -115,9 +103,9 @@ class RowSplitCSRSpMM(SpMMKernel):
         else:
             w_indptr, w_indices = fmt.indptr, fmt.indices
         unique, refs = wave_unique_refs(
-            w_indptr, w_indices, rpb * self.wave_blocks, K
+            w_indptr, w_indices, rpb * WAVE_BLOCKS, K
         )
-        b_bytes = self.cache.b_traffic_bytes(
+        b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
             J=J,
@@ -139,7 +127,7 @@ class RowSplitCSRSpMM(SpMMKernel):
             atomic_store_bytes=0.0,
             flops=2.0 * nnz * J,
             block_costs=block_costs,
-            threads_per_block=self.rows_per_block * 32,
+            threads_per_block=rpb * 32,
             lane_utilization=1.0,
             bandwidth_efficiency=self.BANDWIDTH_EFFICIENCY,
             lpt_dispatch=self._row_order(fmt) is not None,
@@ -164,20 +152,14 @@ class SputnikSpMM(RowSplitCSRSpMM):
 
     name = "sputnik"
 
-    DEFAULT_CACHE = CacheModel(min_miss=0.08)
+    CACHE = CacheModel(min_miss=0.08)
+    ROW_OVERHEAD = 6.0  # subwarp tiling trims the per-row setup
     SECTORED_INDEX_LOADS = False  # vector loads fetch index tiles wholesale
     NUM_LAUNCHES = 1  # single hand-written kernel
     BANDWIDTH_EFFICIENCY = 0.92  # vector loads, but still a gather kernel
     TRAFFIC_FOLLOWS_ROW_ORDER = True  # swizzle scrambles wave locality
 
-    def __init__(
-        self,
-        rows_per_block: int = 4,
-        row_overhead: float = 6.0,
-        cache: CacheModel | None = None,
-        j_tile: int = 128,
-    ):
-        super().__init__(rows_per_block=rows_per_block, row_overhead=row_overhead, cache=cache)
+    def __init__(self, j_tile: int = 128):
         #: Sputnik's 1-D output tiling: each block owns a (rows x j_tile)
         #: slice of C, so a long row's work spreads over J/j_tile blocks.
         self.j_tile = j_tile
@@ -201,14 +183,8 @@ class DgSparseSpMM(RowSplitCSRSpMM):
 
     name = "dgsparse"
 
-    DEFAULT_CACHE = CacheModel(min_miss=0.06)
+    CACHE = CacheModel(min_miss=0.06)
+    ROW_OVERHEAD = 4.0  # staged indices: the cheapest per-row setup
     SECTORED_INDEX_LOADS = False  # indices staged through shared memory
     NUM_LAUNCHES = 1  # single hand-written kernel
     BANDWIDTH_EFFICIENCY = 0.92  # coalesced, but gather-bound row groups
-
-    def __init__(self, rows_per_block: int = 4, row_overhead: float = 4.0, cache: CacheModel | None = None):
-        super().__init__(
-            rows_per_block=rows_per_block,
-            row_overhead=row_overhead,
-            cache=cache,
-        )

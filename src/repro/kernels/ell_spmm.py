@@ -8,10 +8,10 @@ import scipy.sparse as sp
 from repro.formats.base import VALUE_DTYPE
 from repro.formats.ell import PAD, ELLFormat
 from repro.formats.sliced_ell import SlicedELLFormat
-from repro.gpu.memory import CacheModel, coalesced_bytes
+from repro.gpu.memory import coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
@@ -56,15 +56,8 @@ class ELLSpMM(SpMMKernel):
 
     name = "ell"
 
-    def __init__(
-        self,
-        rows_per_block: int = 32,
-        cache: CacheModel | None = None,
-        wave_blocks: int = DEFAULT_WAVE_BLOCKS,
-    ):
-        self.rows_per_block = rows_per_block
-        self.cache = cache or CacheModel()
-        self.wave_blocks = wave_blocks
+    #: Rows per thread block.
+    ROWS_PER_BLOCK = 32
 
     def plan(self, fmt: ELLFormat, J: int) -> KernelStats:
         if not isinstance(fmt, ELLFormat):
@@ -72,11 +65,11 @@ class ELLSpMM(SpMMKernel):
         I, K = fmt.shape
         W = fmt.width
         stored = fmt.stored_elements
-        rpb = self.rows_per_block
+        rpb = self.ROWS_PER_BLOCK
         n_blocks = -(-I // rpb) if I else 0
         block_costs = np.full(n_blocks, 2.0 * float(rpb * W) * J)
-        unique, refs = _ell_wave_traffic(fmt.col, rpb * self.wave_blocks, K)
-        b_bytes = self.cache.b_traffic_bytes(
+        unique, refs = _ell_wave_traffic(fmt.col, rpb * WAVE_BLOCKS, K)
+        b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
             J=J,
@@ -105,10 +98,6 @@ class SlicedELLSpMM(SpMMKernel):
 
     name = "sliced-ell"
 
-    def __init__(self, cache: CacheModel | None = None, wave_blocks: int = DEFAULT_WAVE_BLOCKS):
-        self.cache = cache or CacheModel()
-        self.wave_blocks = wave_blocks
-
     def plan(self, fmt: SlicedELLFormat, J: int) -> KernelStats:
         if not isinstance(fmt, SlicedELLFormat):
             raise TypeError(
@@ -119,7 +108,7 @@ class SlicedELLSpMM(SpMMKernel):
         block_costs = np.array(
             [2.0 * float(s.col.size) * J for s in fmt.slices], dtype=np.float64
         )
-        # One slice maps to one thread block; a wave spans wave_blocks slices.
+        # One slice maps to one thread block; a wave spans WAVE_BLOCKS slices.
         slice_h = fmt.slices[0].num_rows if fmt.slices else 1
         if fmt.slices:
             # Treat the whole matrix as one CSR stream with slice-sized waves.
@@ -131,11 +120,11 @@ class SlicedELLSpMM(SpMMKernel):
                 [s.col[s.col != PAD] for s in fmt.slices]
             ).astype(np.int64)
             unique, refs = wave_unique_refs(
-                indptr, indices, slice_h * self.wave_blocks, K
+                indptr, indices, slice_h * WAVE_BLOCKS, K
             )
         else:
             unique = refs = np.zeros(0, dtype=np.int64)
-        b_bytes = self.cache.b_traffic_bytes(
+        b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
             J=J,

@@ -26,7 +26,7 @@ from repro.formats.ell import PAD
 from repro.gpu.memory import CacheModel, coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     wave_unique_refs,
 )
@@ -82,25 +82,24 @@ class CSRSDDMM(_SDDMMKernel):
 
     name = "sddmm-csr"
 
-    def __init__(self, cache: CacheModel | None = None, wave_blocks: int = DEFAULT_WAVE_BLOCKS):
-        self.cache = cache or CacheModel(min_miss=0.12)
-        self.wave_blocks = wave_blocks
-        self.nnz_per_block = 128
+    CACHE = CacheModel(min_miss=0.12)
+    #: Stored elements per thread block.
+    NNZ_PER_BLOCK = 128
 
     def plan(self, fmt: CSRFormat, K: int) -> KernelStats:
         if not isinstance(fmt, CSRFormat):
             raise TypeError(f"{self.name} requires CSRFormat, got {type(fmt).__name__}")
         I, Jc = fmt.shape
         nnz = fmt.nnz
-        npb = self.nnz_per_block
+        npb = self.NNZ_PER_BLOCK
         n_blocks = -(-nnz // npb) if nnz else 0
         block_costs = np.full(n_blocks, 2.0 * npb * K)
         # U rows stream sequentially (row-major over elements); V rows are a
         # gather indexed by colInd with wave-level reuse, like SpMM's B.
         unique, refs = wave_unique_refs(
-            fmt.indptr, fmt.indices, max(1, npb * self.wave_blocks // 8), Jc
+            fmt.indptr, fmt.indices, max(1, npb * WAVE_BLOCKS // 8), Jc
         )
-        v_bytes = self.cache.b_traffic_bytes(unique, refs, K, Jc)
+        v_bytes = self.CACHE.b_traffic_bytes(unique, refs, K, Jc)
         u_bytes = coalesced_bytes(min(nnz, I) * K)
         a_bytes = coalesced_bytes(I + 1 + 2 * nnz)
         return KernelStats(
@@ -126,10 +125,6 @@ class CELLSDDMM(_SDDMMKernel):
 
     name = "sddmm-cell"
 
-    def __init__(self, cache: CacheModel | None = None, wave_blocks: int = DEFAULT_WAVE_BLOCKS):
-        self.cache = cache or CacheModel()
-        self.wave_blocks = wave_blocks
-
     def plan(self, fmt: CELLFormat, K: int) -> KernelStats:
         if not isinstance(fmt, CELLFormat):
             raise TypeError(f"{self.name} requires CELLFormat, got {type(fmt).__name__}")
@@ -139,8 +134,8 @@ class CELLSDDMM(_SDDMMKernel):
         for part, bucket in fmt.iter_buckets():
             R, W = bucket.num_rows, bucket.width
             stored = bucket.stored_elements
-            unique, refs = bucket.wave_traffic(bucket.block_rows * self.wave_blocks)
-            v_bytes = self.cache.b_traffic_bytes(unique, refs, K, part.num_cols)
+            unique, refs = bucket.wave_traffic(bucket.block_rows * WAVE_BLOCKS)
+            v_bytes = self.CACHE.b_traffic_bytes(unique, refs, K, part.num_cols)
             n_blocks = bucket.num_blocks
             costs = np.full(n_blocks, 2.0 * bucket.block_nnz * K)
             per_bucket.append(

@@ -23,7 +23,7 @@ from repro.formats.csr import CSRFormat
 from repro.gpu.memory import CacheModel, coalesced_bytes, scattered_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
-    DEFAULT_WAVE_BLOCKS,
+    WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
@@ -34,9 +34,7 @@ from repro.kernels.base import (
 class _CSRSpMVBase(SpMMKernel):
     """Shared plumbing: x-vector gather traffic and numeric execution."""
 
-    def __init__(self, cache: CacheModel | None = None, wave_blocks: int = DEFAULT_WAVE_BLOCKS):
-        self.cache = cache or CacheModel(min_miss=0.1)
-        self.wave_blocks = wave_blocks
+    CACHE = CacheModel(min_miss=0.1)
 
     def _x_bytes(self, fmt: CSRFormat, rows_per_wave: int) -> float:
         unique, refs = wave_unique_refs(
@@ -45,7 +43,7 @@ class _CSRSpMVBase(SpMMKernel):
         # J=1: each x element is a 4-byte word; gathers expand to sectors
         # unless the wave's working set is cache-resident, which the cache
         # model handles at row granularity (row = 1 word here).
-        return self.cache.b_traffic_bytes(unique, refs, 1, fmt.shape[1]) * 8.0
+        return self.CACHE.b_traffic_bytes(unique, refs, 1, fmt.shape[1]) * 8.0
 
     def execute(self, fmt: CSRFormat, x: np.ndarray) -> np.ndarray:
         x = check_dense_operand(np.atleast_2d(np.asarray(x, dtype=np.float32).reshape(fmt.shape[1], -1)), fmt.shape[1])
@@ -83,7 +81,7 @@ class ScalarCSRSpMV(_CSRSpMVBase):
         # per-thread index/value gathers are NOT coalesced across lanes
         a_bytes = scattered_bytes(2 * nnz, locality=0.25)
         return KernelStats(
-            coalesced_load_bytes=coalesced_bytes(I + 1) + self._x_bytes(fmt, rpb * self.wave_blocks),
+            coalesced_load_bytes=coalesced_bytes(I + 1) + self._x_bytes(fmt, rpb * WAVE_BLOCKS),
             scattered_load_bytes=a_bytes,
             coalesced_store_bytes=coalesced_bytes(I),
             flops=2.0 * nnz,
@@ -116,7 +114,7 @@ class VectorCSRSpMV(_CSRSpMVBase):
         return KernelStats(
             coalesced_load_bytes=(
                 coalesced_bytes(I + 1 + 2 * nnz)
-                + self._x_bytes(fmt, rpb * self.wave_blocks)
+                + self._x_bytes(fmt, rpb * WAVE_BLOCKS)
             ),
             coalesced_store_bytes=coalesced_bytes(I),
             flops=2.0 * nnz,
@@ -134,14 +132,13 @@ class MergeCSRSpMV(_CSRSpMVBase):
 
     name = "spmv-merge"
 
-    def __init__(self, items_per_block: int = 256, **kwargs):
-        super().__init__(**kwargs)
-        self.items_per_block = items_per_block
+    #: (row + non-zero) merge-path items per thread block.
+    ITEMS_PER_BLOCK = 256
 
     def plan(self, fmt: CSRFormat, J: int = 1) -> KernelStats:
         I, K, nnz = self._common(fmt)
         total_items = I + nnz
-        ipb = self.items_per_block
+        ipb = self.ITEMS_PER_BLOCK
         n_blocks = -(-total_items // ipb) if total_items else 0
         block_costs = np.full(n_blocks, 2.0 * ipb)
         if n_blocks:
@@ -151,7 +148,7 @@ class MergeCSRSpMV(_CSRSpMVBase):
         return KernelStats(
             coalesced_load_bytes=(
                 coalesced_bytes(I + 1 + 2 * nnz)
-                + self._x_bytes(fmt, max(1, ipb * self.wave_blocks // 8))
+                + self._x_bytes(fmt, max(1, ipb * WAVE_BLOCKS // 8))
             ),
             coalesced_store_bytes=coalesced_bytes(I),
             atomic_store_bytes=float(atomic_words * 4),

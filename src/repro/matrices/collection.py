@@ -27,6 +27,10 @@ from repro.matrices.generators import (
     with_dense_rows,
 )
 
+#: Row-count floor of the collection: the paper keeps SuiteSparse
+#: matrices of at least 2,000 rows.
+MIN_ROWS = 2_000
+
 #: Pattern families cycled through by the collection, mirroring the domain
 #: diversity of SuiteSparse (graphs, PDEs, circuits, optimization, ...).
 PATTERNS = (
@@ -76,7 +80,8 @@ class SuiteSparseLikeCollection:
     size:
         Number of matrices to generate.
     min_rows / max_rows:
-        Matrix size range (log-uniform), min 2,000 per the paper's filter.
+        Matrix size range (log-uniform), min :data:`MIN_ROWS` per the
+        paper's filter.
     seed:
         Base RNG seed.
     """
@@ -84,7 +89,7 @@ class SuiteSparseLikeCollection:
     def __init__(
         self,
         size: int = 128,
-        min_rows: int = 2_000,
+        min_rows: int = MIN_ROWS,
         max_rows: int = 60_000,
         seed: int = 2025,
     ):

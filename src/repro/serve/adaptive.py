@@ -78,9 +78,9 @@ DEFAULT_MIN_OBS = 3
 DEFAULT_EXPLORE = 0.05
 
 #: Per-observation discount of older reward statistics.  The effective
-#: window is ``1 / (1 - decay)`` observations, so a drifted arm's
+#: window is ``1 / (1 - DECAY)`` observations, so a drifted arm's
 #: posterior mean crosses over within a few samples.
-DEFAULT_DECAY = 0.7
+DECAY = 0.7
 
 
 def plan_arm(plan: ComposePlan) -> str:
@@ -171,26 +171,24 @@ class FormatBandit:
     """
 
     arms = ARMS
+    decay = DECAY
+    #: Spread (ms) of an untried arm's optimistic draw around zero, and
+    #: the floor of every posterior's width.
+    prior_std_ms = 1e-3
 
     def __init__(
         self,
         min_obs: int = DEFAULT_MIN_OBS,
         explore: float = DEFAULT_EXPLORE,
         seed: int = 0,
-        decay: float = DEFAULT_DECAY,
-        prior_std_ms: float = 1e-3,
     ):
         if min_obs < 1:
             raise ValueError(f"min_obs must be >= 1, got {min_obs}")
         if not 0.0 <= explore <= 1.0:
             raise ValueError(f"explore must be in [0, 1], got {explore}")
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
         self.min_obs = int(min_obs)
         self.explore = float(explore)
         self.seed = int(seed)
-        self.decay = float(decay)
-        self.prior_std_ms = float(prior_std_ms)
         self._rng = np.random.default_rng(seed)
         #: key -> arm -> discounted reward statistics.
         self._stats: dict[PlanKey, dict[str, ArmStats]] = {}
@@ -264,16 +262,6 @@ class FormatBandit:
         self.overrides += 1
         return best
 
-    def expected_best(self, key: PlanKey) -> str | None:
-        """The arm with the lowest posterior mean among observed arms."""
-        stats = self._stats.get(key)
-        if not stats:
-            return None
-        observed = {a: s for a, s in stats.items() if s.count}
-        if not observed:
-            return None
-        return min(observed, key=lambda a: observed[a].mean_ms)
-
     # -- persistence and migration --------------------------------------
     def state_dict(self, keys=None) -> dict:
         """Picklable per-key state (all keys, or a migration subset)."""
@@ -286,7 +274,6 @@ class FormatBandit:
             "min_obs": self.min_obs,
             "explore": self.explore,
             "seed": self.seed,
-            "decay": self.decay,
             "stats": {
                 k: {a: s.as_tuple() for a, s in self._stats[k].items()}
                 for k in selected
@@ -329,7 +316,9 @@ class FormatBandit:
     def load(cls, path: str | Path, **overrides) -> "FormatBandit":
         """Rebuild a bandit from a :meth:`save` bundle.  Keyword
         overrides replace the saved hyperparameters (e.g. a different
-        ``explore`` for the restored instance)."""
+        ``explore`` for the restored instance).  A ``decay`` entry, which
+        bundles written before it became the constant :data:`DECAY`
+        carry, is ignored."""
         with Path(path).open("rb") as fh:
             state = pickle.load(fh)
         if not isinstance(state, dict) or state.get("magic") != BANDIT_MAGIC:
@@ -338,7 +327,6 @@ class FormatBandit:
             "min_obs": state["min_obs"],
             "explore": state["explore"],
             "seed": state["seed"],
-            "decay": state["decay"],
         }
         params.update(overrides)
         bandit = cls(**params)

@@ -151,7 +151,6 @@ class ClusterFrontend(ServingSurface):
         *,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         replication: int = 1,
-        hot_window: int = DEFAULT_WINDOW,
         hot_fraction: float = 0.1,
         hot_min_count: int = 4,
         multi_spec: MultiGPUSpec | None = None,
@@ -166,7 +165,6 @@ class ClusterFrontend(ServingSurface):
         adaptive: bool = False,
         bandit_min_obs: int = DEFAULT_MIN_OBS,
         bandit_explore: float = DEFAULT_EXPLORE,
-        reroute_on_failure: bool = True,
         spill_dir: str | Path | None = None,
         seed: int = 0,
         metrics: ClusterMetrics | None = None,
@@ -181,10 +179,10 @@ class ClusterFrontend(ServingSurface):
         hand each shard :class:`~repro.gpu.faults.FaultyDevice` instances
         with independent seeds.  ``replication`` > 1 enables hot-key
         replication (a fingerprint above ``hot_fraction`` of the last
-        ``hot_window`` requests is replicated to that many shards);
-        ``batch`` > 0 puts a coalescing :class:`Scheduler` in front of
-        every shard.  ``spill_dir`` is accepted and ignored: plans move
-        between shards in memory.
+        :data:`~repro.serve.cluster.hotkeys.DEFAULT_WINDOW` requests is
+        replicated to that many shards); ``batch`` > 0 puts a coalescing
+        :class:`Scheduler` in front of every shard.  ``spill_dir`` is
+        accepted and ignored: plans move between shards in memory.
 
         ``slo`` attaches a burn-rate alerting engine
         (:class:`repro.obs.SLOEngine`; ``True`` = the stock objectives)
@@ -219,7 +217,6 @@ class ClusterFrontend(ServingSurface):
         #: Base seed of per-shard bandit RNGs (offset by shard index so
         #: shards explore independently but deterministically).
         self._bandit_seed = int(seed)
-        self.reroute_on_failure = reroute_on_failure
         self.metrics = metrics or ClusterMetrics()
         if slo is True:
             slo = SLOEngine(registry=self.metrics.registry)
@@ -235,7 +232,7 @@ class ClusterFrontend(ServingSurface):
         #: Virtual time of the replay (feeds SLO evaluation windows).
         self._clock_ms = 0.0
         self.ring = ShardRing(virtual_nodes=virtual_nodes)
-        self._sketch = WindowedFrequencySketch(window=hot_window)
+        self._sketch = WindowedFrequencySketch(window=DEFAULT_WINDOW)
         self._rng = np.random.default_rng(seed)
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0
@@ -421,24 +418,15 @@ class ClusterFrontend(ServingSurface):
     def _handoff(self, moves: list[tuple[CacheEntry, _Shard]], receiver: _Shard) -> int:
         """Hand ``(entry, donor)`` pairs to ``receiver``; returns plans added.
 
-        A plan enters the receiver's cache unless it already holds the
-        key, and a key its donor pinned after a structural OOM stays
-        pinned there, so the receiver never re-composes the plan that
-        cannot fit.  With adaptive serving the receiver's bandit adopts
+        Each plan enters through :meth:`SpMMServer.adopt`, which keeps
+        its donor's structural-OOM pin.  With adaptive serving the receiver's bandit adopts
         the moved keys' evidence: first from donors that left the ring
         (nowhere else holds it), then from the other live shards in ring
         order; the first source that has a key wins.  A replica shares
         its donor's plan object: served plans are never mutated.
         """
         server = receiver.server
-        added = 0
-        for entry, donor in moves:
-            if entry.key in donor.server._oom_pinned:
-                server._oom_pinned.add(entry.key)
-            if server.cache.peek(entry.key) is None and server.cache.put(
-                entry.key, entry.plan, compose_overhead_s=entry.compose_overhead_s
-            ):
-                added += 1
+        added = sum(server.adopt(entry, donor.server) for entry, donor in moves)
         if server.bandit is not None and moves:
             keys = [entry.key for entry, _ in moves]
             departed = {d.shard_id: d for _, d in moves if not d.alive}
@@ -591,7 +579,7 @@ class ClusterFrontend(ServingSurface):
                     else not response.deadline_missed
                 ),
             )
-        if response.failed and self.reroute_on_failure:
+        if response.failed:
             item.excluded.add(shard.shard_id)
             target = next(
                 (

@@ -6,8 +6,8 @@ The recovery model follows standard fleet practice:
   transient faults (injected OOMs, a device dying mid-request) are
   retried on the least-loaded healthy device, up to ``max_attempts``
   total executions.  Backoff is *accounted* into request latency rather
-  than slept by default, keeping simulated replays fast while the
-  latency histograms still show the tail cost.
+  than slept, keeping simulated replays fast while the latency
+  histograms still show the tail cost.
 * **Per-device circuit breaker** (:class:`CircuitBreaker`) — a device
   failing ``failure_threshold`` consecutive times (or once fatally) is
   ejected from placement; after ``cooldown_s`` it is probed again
@@ -24,6 +24,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+#: Backoff before the first retry; each further retry doubles it, up to
+#: :data:`BACKOFF_MAX_MS`.
+BACKOFF_BASE_MS = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_MS = 20.0
+
 #: Circuit-breaker states.
 CLOSED = "closed"
 OPEN = "open"
@@ -34,39 +40,23 @@ HALF_OPEN = "half_open"
 class RetryPolicy:
     """Bounded retry with capped exponential backoff.
 
-    ``max_attempts`` counts total executions (1 = no retries).  With
-    ``real_sleep`` False (the default) the backoff is only accounted —
-    :meth:`backoff_ms` feeds the request's latency — so chaos replays do
-    not serialize on wall-clock sleeps.
+    ``max_attempts`` counts total executions (1 = no retries).  The
+    backoff is only accounted — :meth:`backoff_ms` feeds the request's
+    latency — so chaos replays do not serialize on wall-clock sleeps.
     """
 
     max_attempts: int = 3
-    backoff_base_ms: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 20.0
-    real_sleep: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_ms < 0 or self.backoff_max_ms < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
-    def backoff_ms(self, retry_number: int) -> float:
+    @staticmethod
+    def backoff_ms(retry_number: int) -> float:
         """Backoff before the ``retry_number``-th retry (1-based)."""
         if retry_number < 1:
             raise ValueError(f"retry_number must be >= 1, got {retry_number}")
-        raw = self.backoff_base_ms * self.backoff_factor ** (retry_number - 1)
-        return min(self.backoff_max_ms, raw)
-
-    def pause(self, retry_number: int) -> float:
-        """Account (and optionally sleep) the backoff; returns the ms."""
-        delay_ms = self.backoff_ms(retry_number)
-        if self.real_sleep and delay_ms > 0:
-            time.sleep(delay_ms * 1e-3)
-        return delay_ms
+        return min(BACKOFF_MAX_MS, BACKOFF_BASE_MS * BACKOFF_FACTOR ** (retry_number - 1))
 
 
 @dataclass

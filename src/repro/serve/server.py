@@ -57,13 +57,19 @@ from repro.obs import TraceContext, get_tracer
 from repro.serve.adaptive import FormatBandit, build_arm_plan, plan_arm
 from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.metrics import ServerMetrics
-from repro.serve.plan_cache import PlanCache
+from repro.serve.plan_cache import CacheEntry, PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
 #: Entries each per-server memo keeps (bounded FIFO): same-pattern
 #: composed geometries for the structural-reuse ("re-value") rebuild path,
 #: and plan keys whose bandit arm plans are memoized.
 _MEMO_LIMIT = 512
+
+#: Smoothing factor of the per-nnz composition-cost estimate.
+OVERHEAD_EWMA_ALPHA = 0.3
+
+#: Consecutive failures before a device's circuit breaker opens.
+BREAKER_THRESHOLD = 3
 
 
 def _remember(memo: OrderedDict, key, value) -> None:
@@ -354,16 +360,12 @@ class SpMMServer(ServingSurface):
     cache: PlanCache = field(default_factory=PlanCache)
     devices: list[SimulatedDevice] | None = None
     num_devices: int = 1
-    #: Smoothing factor of the per-nnz composition-cost estimate.
-    overhead_ewma_alpha: float = 0.3
     metrics: ServerMetrics = field(default_factory=ServerMetrics)
     #: Bounded-retry policy for transient execution faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Rebuild the plan as CSR (smaller footprint) on a structural OOM
     #: instead of failing the request.
     degrade_on_oom: bool = True
-    #: Consecutive failures before a device's circuit breaker opens.
-    breaker_threshold: int = 3
     #: Seconds an open breaker waits before admitting a probe request.
     breaker_cooldown_s: float = 1.0
     #: Speculative recompose: a cache miss serves the CSR fallback plan
@@ -392,7 +394,7 @@ class SpMMServer(ServingSurface):
             _DeviceSlot(
                 device=d,
                 breaker=CircuitBreaker(
-                    failure_threshold=self.breaker_threshold,
+                    failure_threshold=BREAKER_THRESHOLD,
                     cooldown_s=self.breaker_cooldown_s,
                 ),
             )
@@ -434,8 +436,22 @@ class SpMMServer(ServingSurface):
         if self._compose_s_per_nnz is None:
             self._compose_s_per_nnz = rate
         else:
-            a = self.overhead_ewma_alpha
+            a = OVERHEAD_EWMA_ALPHA
             self._compose_s_per_nnz = a * rate + (1 - a) * self._compose_s_per_nnz
+
+    def adopt(self, entry: CacheEntry, donor: SpMMServer) -> bool:
+        """Take over ``entry`` from ``donor`` (a cluster handoff).
+
+        The plan enters this server's cache unless it already holds the
+        key, and a key ``donor`` pinned after a structural OOM stays
+        pinned here, so this server never re-composes the plan that
+        cannot fit.  Returns whether the plan entered the cache.
+        """
+        if entry.key in donor._oom_pinned:
+            self._oom_pinned.add(entry.key)
+        return self.cache.peek(entry.key) is None and self.cache.put(
+            entry.key, entry.plan, compose_overhead_s=entry.compose_overhead_s
+        )
 
     @staticmethod
     def _canonical(matrix: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
@@ -636,7 +652,7 @@ class SpMMServer(ServingSurface):
                     failed = True
                     break
                 m.retries += 1
-                backoff_ms += self.retry.pause(attempts)
+                backoff_ms += self.retry.backoff_ms(attempts)
                 failed_on.add(slot_index)
                 slot_index = self._pick_device(exclude=failed_on)
             recovered = had_failure and not failed

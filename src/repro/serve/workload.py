@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.matrices.collection import SuiteSparseLikeCollection
+from repro.matrices.collection import MIN_ROWS, SuiteSparseLikeCollection
 from repro.matrices.gnn import GNN_DATASETS, make_gnn_standin
 from repro.serve.server import OpRequest
 
@@ -58,7 +58,8 @@ class WorkloadSpec:
     J_per_matrix: bool = True
     #: GNN stand-ins mixed into the pool (the rest is SuiteSparse-like).
     gnn_names: tuple[str, ...] = ("cora", "citeseer")
-    #: Row-count cap of the SuiteSparse-like pool entries.
+    #: Row-count cap of the SuiteSparse-like pool entries (at least the
+    #: collection's floor, :data:`~repro.matrices.collection.MIN_ROWS`).
     max_rows: int = 4_000
     #: Deadline attached to a fraction of the requests (None = never).
     deadline_ms: float | None = None
@@ -86,6 +87,11 @@ class WorkloadSpec:
             raise ValueError(f"num_matrices must be >= 1, got {self.num_matrices}")
         if not self.J_choices:
             raise ValueError("J_choices must not be empty")
+        if self.max_rows < MIN_ROWS:
+            raise ValueError(
+                f"max_rows must be >= {MIN_ROWS} (the matrix pool's row "
+                f"floor), got {self.max_rows}"
+            )
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ValueError("deadline_fraction must be in [0, 1]")
         for name in self.gnn_names:

@@ -1,11 +1,17 @@
 """Additional CLI coverage (compare subcommand, argument handling)."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main as cli_main
 from repro.core import LiteForm, generate_training_data
 from repro.core.persistence import save_liteform
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph, write_matrix_market
+from repro.obs import parse_prometheus
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +112,51 @@ class TestServeRejectsUnusedFlags:
         with pytest.raises(SystemExit, match=message):
             cli_main(["serve", *(a.format(state=state) for a in argv)])
         assert not state.exists()
+
+
+def _stats(*extra) -> str:
+    """stdout of ``stats`` on a small trace (20 requests, 4 matrices)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["stats", "--requests", "20", "--matrices", "4", "--train-size", "4"]
+        assert cli_main([*argv, *extra]) == 0
+    return out.getvalue()
+
+
+class TestStats:
+    """``stats`` counters add up on one node and on a cluster, and its
+    text output is a parseable Prometheus exposition."""
+
+    def test_single_node_json(self):
+        snap = json.loads(_stats("--json"))
+        assert snap["serve_requests_total"] == 20
+        assert snap["serve_cache_hits_total"] + snap["serve_cache_misses_total"] == 20
+
+    def test_cluster_json(self):
+        snap = json.loads(_stats("--json", "--shards", "2"))
+        assert snap["cluster_completed_total"] == 20
+        shards = snap["cluster"]["shards"]
+        assert sum(s["requests"] for s in shards) == 20
+        assert sum(s["cache"]["hits"] + s["cache"]["misses"] for s in shards) == 20
+
+    def test_single_node_prometheus(self):
+        families = parse_prometheus(_stats())
+        assert families["serve_requests_total"]["samples"] == [("serve_requests_total", {}, 20.0)]
+
+    def test_cluster_prometheus(self):
+        text = _stats("--shards", "2")
+        # The fleet report follows the exposition, from its "shards" line on.
+        families = parse_prometheus(text[: text.index("\nshards ") + 1])
+        assert families["cluster_completed_total"]["samples"] == [
+            ("cluster_completed_total", {}, 20.0)
+        ]
+
+
+@pytest.mark.parametrize("command", ["serve", "stats"])
+def test_max_rows_below_pool_floor_exits_before_training(command, monkeypatch):
+    def no_training(args):
+        raise AssertionError("trained before validating the workload")
+
+    monkeypatch.setattr(repro.cli, "_get_liteform", no_training)
+    with pytest.raises(SystemExit, match="max_rows must be >= 2000"):
+        cli_main([command, "--max-rows", "500"])

@@ -103,8 +103,6 @@ class TestHandoff:
             FormatBandit(min_obs=0)
         with pytest.raises(ValueError, match="explore"):
             FormatBandit(explore=1.5)
-        with pytest.raises(ValueError, match="decay"):
-            FormatBandit(decay=1.0)
         with pytest.raises(ValueError, match="unknown arm"):
             FormatBandit().observe("k", "coo", 1.0)
 
@@ -171,6 +169,18 @@ class TestPersistence:
         assert restored.min_obs == 7
         assert restored.explore == 0.5
         assert restored.state_dict()["stats"] == bandit.state_dict()["stats"]
+
+    def test_load_ignores_saved_decay(self, tmp_path):
+        """Bundles written while ``decay`` was a constructor option carry
+        it; they still load, with the constant discount."""
+        bandit = FormatBandit(min_obs=2, seed=4)
+        bandit.observe("k", "csr", 3.0)
+        path = tmp_path / "old.bandit"
+        with path.open("wb") as fh:
+            pickle.dump({**bandit.state_dict(), "decay": 0.7}, fh)
+        restored = FormatBandit.load(path)
+        assert restored.min_obs == 2 and restored.seed == 4
+        assert restored.state_dict() == bandit.state_dict()
 
     def test_load_rejects_foreign_pickle(self, tmp_path):
         path = tmp_path / "bogus.bandit"

@@ -40,17 +40,14 @@ def _faulty_pool(rates, seed=5, **kwargs):
 
 class TestRetryPolicy:
     def test_backoff_grows_and_caps(self):
-        p = RetryPolicy(backoff_base_ms=1.0, backoff_factor=2.0, backoff_max_ms=5.0)
-        assert p.backoff_ms(1) == 1.0
-        assert p.backoff_ms(2) == 2.0
-        assert p.backoff_ms(3) == 4.0
-        assert p.backoff_ms(4) == 5.0  # capped
+        p = RetryPolicy()
+        assert [p.backoff_ms(n) for n in range(1, 8)] == [
+            0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 20.0  # capped
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             RetryPolicy().backoff_ms(0)
 
@@ -136,10 +133,10 @@ class TestTransientRecovery:
             liteform=liteform,
             cache=PlanCache(max_bytes=1 << 30),
             devices=_faulty_pool([{"transient_oom_rate": 1.0}, {}]),
-            retry=RetryPolicy(max_attempts=2, backoff_base_ms=3.0),
+            retry=RetryPolicy(max_attempts=2),
         )
         resp = server.serve(_request(seed=23))
-        assert resp.backoff_ms == 3.0
+        assert resp.backoff_ms == 0.5
         assert resp.latency_ms == pytest.approx(
             resp.compose_overhead_s * 1e3 + resp.backoff_ms + resp.measurement.time_ms
         )

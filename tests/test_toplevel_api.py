@@ -47,3 +47,43 @@ def test_spmm_accepts_dense_input():
 
 def test_version():
     assert repro.__version__
+
+
+def _retired_options():
+    """Constructor options whose values are fixed properties of the
+    schedule or policy a class reproduces (class attributes or module
+    constants now)."""
+    from repro import kernels
+    from repro.kernels import sddmm, spmv
+    from repro.serve import ClusterFrontend, FormatBandit, RetryPolicy, SpMMServer
+
+    yield SpMMServer, ("overhead_ewma_alpha", "breaker_threshold")
+    yield RetryPolicy, ("backoff_base_ms", "backoff_factor", "backoff_max_ms", "real_sleep")
+    yield ClusterFrontend, ("hot_window", "reroute_on_failure")
+    yield FormatBandit, ("decay", "prior_std_ms")
+    for cls in (kernels.RowSplitCSRSpMM, kernels.SputnikSpMM, kernels.DgSparseSpMM):
+        yield cls, ("rows_per_block", "row_overhead", "cache")
+    yield kernels.RowSplitCSRSpMM, ("wave_blocks",)
+    yield kernels.ELLSpMM, ("rows_per_block", "cache", "wave_blocks")
+    yield kernels.BCSRSpMM, ("cache", "wave_blocks", "dense_tile_efficiency")
+    yield spmv.MergeCSRSpMV, ("items_per_block",)
+    for cls in (
+        kernels.SlicedELLSpMM,
+        kernels.CELLSpMM,
+        kernels.TacoSpMM,
+        sddmm.CSRSDDMM,
+        sddmm.CELLSDDMM,
+        spmv.ScalarCSRSpMV,
+        spmv.VectorCSRSpMV,
+    ):
+        yield cls, ("cache", "wave_blocks")
+
+
+@pytest.mark.parametrize(
+    "cls,option",
+    [(cls, name) for cls, names in _retired_options() for name in names],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_retired_options_are_rejected(cls, option):
+    with pytest.raises(TypeError, match=rf"'{option}'|takes no arguments"):
+        cls(**{option: None})
