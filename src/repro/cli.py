@@ -283,7 +283,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    coll = SuiteSparseLikeCollection(size=args.train_size, max_rows=args.max_rows, seed=args.seed)
+    try:
+        coll = SuiteSparseLikeCollection(
+            size=args.train_size, max_rows=args.max_rows, seed=args.seed
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid training collection: {exc}") from None
     data = generate_training_data(coll)
     lf = LiteForm().fit(data)
     save_liteform(lf, args.output)

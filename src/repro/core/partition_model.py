@@ -27,6 +27,7 @@ class PartitionPredictor:
     def __init__(self, model: BaseClassifier | None = None):
         self.model = model if model is not None else RandomForestClassifier(n_estimators=50)
         self.last_inference_s: float = 0.0
+        self._constant: int | None = None
 
     def fit(self, features: np.ndarray, partition_counts: np.ndarray) -> "PartitionPredictor":
         features = np.asarray(features, dtype=np.float64)
@@ -47,7 +48,7 @@ class PartitionPredictor:
         """Predicted partition count for matrix ``A`` and dense width ``J``."""
         t0 = time.perf_counter()
         feats = partition_features(A, J)[None, :]
-        if getattr(self, "_constant", None) is not None:
+        if self._constant is not None:
             p = self._constant
         else:
             p = int(self.model.predict(feats)[0])
@@ -58,6 +59,6 @@ class PartitionPredictor:
     def predict_features(self, features: np.ndarray) -> np.ndarray:
         """Batch prediction on precomputed feature rows (for evaluation)."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if getattr(self, "_constant", None) is not None:
+        if self._constant is not None:
             return np.full(features.shape[0], self._constant, dtype=np.int64)
         return self.model.predict(features).astype(np.int64)

@@ -13,7 +13,7 @@ from pathlib import Path
 from repro.core.pipeline import LiteForm
 
 #: Format tag checked on load, bumped on incompatible changes.
-MAGIC = "repro-liteform-v1"
+MAGIC = "repro-liteform-v2"
 
 
 def save_liteform(lf: LiteForm, path: str | Path) -> None:
@@ -34,7 +34,15 @@ def save_liteform(lf: LiteForm, path: str | Path) -> None:
 def load_liteform(path: str | Path) -> LiteForm:
     """Load a LiteForm saved by :func:`save_liteform`."""
     with Path(path).open("rb") as fh:
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as exc:
+            # A truncated file, or a bundle naming classes this version
+            # no longer has (v1 pickled the trees' node objects).
+            raise ValueError(
+                f"{path} does not load as a {MAGIC!r} model bundle "
+                f"({type(exc).__name__}: {exc}); re-save the models with this version"
+            ) from exc
     if not isinstance(payload, dict) or "magic" not in payload:
         raise ValueError(f"{path} is not a saved LiteForm model bundle")
     if payload["magic"] != MAGIC:

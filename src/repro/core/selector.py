@@ -46,12 +46,7 @@ class FormatSelector:
 
     @property
     def is_fitted(self) -> bool:
-        # Pickles from before `_fitted` existed were only ever saved
-        # after training, when `fit` had stored `_constant`.
-        fitted = getattr(self, "_fitted", None)
-        if fitted is None:
-            return "_constant" in self.__dict__
-        return bool(fitted)
+        return self._fitted
 
     def _require_fitted(self) -> None:
         if not self.is_fitted:
@@ -65,7 +60,7 @@ class FormatSelector:
         self._require_fitted()
         t0 = time.perf_counter()
         feats = format_selection_features(A)[None, :]
-        if getattr(self, "_constant", None) is not None:
+        if self._constant is not None:
             result = self._constant
         else:
             result = bool(self.model.predict(feats)[0])
@@ -76,6 +71,6 @@ class FormatSelector:
         """Batch prediction on precomputed feature rows (for evaluation)."""
         self._require_fitted()
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if getattr(self, "_constant", None) is not None:
+        if self._constant is not None:
             return np.full(features.shape[0], self._constant, dtype=bool)
         return self.model.predict(features).astype(bool)

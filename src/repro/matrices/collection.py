@@ -98,7 +98,10 @@ class SuiteSparseLikeCollection:
         if min_rows < 2:
             raise ValueError(f"min_rows must be >= 2, got {min_rows}")
         if max_rows < min_rows:
-            raise ValueError("max_rows must be >= min_rows")
+            raise ValueError(
+                f"max_rows must be >= {min_rows} (the matrix pool's row "
+                f"floor), got {max_rows}"
+            )
         self.size = size
         self.min_rows = min_rows
         self.max_rows = max_rows

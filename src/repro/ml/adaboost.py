@@ -35,7 +35,6 @@ class AdaBoostClassifier(BaseClassifier):
         w = np.full(n, 1.0 / n)
         self.estimators_: list[DecisionTreeClassifier] = []
         self.estimator_weights_: list[float] = []
-        self._estimator_class_maps: list[np.ndarray] = []
         rng = np.random.default_rng(self.seed)
         for _ in range(self.n_estimators):
             stump = DecisionTreeClassifier(
@@ -49,14 +48,12 @@ class AdaBoostClassifier(BaseClassifier):
                 # Perfect weak learner: take it with a large weight and stop.
                 self.estimators_.append(stump)
                 self.estimator_weights_.append(10.0)
-                self._estimator_class_maps.append(stump.classes_.astype(np.int64))
                 break
             if err >= 1.0 - 1.0 / K:
                 break  # no better than chance; boosting cannot continue
             alpha = self.learning_rate * (np.log((1 - err) / err) + np.log(K - 1))
             self.estimators_.append(stump)
             self.estimator_weights_.append(float(alpha))
-            self._estimator_class_maps.append(stump.classes_.astype(np.int64))
             w *= np.exp(alpha * miss)
             w /= w.sum()
         if not self.estimators_:
@@ -65,17 +62,16 @@ class AdaBoostClassifier(BaseClassifier):
             stump.fit(X, codes, sample_weight=w)
             self.estimators_.append(stump)
             self.estimator_weights_.append(1.0)
-            self._estimator_class_maps.append(stump.classes_.astype(np.int64))
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
         X = check_array(X)
         scores = np.zeros((X.shape[0], self.classes_.size))
-        for est, alpha, cmap in zip(
-            self.estimators_, self.estimator_weights_, self._estimator_class_maps
-        ):
-            pred_codes = cmap[np.argmax(est.predict_proba(X), axis=1)]
+        # Every estimator is fit on ``codes``, which hold all K classes, so
+        # its proba columns are the ensemble's class codes.
+        for est, alpha in zip(self.estimators_, self.estimator_weights_):
+            pred_codes = np.argmax(est.predict_proba(X), axis=1)
             scores[np.arange(X.shape[0]), pred_codes] += alpha
         return scores
 

@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseClassifier, check_X_y, check_array
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, walk
 
 
 class RandomForestClassifier(BaseClassifier):
     """Bootstrap-aggregated decision trees (soft-voting ensemble).
 
     The model LiteForm adopts for both predictors (Section 6): best
-    accuracy in Tables 5-6 at sub-second training cost.
+    accuracy in Tables 5-6 at sub-second training cost.  The fitted trees
+    are stacked into one set of node arrays (see :mod:`repro.ml.tree`),
+    tree ``t`` rooted at ``roots_[t]``, with leaf ``proba_`` rows over the
+    forest's classes.
     """
 
     def __init__(
@@ -36,9 +39,8 @@ class RandomForestClassifier(BaseClassifier):
         codes = self._encode_labels(y)
         n = X.shape[0]
         rng = np.random.default_rng(self.seed)
-        self.trees_: list[DecisionTreeClassifier] = []
-        self._tree_class_maps: list[np.ndarray] = []
-        for t in range(self.n_estimators):
+        trees = []
+        for _ in range(self.n_estimators):
             boot = rng.integers(0, n, size=n)
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
@@ -46,19 +48,24 @@ class RandomForestClassifier(BaseClassifier):
                 max_features=self.max_features,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(X[boot], codes[boot])
-            self.trees_.append(tree)
-            # A bootstrap may miss classes; remember the tree's code->global map.
-            self._tree_class_maps.append(tree.classes_.astype(np.int64))
+            trees.append(tree.fit(X[boot], codes[boot]))
+        sizes = [tree.node_count for tree in trees]
+        self.roots_ = np.cumsum([0] + sizes[:-1])
+        self.feature_ = np.concatenate([tree.feature_ for tree in trees])
+        self.threshold_ = np.concatenate([tree.threshold_ for tree in trees])
+        self.left_ = np.concatenate([t.left_ + r for t, r in zip(trees, self.roots_)])
+        self.right_ = np.concatenate([t.right_ + r for t, r in zip(trees, self.roots_)])
+        # A bootstrap may miss classes: a tree's codes index its own classes_.
+        self.proba_ = np.zeros((sum(sizes), self.classes_.size))
+        for tree, root, size in zip(trees, self.roots_, sizes):
+            self.proba_[root : root + size, tree.classes_] = tree.proba_
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        X = check_array(X)
-        agg = np.zeros((X.shape[0], self.classes_.size))
-        for tree, cmap in zip(self.trees_, self._tree_class_maps):
-            agg[:, cmap] += tree.predict_proba(X)
-        return agg / len(self.trees_)
+        leaves = walk(self, check_array(X), self.roots_)
+        # Builtin sum adds the trees' leaf rows one after another, in tree order.
+        return sum(self.proba_[leaves.T]) / self.roots_.size
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]

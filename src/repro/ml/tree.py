@@ -4,30 +4,36 @@ Supports sample weights (needed by AdaBoost) and per-node feature
 subsampling (needed by Random Forest).  Split search is vectorized: for
 each candidate feature the samples are sorted once and class-weight prefix
 sums give the impurity of every threshold in O(n) after the sort.
+
+A fitted tree is flat arrays indexed by node: ``feature_`` (-1 at
+leaves), ``threshold_``, ``left_``/``right_`` child links (a leaf links
+to itself) and ``proba_`` (class distribution; zero rows at inner
+nodes).  :func:`walk` routes samples through such arrays, one tree or a
+whole forest's stacked trees at once.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.base import BaseClassifier, check_X_y, check_array
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry the class-probability distribution."""
+def walk(model, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Leaf reached by every (sample, root) pair of ``model``'s node arrays.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    proba: np.ndarray | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    Returns node ids of shape ``(len(X), len(roots))``.  Every pair moves
+    down one level per step.  A pair at a leaf stays there: a leaf links
+    to itself both ways, so the column its -1 feature reads is moot.
+    """
+    node = np.tile(roots, (X.shape[0], 1))
+    rows = np.arange(X.shape[0])[:, None]
+    while True:
+        f = model.feature_[node]
+        if (f < 0).all():
+            return node
+        go_left = X[rows, f] <= model.threshold_[node]
+        node = np.where(go_left, model.left_[node], model.right_[node])
 
 
 def _weighted_gini(class_weights: np.ndarray) -> float:
@@ -146,15 +152,18 @@ class DecisionTreeClassifier(BaseClassifier):
         rng = np.random.default_rng(self.seed)
         k_feat = self._n_candidate_features(d)
 
-        self._nodes: list[_Node] = []
+        # One [feature, threshold, left, right, proba] row per node.
+        nodes: list[list] = []
+
+        def add(feature: int, threshold: float, proba: np.ndarray) -> int:
+            nodes.append([feature, threshold, len(nodes), len(nodes), proba])
+            return len(nodes) - 1
 
         def leaf(idx: np.ndarray) -> int:
             cw = np.zeros(C)
             np.add.at(cw, codes[idx], w[idx])
             total = cw.sum()
-            proba = cw / total if total > 0 else np.full(C, 1.0 / C)
-            self._nodes.append(_Node(proba=proba))
-            return len(self._nodes) - 1
+            return add(-1, 0.0, cw / total if total > 0 else np.full(C, 1.0 / C))
 
         def build(idx: np.ndarray, depth: int) -> int:
             sub_codes = codes[idx]
@@ -174,38 +183,22 @@ class DecisionTreeClassifier(BaseClassifier):
             left_idx, right_idx = idx[go_left], idx[~go_left]
             if left_idx.size == 0 or right_idx.size == 0:
                 return leaf(idx)
-            node_id = len(self._nodes)
-            self._nodes.append(_Node(feature=f, threshold=thr))
-            self._nodes[node_id].left = build(left_idx, depth + 1)
-            self._nodes[node_id].right = build(right_idx, depth + 1)
+            node_id = add(f, thr, np.zeros(C))
+            nodes[node_id][2:4] = build(left_idx, depth + 1), build(right_idx, depth + 1)
             return node_id
 
         build(np.arange(n), 0)
+        feature, threshold, left, right, proba = zip(*nodes)
+        self.feature_ = np.array(feature, dtype=np.int64)
+        self.threshold_ = np.array(threshold, dtype=np.float64)
+        self.left_ = np.array(left, dtype=np.int64)
+        self.right_ = np.array(right, dtype=np.int64)
+        self.proba_ = np.vstack(proba)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
-        X = check_array(X)
-        n = X.shape[0]
-        out = np.zeros((n, self.classes_.size))
-        # Route all samples level-by-level (vectorized over samples).
-        current = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
-            nodes = current[active]
-            still = []
-            for nid in np.unique(nodes):
-                members = active[nodes == nid]
-                node = self._nodes[nid]
-                if node.is_leaf:
-                    out[members] = node.proba
-                else:
-                    go_left = X[members, node.feature] <= node.threshold
-                    current[members[go_left]] = node.left
-                    current[members[~go_left]] = node.right
-                    still.append(members)
-            active = np.concatenate(still) if still else np.zeros(0, dtype=np.int64)
-        return out
+        return self.proba_[walk(self, check_array(X), np.zeros(1, dtype=np.int64))[:, 0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
@@ -214,4 +207,4 @@ class DecisionTreeClassifier(BaseClassifier):
     @property
     def node_count(self) -> int:
         self._check_fitted()
-        return len(self._nodes)
+        return self.feature_.size

@@ -152,11 +152,14 @@ class TestStats:
         ]
 
 
-@pytest.mark.parametrize("command", ["serve", "stats"])
-def test_max_rows_below_pool_floor_exits_before_training(command, monkeypatch):
-    def no_training(args):
+@pytest.mark.parametrize("command", ["serve", "stats", "train"])
+def test_max_rows_below_pool_floor_exits_before_training(command, monkeypatch, tmp_path):
+    def no_training(*args, **kwargs):
         raise AssertionError("trained before validating the workload")
 
     monkeypatch.setattr(repro.cli, "_get_liteform", no_training)
+    monkeypatch.setattr(repro.cli, "generate_training_data", no_training)
+    output = [str(tmp_path / "models.pkl")] if command == "train" else []
     with pytest.raises(SystemExit, match="max_rows must be >= 2000"):
-        cli_main([command, "--max-rows", "500"])
+        cli_main([command, *output, "--max-rows", "500"])
+    assert not (tmp_path / "models.pkl").exists()

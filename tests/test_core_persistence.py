@@ -49,6 +49,10 @@ class TestRoundTrip:
             save_liteform(LiteForm(), tmp_path / "x.pkl")
 
 
+class _Stale:
+    """Stands in for a class a v1 bundle pickled and this version removed."""
+
+
 class TestCorruptInputs:
     def test_non_bundle_pickle_rejected(self, tmp_path):
         path = tmp_path / "junk.pkl"
@@ -77,6 +81,26 @@ class TestCorruptInputs:
         message = str(exc.value)
         assert "repro-liteform-v0" in message  # what was found
         assert MAGIC in message  # what was expected
+
+    def test_v1_bundle_naming_removed_node_class_rejected(self, tmp_path):
+        # v1 bundles pickled the trees' `repro.ml.tree._Node` objects.
+        blob = pickle.dumps({"magic": "repro-liteform-v1", "selector": _Stale()}, protocol=0)
+        stale = f"{_Stale.__module__}\n{_Stale.__qualname__}\n".encode()
+        assert stale in blob
+        path = tmp_path / "v1.pkl"
+        path.write_bytes(blob.replace(stale, b"repro.ml.tree\n_Node\n"))
+        with pytest.raises(ValueError, match="re-save") as exc:
+            load_liteform(path)
+        assert MAGIC == "repro-liteform-v2" and MAGIC in str(exc.value)
+        assert "_Node" in str(exc.value)
+
+    def test_truncated_bundle_rejected(self, tmp_path, fitted):
+        path = tmp_path / "cut.pkl"
+        save_liteform(fitted, path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(ValueError, match="re-save") as exc:
+            load_liteform(path)
+        assert MAGIC in str(exc.value)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -45,11 +45,3 @@ def test_degenerate_single_class_fit_is_fitted(matrix):
     assert selector.predict(matrix) is True
     assert selector.predict_features(np.zeros((5, 7))).all()
 
-
-def test_legacy_pickle_without_fitted_flag_still_predicts(matrix):
-    """Selectors pickled before ``_fitted`` existed only ever saved
-    post-``fit`` state; ``is_fitted`` must infer that from ``_constant``."""
-    selector = FormatSelector().fit(np.zeros((3, 7)), np.zeros(3, dtype=bool))
-    del selector.__dict__["_fitted"]
-    assert selector.is_fitted
-    assert selector.predict(matrix) is False

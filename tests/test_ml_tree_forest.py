@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml import AdaBoostClassifier, DecisionTreeClassifier, RandomForestClassifier
 
@@ -10,6 +11,99 @@ def blobs(rng, n_per=60, centers=((-3, -3), (3, 3), (-3, 3))):
     X = np.vstack([rng.normal(c, 1.0, size=(n_per, 2)) for c in centers])
     y = np.repeat(np.arange(len(centers)), n_per)
     return X, y
+
+
+def scalar_leaf(model, x, root=0):
+    """Walk one sample from ``root`` over a fitted model's node arrays."""
+    node = root
+    while model.feature_[node] >= 0:
+        go_left = x[model.feature_[node]] <= model.threshold_[node]
+        node = model.left_[node] if go_left else model.right_[node]
+    return node
+
+
+def forest_trees(rf, X, y):
+    """Refit ``rf``'s trees on its bootstraps, as ``RandomForestClassifier.fit`` draws them."""
+    codes = np.unique(y, return_inverse=True)[1]
+    rng = np.random.default_rng(rf.seed)
+    trees = []
+    for _ in range(rf.n_estimators):
+        boot = rng.integers(0, X.shape[0], size=X.shape[0])
+        tree = DecisionTreeClassifier(
+            max_depth=rf.max_depth,
+            min_samples_split=rf.min_samples_split,
+            max_features=rf.max_features,
+            seed=int(rng.integers(0, 2**31 - 1)),
+        )
+        trees.append(tree.fit(X[boot], codes[boot]))
+    return trees
+
+
+def tree_order_mean(rf, trees, X):
+    """Mean of the trees' leaf probabilities in the forest's class columns,
+    added up one tree after another."""
+    agg = np.zeros((X.shape[0], rf.classes_.size))
+    for tree in trees:
+        agg[:, tree.classes_] += tree.predict_proba(X)
+    return agg / len(trees)
+
+
+class TestArrayForm:
+    def test_tree_proba_matches_scalar_walk(self, rng):
+        X, y = blobs(rng)
+        Q = rng.uniform(-8, 8, size=(50, 2))
+        tree = DecisionTreeClassifier(max_depth=5).fit(X, y)
+        expected = np.array([tree.proba_[scalar_leaf(tree, x)] for x in Q])
+        assert np.array_equal(tree.predict_proba(Q), expected)
+
+    def test_forest_proba_matches_tree_order_mean(self, rng):
+        X = rng.normal(size=(40, 2))
+        y = np.array([0] * 19 + [2] * 19 + [1] * 2)
+        X[38:] += 10
+        rf = RandomForestClassifier(n_estimators=15, seed=1).fit(X, y)
+        trees = forest_trees(rf, X, y)
+        # A bootstrap missed the middle class: that tree's columns are (0, 2).
+        assert any(tree.classes_.tolist() == [0, 2] for tree in trees)
+        Q = np.vstack([X, rng.uniform(-5, 15, size=(30, 2))])
+        assert np.array_equal(rf.predict_proba(Q), tree_order_mean(rf, trees, Q))
+        # Each tree's block of the stacked arrays walks like the tree itself.
+        for tree, root in zip(trees, rf.roots_):
+            leaves = [scalar_leaf(rf, x, root) - root for x in Q]
+            assert leaves == [scalar_leaf(tree, x) for x in Q]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_major=st.integers(8, 30),
+        n_rare=st.integers(1, 2),
+        n_estimators=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forest_with_rare_class_matches_tree_order_mean(
+        self, n_major, n_rare, n_estimators, seed
+    ):
+        gen = np.random.default_rng(seed)
+        X = gen.normal(size=(2 * n_major + n_rare, 3))
+        y = np.array([0] * n_major + [2] * n_major + [1] * n_rare)
+        rf = RandomForestClassifier(n_estimators=n_estimators, seed=seed).fit(X, y)
+        Q = np.vstack([X, gen.normal(scale=3.0, size=(10, 3))])
+        expected = tree_order_mean(rf, forest_trees(rf, X, y), Q)
+        assert np.array_equal(rf.predict_proba(Q), expected)
+
+    def test_pure_single_leaf_tree_and_one_sample_query(self):
+        tree = DecisionTreeClassifier().fit(np.array([[0.0], [1.0]]), np.array([7, 7]))
+        assert tree.feature_.tolist() == [-1]
+        assert tree.left_.tolist() == tree.right_.tolist() == [0]
+        assert np.array_equal(tree.predict_proba(np.array([[5.0]])), [[1.0]])
+        assert tree.predict(np.array([[5.0]])).tolist() == [7]
+
+    def test_one_sample_query_matches_batch_row(self, rng):
+        X, y = blobs(rng)
+        rf = RandomForestClassifier(n_estimators=10, seed=0).fit(X, y)
+        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
+        for model in (rf, tree):
+            P = model.predict_proba(X)
+            for i in (0, 77, 179):
+                assert np.array_equal(model.predict_proba(X[i : i + 1]), P[i : i + 1])
 
 
 class TestDecisionTree:
