@@ -158,7 +158,10 @@ def _maybe_trace(args, frontend=None):
 
 def _get_liteform(args) -> LiteForm:
     if args.models:
-        return load_liteform(args.models)
+        try:
+            return load_liteform(args.models)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot load --models: {exc}") from None
     print(f"training LiteForm on a {args.train_size}-matrix collection ...", file=sys.stderr)
     coll = SuiteSparseLikeCollection(size=args.train_size, max_rows=10_000, seed=1)
     return LiteForm().fit(generate_training_data(coll, J_values=(32, 128)))

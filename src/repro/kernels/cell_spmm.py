@@ -15,6 +15,7 @@ from repro.kernels.base import (
     SpMMKernel,
     check_dense_operand,
     operand_footprint,
+    wave_unique_refs,
 )
 
 
@@ -50,7 +51,10 @@ class CELLSpMM(SpMMKernel):
         out_words = float(R * J)
         # Column partitioning bounds the B working set to the partition's
         # columns — the data-locality mechanism of Section 4.
-        unique, refs = bucket.wave_traffic(bucket.block_rows * WAVE_BLOCKS)
+        slab = bucket.slab(fmt.shape[1])
+        unique, refs = wave_unique_refs(
+            slab.indptr, slab.indices, bucket.block_rows * WAVE_BLOCKS, fmt.shape[1]
+        )
         b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,

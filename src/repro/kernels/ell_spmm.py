@@ -19,17 +19,6 @@ from repro.kernels.base import (
 )
 
 
-def _ell_wave_traffic(
-    col: np.ndarray, rows_per_wave: int, num_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-wave unique/total B-row references for a padded ELL slab."""
-    mask = col != PAD
-    lengths = mask.sum(axis=1).astype(np.int64)
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    indices = col[mask].astype(np.int64)
-    return wave_unique_refs(indptr, indices, rows_per_wave, num_cols)
-
-
 def _ell_slab_product(
     col: np.ndarray, val: np.ndarray, B: np.ndarray, num_cols: int
 ) -> np.ndarray:
@@ -68,7 +57,9 @@ class ELLSpMM(SpMMKernel):
         rpb = self.ROWS_PER_BLOCK
         n_blocks = -(-I // rpb) if I else 0
         block_costs = np.full(n_blocks, 2.0 * float(rpb * W) * J)
-        unique, refs = _ell_wave_traffic(fmt.col, rpb * WAVE_BLOCKS, K)
+        mask = fmt.col != PAD
+        indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+        unique, refs = wave_unique_refs(indptr, fmt.col[mask], rpb * WAVE_BLOCKS, K)
         b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
@@ -112,13 +103,10 @@ class SlicedELLSpMM(SpMMKernel):
         slice_h = fmt.slices[0].num_rows if fmt.slices else 1
         if fmt.slices:
             # Treat the whole matrix as one CSR stream with slice-sized waves.
-            lengths = np.concatenate(
-                [(s.col != PAD).sum(axis=1) for s in fmt.slices]
-            ).astype(np.int64)
-            indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-            indices = np.concatenate(
-                [s.col[s.col != PAD] for s in fmt.slices]
-            ).astype(np.int64)
+            masks = [s.col != PAD for s in fmt.slices]
+            lengths = np.concatenate([m.sum(axis=1) for m in masks])
+            indptr = np.concatenate([[0], np.cumsum(lengths)])
+            indices = np.concatenate([s.col[m] for s, m in zip(fmt.slices, masks)])
             unique, refs = wave_unique_refs(
                 indptr, indices, slice_h * WAVE_BLOCKS, K
             )

@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from repro.formats.base import VALUE_DTYPE
 from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
-from repro.formats.ell import PAD
 from repro.gpu.memory import CacheModel, coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
@@ -134,7 +133,10 @@ class CELLSDDMM(_SDDMMKernel):
         for part, bucket in fmt.iter_buckets():
             R, W = bucket.num_rows, bucket.width
             stored = bucket.stored_elements
-            unique, refs = bucket.wave_traffic(bucket.block_rows * WAVE_BLOCKS)
+            slab = bucket.slab(Jc)
+            unique, refs = wave_unique_refs(
+                slab.indptr, slab.indices, bucket.block_rows * WAVE_BLOCKS, Jc
+            )
             v_bytes = self.CACHE.b_traffic_bytes(unique, refs, K, part.num_cols)
             n_blocks = bucket.num_blocks
             costs = np.full(n_blocks, 2.0 * bucket.block_nnz * K)
@@ -163,13 +165,12 @@ class CELLSDDMM(_SDDMMKernel):
         _check_operands(fmt.shape, U, V)
         rows_all, cols_all, vals_all = [], [], []
         for _, bucket in fmt.iter_buckets():
-            mask = bucket.col != PAD
-            if not mask.any():
+            slab = bucket.slab(fmt.shape[1])
+            if not slab.nnz:
                 continue
-            local_rows, _ = np.nonzero(mask)
-            rows = bucket.row_ind.astype(np.int64)[local_rows]
-            cols = bucket.col[mask].astype(np.int64)
-            vals = bucket.val[mask]
+            rows = np.repeat(bucket.row_ind.astype(np.int64), np.diff(slab.indptr))
+            cols = slab.indices.astype(np.int64)
+            vals = slab.data
             dots = np.einsum("ij,ij->i", U[rows], V[cols], dtype=np.float32)
             rows_all.append(rows)
             cols_all.append(cols)

@@ -163,3 +163,11 @@ def test_max_rows_below_pool_floor_exits_before_training(command, monkeypatch, t
     with pytest.raises(SystemExit, match="max_rows must be >= 2000"):
         cli_main([command, *output, "--max-rows", "500"])
     assert not (tmp_path / "models.pkl").exists()
+
+
+def test_truncated_models_bundle_exits_with_one_line(models_path, tmp_path):
+    cut = tmp_path / "cut.pkl"
+    cut.write_bytes(models_path.read_bytes()[:100])
+    with pytest.raises(SystemExit, match="cannot load --models: .*cut.pkl") as exc:
+        cli_main(["compose", "gnn:cora", "--models", str(cut)])
+    assert "\n" not in str(exc.value.code)

@@ -7,6 +7,7 @@ from repro.formats import CELLFormat
 from repro.formats.base import as_csr, ceil_pow2_exponent
 from repro.formats.cell import _fold_chunks, partition_bounds
 from repro.formats.ell import PAD
+from repro.kernels.base import wave_unique_refs
 from repro.matrices import power_law_graph, with_dense_rows
 
 
@@ -195,12 +196,16 @@ class TestBucketQueries:
     def test_wave_traffic_consistency(self, matrix_suite):
         A = matrix_suite["power_law"]
         f = CELLFormat.from_csr(A, num_partitions=1)
+        K = A.shape[1]
         for _, bucket in f.iter_buckets():
-            unique, refs = bucket.wave_traffic(rows_per_wave=bucket.num_rows)
+            slab = bucket.slab(K)
+            unique, refs = wave_unique_refs(slab.indptr, slab.indices, bucket.num_rows, K)
             assert refs.sum() == bucket.nnz
             assert unique.sum() == bucket.unique_cols
             # finer waves can only see more (or equal) compulsory fetches
-            u2, r2 = bucket.wave_traffic(rows_per_wave=max(1, bucket.num_rows // 4))
+            u2, r2 = wave_unique_refs(
+                slab.indptr, slab.indices, max(1, bucket.num_rows // 4), K
+            )
             assert r2.sum() == bucket.nnz
             assert u2.sum() >= unique.sum()
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.stile import HybridPanelFormat, HybridPanelSpMM, STileBaseline
 from repro.formats import CSRFormat, CELLFormat
 from repro.kernels import CELLSpMM, RowSplitCSRSpMM, SputnikSpMM, TacoSpMM
+import repro.kernels.base as kernels_base
 from repro.kernels.base import wave_unique_refs
 from repro.kernels.taco_spmm import NNZ_PER_WARP_CHOICES, WARPS_PER_BLOCK_CHOICES, TacoSchedule
 from repro.matrices import community_graph, power_law_graph, uniform_random_matrix
@@ -36,6 +39,51 @@ class TestWaveUniqueRefs:
     def test_empty(self):
         u, r = wave_unique_refs(np.zeros(1, np.int64), np.zeros(0, np.int64), 8, 10)
         assert u.size == 0 and r.size == 0
+
+
+@st.composite
+def wave_inputs(draw):
+    """A CSR matrix with empty rows and never-referenced columns, and a
+    wave size of one row, a mid-range one, or more than all rows."""
+    rows = draw(st.integers(1, 50))
+    cols = draw(st.integers(1, 60))
+    used = draw(st.integers(1, cols))  # columns >= used are never referenced
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    nnz = int(rng.integers(0, rows * used + 1))
+    A = sp.csr_matrix(
+        (np.ones(nnz, np.float32), (rng.integers(0, rows, nnz), rng.integers(0, used, nnz))),
+        shape=(rows, cols),
+    )
+    A.sum_duplicates()
+    A = sp.diags((rng.random(rows) < 0.7).astype(np.float32)) @ A  # empty rows
+    A = sp.csr_matrix(A)
+    A.eliminate_zeros()
+    rpw = draw(st.sampled_from([1, max(1, rows // 3), rows + draw(st.integers(1, 10))]))
+    return A, rpw
+
+
+class TestStampAgainstSort:
+    @settings(max_examples=150, deadline=None)
+    @given(wave_inputs())
+    def test_stamp_path_equals_sort_path(self, case):
+        A, rpw = case
+        K = A.shape[1]
+        counts = {}
+        for path, cells in (("stamp", 10**9), ("sort", 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels_base, "STAMP_CELLS_PER_NNZ", cells)
+                counts[path] = wave_unique_refs(A.indptr, A.indices, rpw, K)
+        (u_stamp, r_stamp), (u_sort, r_sort) = counts["stamp"], counts["sort"]
+        np.testing.assert_array_equal(u_stamp, u_sort)
+        np.testing.assert_array_equal(r_stamp, r_sort)
+        if A.nnz:
+            n_waves = -(-A.shape[0] // rpw)
+            waves = [A[w * rpw : (w + 1) * rpw] for w in range(n_waves)]
+            assert list(r_stamp) == [w.nnz for w in waves]
+            assert list(u_stamp) == [np.unique(w.indices).size for w in waves]
+        else:
+            assert u_stamp.size == r_stamp.size == 0
 
 
 class TestTacoScheduleSpace:

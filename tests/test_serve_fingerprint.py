@@ -9,6 +9,14 @@ from repro.matrices import power_law_graph, uniform_random_matrix
 from repro.serve import PlanKey, fingerprint_csr
 
 
+def _large_matrix(rows: int = 600, row_nnz: int = 500, cols: int = 4096) -> sp.csr_matrix:
+    """300,000 non-zeros: ``indices`` and ``data`` are 1.2 MB each."""
+    indptr = np.arange(rows + 1, dtype=np.int32) * row_nnz
+    indices = np.tile(np.arange(row_nnz, dtype=np.int32) * 2, rows)
+    data = np.arange(rows * row_nnz, dtype=np.float32)
+    return sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+
+
 class TestDeterminism:
     def test_same_matrix_same_fingerprint(self):
         A = power_law_graph(500, 8, seed=1)
@@ -24,12 +32,9 @@ class TestDeterminism:
         assert fp.rows == 64 and fp.cols == 48 and fp.nnz == A.nnz
         assert fp.key.endswith(f"-64x48-{A.nnz}")
 
-    def test_sampled_large_array_is_deterministic(self):
-        A = power_law_graph(3_000, 20, seed=3)
-        small_budget = 4096  # forces chunk sampling on indices/data
-        a = fingerprint_csr(A, sample_budget_bytes=small_budget)
-        b = fingerprint_csr(A.copy(), sample_budget_bytes=small_budget)
-        assert a.key == b.key
+    def test_large_array_is_deterministic(self):
+        A = _large_matrix()
+        assert fingerprint_csr(A).key == fingerprint_csr(A.copy()).key
 
 
 class TestCollisionResistance:
@@ -73,22 +78,23 @@ class TestCollisionResistance:
             != fingerprint_csr(as_csr(other)).key
         )
 
-    def test_over_budget_sampling_still_discriminates_moved_nonzero(self):
-        """Chunk-sampled (over-budget) arrays must still see a moved entry."""
-        budget = 4096
-        rows, row_nnz, cols = 40, 50, 4096
-        indptr = np.arange(rows + 1, dtype=np.int32) * row_nnz
-        indices = np.tile(np.arange(row_nnz, dtype=np.int32) * 2, rows)
-        data = np.ones(rows * row_nnz, dtype=np.float32)
-        A = sp.csr_matrix((data, indices.copy(), indptr), shape=(rows, cols))
-        # indices/data are > budget, so both are chunk-sampled
-        assert A.indices.nbytes > budget and A.data.nbytes > budget
-        moved = indices.copy()
-        moved[2] += 1  # move one non-zero; stays sorted, no duplicate
-        B = sp.csr_matrix((data, moved, indptr), shape=(rows, cols))
-        a = fingerprint_csr(A, sample_budget_bytes=budget)
-        b = fingerprint_csr(B, sample_budget_bytes=budget)
-        assert a.key != b.key
+    def test_value_change_in_large_array_changes_key(self):
+        """Every byte counts, also in arrays over 1 MiB."""
+        A = _large_matrix()
+        assert A.data.nbytes > 1 << 20
+        for pos in (17_000, 150_001, A.nnz - 1):
+            B = A.copy()
+            B.data[pos] += 1.0
+            assert fingerprint_csr(A).key != fingerprint_csr(B).key
+
+    def test_moved_index_in_large_array_changes_key(self):
+        A = _large_matrix()
+        assert A.indices.nbytes > 1 << 20
+        B = A.copy()
+        B.indices[17_000] += 1  # stays sorted, no duplicate
+        assert B.has_sorted_indices and B.nnz == A.nnz
+        assert fingerprint_csr(A).key != fingerprint_csr(B).key
+        assert fingerprint_csr(A).pattern != fingerprint_csr(B).pattern
 
 
 class TestValidation:
@@ -96,11 +102,6 @@ class TestValidation:
         A = sp.coo_matrix(np.eye(4, dtype=np.float32))
         with pytest.raises(TypeError):
             fingerprint_csr(A)
-
-    def test_rejects_tiny_budget(self):
-        A = power_law_graph(50, 3, seed=7)
-        with pytest.raises(ValueError):
-            fingerprint_csr(A, sample_budget_bytes=8)
 
     def test_plan_key_string_form_is_stable(self):
         """``str(key)`` is what ring placement, hot-key routing and span

@@ -58,6 +58,25 @@ class TestCaching:
             hit.C, spmm_reference(req.matrix, req.B), rtol=1e-4, atol=1e-4
         )
 
+    def test_value_change_deep_in_large_matrix_misses(self, server):
+        """A change anywhere in a matrix over 1 MiB per array gets a new
+        plan and the new product, not the cached one's."""
+        rows, row_nnz = 600, 500
+        indptr = np.arange(rows + 1, dtype=np.int32) * row_nnz
+        indices = np.tile(np.arange(row_nnz, dtype=np.int32) * 2, rows)
+        data = np.random.default_rng(0).standard_normal(rows * row_nnz).astype(np.float32)
+        A = sp.csr_matrix((data, indices, indptr), shape=(rows, 1024))
+        assert A.data.nbytes > 1 << 20
+        B = np.random.default_rng(1).standard_normal((1024, 8)).astype(np.float32)
+        server.serve(OpRequest(matrix=A, B=B, J=8))
+        A2 = A.copy()
+        A2.data[17_000] += 10.0
+        second = server.serve(OpRequest(matrix=A2, B=B, J=8))
+        assert not second.cache_hit and server.metrics.cache_misses == 2
+        np.testing.assert_allclose(
+            second.C, spmm_reference(A2, B), rtol=1e-4, atol=1e-4
+        )
+
     def test_hit_credits_composition_time_saved(self, server):
         req = _request(seed=4)
         miss = server.serve(req)
