@@ -31,6 +31,10 @@ from repro.serve import OpRequest, PlanCache, SpMMServer
 from repro.serve.fingerprint import PlanKey, fingerprint_csr
 
 
+def _bucket_arrays(b):
+    return b.row_ind, b.slab.indptr, b.slab.indices, b.slab.data
+
+
 def assert_formats_identical(fmt_a, fmt_b):
     assert fmt_a.shape == fmt_b.shape
     assert fmt_a.footprint_bytes == fmt_b.footprint_bytes
@@ -38,11 +42,12 @@ def assert_formats_identical(fmt_a, fmt_b):
     for pa, pb in zip(fmt_a.partitions, fmt_b.partitions):
         assert len(pa.buckets) == len(pb.buckets)
         for ba, bb in zip(pa.buckets, pb.buckets):
-            assert ba.width == bb.width
-            assert ba.block_rows == bb.block_rows
-            assert np.array_equal(ba.row_ind, bb.row_ind)
-            assert np.array_equal(ba.col, bb.col)
-            assert np.array_equal(ba.val, bb.val)
+            assert (ba.width, ba.block_rows, ba.has_folds) == (
+                bb.width, bb.block_rows, bb.has_folds
+            )
+            assert ba.slab.shape == bb.slab.shape
+            for xa, xb in zip(_bucket_arrays(ba), _bucket_arrays(bb)):
+                assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class HybridPanelFormat(SparseFormat):
         self.nnz = int(sum(p.fmt.nnz for p in panels))
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "HybridPanelFormat":
+    def from_csr(cls, A: sp.csr_matrix) -> "HybridPanelFormat":
         raise NotImplementedError("built by STileBaseline.prepare")
 
     def to_csr(self) -> sp.csr_matrix:

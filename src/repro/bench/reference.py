@@ -11,11 +11,18 @@ verbatim for two consumers:
   metric times the vectorized pipeline against this one — a
   machine-relative ratio that survives CI-runner speed differences.
 
+The CELL builder still fills padded ``col``/``val`` arrays
+(:class:`PaddedBucket`, the layout ``Bucket`` once stored) and strips the
+padding only at the end; the equivalence tests also check the padding
+formulas of :class:`~repro.formats.cell.Bucket` against those arrays.
+
 Do not "optimize" this module; its value is staying byte-for-byte
 faithful to the historical behaviour.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,15 +41,38 @@ from repro.kernels.base import check_dense_operand
 
 
 # ----------------------------------------------------------------------
-# CELL construction (old per-partition scipy CSC slicing)
+# CELL construction (old per-partition scipy CSC slicing, padded arrays)
 # ----------------------------------------------------------------------
+@dataclass
+class PaddedBucket:
+    """A bucket as the padded builder stores it: ``col``/``val`` of shape
+    ``(num_rows, width)``, ``PAD`` (-1) marking the zero padding."""
+
+    width: int
+    row_ind: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    has_folds: bool
+    block_rows: int
+
+    def strip(self, num_cols: int) -> Bucket:
+        """The :class:`Bucket` of these arrays: pads stripped, entries in
+        stored order as a ``(num_rows, num_cols)`` CSR slab."""
+        mask = self.col != PAD
+        indptr = np.zeros(self.row_ind.size + 1, dtype=INDEX_DTYPE)
+        np.cumsum(mask.sum(axis=1), out=indptr[1:])
+        slab = sp.csr_matrix(
+            (self.val[mask], self.col[mask], indptr),
+            shape=(self.row_ind.size, num_cols),
+        )
+        return Bucket(self.width, self.row_ind, slab, self.block_rows)
+
+
 def _reference_partition_buckets(
     sub: sp.csr_matrix, col_offset: int, max_width: int | None, block_multiple: int
-) -> list[Bucket]:
+) -> list[PaddedBucket]:
     lengths = np.diff(sub.indptr).astype(np.int64)
-    chunk_row, chunk_off, chunk_len, chunk_exp, chunk_folded = _fold_chunks(
-        lengths, max_width
-    )
+    chunk_row, chunk_off, chunk_len, chunk_exp = _fold_chunks(lengths, max_width)
     if chunk_row.size == 0:
         return []
     max_exp = int(chunk_exp.max())
@@ -53,8 +83,7 @@ def _reference_partition_buckets(
     chunk_off = chunk_off[order]
     chunk_len = chunk_len[order]
     chunk_exp = chunk_exp[order]
-    chunk_folded = chunk_folded[order]
-    buckets: list[Bucket] = []
+    buckets: list[PaddedBucket] = []
     boundaries = np.searchsorted(chunk_exp, np.arange(max_exp + 2))
     indptr = sub.indptr.astype(np.int64)
     for e in range(max_exp + 1):
@@ -77,30 +106,31 @@ def _reference_partition_buckets(
             col.ravel()[dst] = sub.indices[src] + col_offset
             val.ravel()[dst] = sub.data[src]
         buckets.append(
-            Bucket(
+            PaddedBucket(
                 width=width,
                 row_ind=rows.astype(INDEX_DTYPE),
                 col=col,
                 val=val,
-                has_folds=bool(chunk_folded[lo:hi].any()),
+                # a folded row's second chunk starts past offset 0
+                has_folds=bool((offs > 0).any()),
                 block_rows=max(1, block_nnz // width),
             )
         )
     return buckets
 
 
-def reference_cell_from_csr(
+def reference_padded_partitions(
     A: sp.csr_matrix,
     num_partitions: int = 1,
     max_widths: int | list[int | None] | None = None,
     block_multiple: int = 2,
-) -> CELLFormat:
-    """The pre-vectorization ``CELLFormat.from_csr``: one scipy
-    ``csc[:, c0:c1].tocsr()`` slice per partition."""
+) -> list[tuple[int, int, list[PaddedBucket]]]:
+    """The pre-vectorization ``CELLFormat.from_csr`` with padded buckets:
+    one scipy ``csc[:, c0:c1].tocsr()`` slice per partition.  Returns
+    ``(col_start, col_end, buckets)`` per partition."""
     if block_multiple < 1 or (block_multiple & (block_multiple - 1)):
         raise ValueError(f"block_multiple must be a power of two, got {block_multiple}")
-    I, K = A.shape
-    bounds = partition_bounds(K, num_partitions)
+    bounds = partition_bounds(A.shape[1], num_partitions)
     if max_widths is None or isinstance(max_widths, (int, np.integer)):
         width_caps: list[int | None] = [max_widths] * num_partitions  # type: ignore[list-item]
     else:
@@ -110,7 +140,7 @@ def reference_cell_from_csr(
                 f"max_widths has {len(width_caps)} entries for {num_partitions} partitions"
             )
     csc = A.tocsc() if num_partitions > 1 else None
-    partitions: list[Partition] = []
+    partitions = []
     for p, (c0, c1) in enumerate(bounds):
         if csc is not None:
             sub = csc[:, c0:c1].tocsr()
@@ -119,8 +149,26 @@ def reference_cell_from_csr(
         buckets = _reference_partition_buckets(
             sub, col_offset=c0, max_width=width_caps[p], block_multiple=block_multiple
         )
-        partitions.append(Partition(index=p, col_start=c0, col_end=c1, buckets=buckets))
-    return CELLFormat((I, K), partitions, int(A.nnz))
+        partitions.append((c0, c1, buckets))
+    return partitions
+
+
+def reference_cell_from_csr(
+    A: sp.csr_matrix,
+    num_partitions: int = 1,
+    max_widths: int | list[int | None] | None = None,
+    block_multiple: int = 2,
+) -> CELLFormat:
+    """:func:`reference_padded_partitions` with each bucket's padding
+    stripped at the end."""
+    K = A.shape[1]
+    partitions = [
+        Partition(index=p, col_start=c0, col_end=c1, buckets=[b.strip(K) for b in padded])
+        for p, (c0, c1, padded) in enumerate(
+            reference_padded_partitions(A, num_partitions, max_widths, block_multiple)
+        )
+    ]
+    return CELLFormat(A.shape, partitions, int(A.nnz))
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +347,11 @@ def reference_cell_execute(fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
     I, J = fmt.shape[0], B.shape[1]
     C = np.zeros((I, J), dtype=VALUE_DTYPE)
     for _, bucket in fmt.iter_buckets():
-        mask = bucket.col != PAD
-        if not mask.any():
+        if not bucket.nnz:
             continue
-        local_rows = np.nonzero(mask)[0]
+        coo = bucket.slab.tocoo()
         slab = sp.csr_matrix(
-            (bucket.val[mask], (local_rows, bucket.col[mask])),
+            (coo.data, (coo.row, coo.col)),
             shape=(bucket.num_rows, fmt.shape[1]),
             dtype=VALUE_DTYPE,
         )

@@ -100,6 +100,7 @@ def _compose_partition(
     starts: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
+    num_cols: int,
     J: int,
     num_partitions: int,
     block_multiple: int,
@@ -115,7 +116,7 @@ def _compose_partition(
     result, width = tune_partition(profile, J, num_partitions)
     t1 = time.perf_counter()
     buckets = CELLFormat._build_partition_buckets(
-        lengths, starts, indices, data,
+        lengths, starts, indices, data, num_cols,
         max_width=width, block_multiple=block_multiple,
     )
     t2 = time.perf_counter()
@@ -289,7 +290,7 @@ def compose_partitions(
             )
         tasks.append(
             (p, c0, c1, lengths_p, starts_p, indices_p, data_p,
-             J, num_partitions, block_multiple)
+             A.shape[1], J, num_partitions, block_multiple)
         )
 
     if pool.parallel and len(tasks) > 1:

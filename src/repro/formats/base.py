@@ -76,13 +76,13 @@ class SparseFormat(abc.ABC):
 
     @classmethod
     @abc.abstractmethod
-    def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "SparseFormat":
+    def from_csr(cls, A: sp.csr_matrix) -> "SparseFormat":
         """Build the format from a canonical CSR matrix."""
 
     @classmethod
-    def from_matrix(cls, matrix: sp.spmatrix | np.ndarray, **kwargs) -> "SparseFormat":
+    def from_matrix(cls, matrix: sp.spmatrix | np.ndarray) -> "SparseFormat":
         """Build the format from any SciPy sparse matrix or dense array."""
-        return cls.from_csr(as_csr(matrix), **kwargs)
+        return cls.from_csr(as_csr(matrix))
 
     @abc.abstractmethod
     def to_csr(self) -> sp.csr_matrix:

@@ -40,7 +40,7 @@ class BCSRFormat(SparseFormat):
         self.nnz = int(nnz)
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, block_shape: tuple[int, int] = (8, 8), **kwargs) -> "BCSRFormat":
+    def from_csr(cls, A: sp.csr_matrix, block_shape: tuple[int, int] = (8, 8)) -> "BCSRFormat":
         bh, bw = block_shape
         if bh < 1 or bw < 1:
             raise ValueError(f"block_shape entries must be >= 1, got {block_shape}")

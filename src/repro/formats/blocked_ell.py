@@ -39,7 +39,7 @@ class BlockedELLFormat(SparseFormat):
         self.nnz = int(nnz)
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, block_shape: tuple[int, int] = (16, 16), **kwargs) -> "BlockedELLFormat":
+    def from_csr(cls, A: sp.csr_matrix, block_shape: tuple[int, int] = (16, 16)) -> "BlockedELLFormat":
         bh, bw = block_shape
         I, K = A.shape
         pad_i = (-I) % bh

@@ -25,7 +25,7 @@ class COOFormat(SparseFormat):
         self.nnz = int(self.val.size)
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "COOFormat":
+    def from_csr(cls, A: sp.csr_matrix) -> "COOFormat":
         coo = A.tocoo()
         return cls(A.shape, coo.row, coo.col, coo.data)
 

@@ -29,7 +29,7 @@ class CSRFormat(SparseFormat):
         self.nnz = int(self.data.size)
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "CSRFormat":
+    def from_csr(cls, A: sp.csr_matrix) -> "CSRFormat":
         return cls(A.shape, A.indptr, A.indices, A.data)
 
     def to_csr(self) -> sp.csr_matrix:

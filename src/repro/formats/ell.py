@@ -66,7 +66,7 @@ class ELLFormat(SparseFormat):
         self.nnz = int(np.count_nonzero(self.col != PAD))
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, **kwargs) -> "ELLFormat":
+    def from_csr(cls, A: sp.csr_matrix) -> "ELLFormat":
         lengths = np.diff(A.indptr)
         width = int(lengths.max()) if lengths.size else 0
         col, val = pack_rows_ell(A, max(width, 1) if A.shape[0] else 0)

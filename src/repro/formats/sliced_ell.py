@@ -42,7 +42,7 @@ class SlicedELLFormat(SparseFormat):
         self.nnz = int(sum(np.count_nonzero(s.col != PAD) for s in slices))
 
     @classmethod
-    def from_csr(cls, A: sp.csr_matrix, slice_height: int = 32, **kwargs) -> "SlicedELLFormat":
+    def from_csr(cls, A: sp.csr_matrix, slice_height: int = 32) -> "SlicedELLFormat":
         if slice_height < 1:
             raise ValueError(f"slice_height must be >= 1, got {slice_height}")
         I = A.shape[0]

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
-from repro.formats.ell import PAD
 from repro.gpu.device import GPUSpec, V100
 
 
@@ -224,12 +223,12 @@ def cell_traces(fmt: CELLFormat, J: int) -> list[BlockTrace]:
     traces: list[BlockTrace] = []
     for _, bucket in fmt.iter_buckets():
         R, W = bucket.num_rows, bucket.width
+        indptr, indices = bucket.slab.indptr, bucket.slab.indices
         for b0 in range(0, R, bucket.block_rows):
-            rows = slice(b0, min(b0 + bucket.block_rows, R))
-            n_rows = rows.stop - rows.start
+            b1 = min(b0 + bucket.block_rows, R)
+            n_rows = b1 - b0
             stored = n_rows * W
-            block_cols = bucket.col[rows]
-            uniq = np.unique(block_cols[block_cols != PAD])
+            uniq = np.unique(indices[indptr[b0] : indptr[b1]])
             trace: BlockTrace = [
                 TraceOp("mem", float(n_rows) * 4),  # rowInd
                 TraceOp("mem", float(stored) * 8),  # colInd + val (padded,

@@ -48,6 +48,8 @@ class RowSplitCSRSpMM(SpMMKernel):
     #: Whether B-traffic waves follow the (possibly swizzled) processing
     #: order instead of the natural row order.
     TRAFFIC_FOLLOWS_ROW_ORDER = False
+    #: Output-column tile width per thread block (``None``: all of J).
+    J_TILE: int | None = None
 
     # -- schedule hooks overridden by subclasses -----------------------
     def _row_order(self, fmt: CSRFormat) -> np.ndarray | None:
@@ -58,10 +60,6 @@ class RowSplitCSRSpMM(SpMMKernel):
         wave co-residency over the whole device) essentially unchanged.
         """
         return None
-
-    def _j_tile(self, J: int) -> int:
-        """Output-column tile width per thread block (default: all of J)."""
-        return J
 
     def plan(self, fmt: CSRFormat, J: int) -> KernelStats:
         if not isinstance(fmt, CSRFormat):
@@ -79,9 +77,9 @@ class RowSplitCSRSpMM(SpMMKernel):
         padded = np.concatenate([lengths, np.zeros(pad, dtype=lengths.dtype)])
         per_block = padded.reshape(n_blocks, rpb) if n_blocks else padded.reshape(0, rpb)
         # flops per block: the block retires with its longest row's warp.
-        # Output tiling (j_tile < J) splits each row's work across several
+        # Output tiling (J_TILE < J) splits each row's work across several
         # blocks, shrinking the worst straggler proportionally.
-        jt = max(1, min(self._j_tile(J), J))
+        jt = max(1, min(self.J_TILE or J, J))
         j_repeats = -(-J // jt)
         block_costs = np.tile(
             2.0 * (per_block.max(axis=1) + self.ROW_OVERHEAD) * jt, j_repeats
@@ -158,18 +156,13 @@ class SputnikSpMM(RowSplitCSRSpMM):
     NUM_LAUNCHES = 1  # single hand-written kernel
     BANDWIDTH_EFFICIENCY = 0.92  # vector loads, but still a gather kernel
     TRAFFIC_FOLLOWS_ROW_ORDER = True  # swizzle scrambles wave locality
-
-    def __init__(self, j_tile: int = 128):
-        #: Sputnik's 1-D output tiling: each block owns a (rows x j_tile)
-        #: slice of C, so a long row's work spreads over J/j_tile blocks.
-        self.j_tile = j_tile
+    #: Sputnik's 1-D output tiling: each block owns a (rows x J_TILE)
+    #: slice of C, so a long row's work spreads over J/J_TILE blocks.
+    J_TILE = 128
 
     def _row_order(self, fmt: CSRFormat) -> np.ndarray:
         # Stable descending length sort: the published row-swizzle balance trick.
         return np.argsort(-fmt.row_lengths, kind="stable")
-
-    def _j_tile(self, J: int) -> int:
-        return self.j_tile
 
 
 class DgSparseSpMM(RowSplitCSRSpMM):

@@ -133,7 +133,7 @@ class CELLSDDMM(_SDDMMKernel):
         for part, bucket in fmt.iter_buckets():
             R, W = bucket.num_rows, bucket.width
             stored = bucket.stored_elements
-            slab = bucket.slab(Jc)
+            slab = bucket.slab
             unique, refs = wave_unique_refs(
                 slab.indptr, slab.indices, bucket.block_rows * WAVE_BLOCKS, Jc
             )
@@ -165,7 +165,7 @@ class CELLSDDMM(_SDDMMKernel):
         _check_operands(fmt.shape, U, V)
         rows_all, cols_all, vals_all = [], [], []
         for _, bucket in fmt.iter_buckets():
-            slab = bucket.slab(fmt.shape[1])
+            slab = bucket.slab
             if not slab.nnz:
                 continue
             rows = np.repeat(bucket.row_ind.astype(np.int64), np.diff(slab.indptr))

@@ -21,6 +21,10 @@ from repro.matrices import (
 )
 
 
+def _bucket_arrays(b):
+    return b.row_ind, b.slab.indptr, b.slab.indices, b.slab.data
+
+
 def _assert_identical(fmt_a, fmt_b):
     assert fmt_a.shape == fmt_b.shape
     assert fmt_a.footprint_bytes == fmt_b.footprint_bytes
@@ -29,11 +33,12 @@ def _assert_identical(fmt_a, fmt_b):
         assert (pa.col_start, pa.col_end) == (pb.col_start, pb.col_end)
         assert len(pa.buckets) == len(pb.buckets)
         for ba, bb in zip(pa.buckets, pb.buckets):
-            assert ba.width == bb.width
-            assert ba.block_rows == bb.block_rows
-            assert np.array_equal(ba.row_ind, bb.row_ind)
-            assert np.array_equal(ba.col, bb.col)
-            assert np.array_equal(ba.val, bb.val)
+            assert (ba.width, ba.block_rows, ba.has_folds) == (
+                bb.width, bb.block_rows, bb.has_folds
+            )
+            assert ba.slab.shape == bb.slab.shape
+            for xa, xb in zip(_bucket_arrays(ba), _bucket_arrays(bb)):
+                assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
 
 
 class TestPoolSpec:
@@ -89,9 +94,11 @@ class TestBitIdentity:
         for o in subset.outcomes:
             ref = full.outcomes[o.index]
             assert o.width == ref.width
-            assert np.array_equal(
-                o.partition.buckets[0].col, ref.partition.buckets[0].col
-            )
+            for xa, xb in zip(
+                _bucket_arrays(o.partition.buckets[0]),
+                _bucket_arrays(ref.partition.buckets[0]),
+            ):
+                assert np.array_equal(xa, xb)
 
 
 class TestValidationAndCompaction:

@@ -25,6 +25,10 @@ from repro.matrices import (
 )
 
 
+def _bucket_arrays(b):
+    return b.row_ind, b.slab.indptr, b.slab.indices, b.slab.data
+
+
 def assert_plans_identical(patched, full):
     assert patched.use_cell and full.use_cell
     assert patched.max_widths == full.max_widths
@@ -36,11 +40,12 @@ def assert_plans_identical(patched, full):
     for pa, pb in zip(fa.partitions, fb.partitions):
         assert len(pa.buckets) == len(pb.buckets)
         for ba, bb in zip(pa.buckets, pb.buckets):
-            assert ba.width == bb.width
-            assert ba.block_rows == bb.block_rows
-            assert np.array_equal(ba.row_ind, bb.row_ind)
-            assert np.array_equal(ba.col, bb.col)
-            assert np.array_equal(ba.val, bb.val)
+            assert (ba.width, ba.block_rows, ba.has_folds) == (
+                bb.width, bb.block_rows, bb.has_folds
+            )
+            assert ba.slab.shape == bb.slab.shape
+            for xa, xb in zip(_bucket_arrays(ba), _bucket_arrays(bb)):
+                assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
 
 
 class TestDeterministicEdges:

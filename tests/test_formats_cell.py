@@ -6,7 +6,6 @@ import pytest
 from repro.formats import CELLFormat
 from repro.formats.base import as_csr, ceil_pow2_exponent
 from repro.formats.cell import _fold_chunks, partition_bounds
-from repro.formats.ell import PAD
 from repro.kernels.base import wave_unique_refs
 from repro.matrices import power_law_graph, with_dense_rows
 
@@ -39,31 +38,30 @@ class TestPartitionBounds:
 class TestFoldChunks:
     def test_short_rows_one_chunk_each(self):
         lengths = np.array([0, 3, 5, 1])
-        row, off, ln, exp, folded = _fold_chunks(lengths, max_width=8)
+        row, off, ln, exp = _fold_chunks(lengths, max_width=8)
         assert list(row) == [1, 2, 3]
         assert list(ln) == [3, 5, 1]
-        assert not folded.any()
+        assert not off.any()
         assert list(exp) == [2, 3, 0]
 
     def test_long_row_folds_into_max_bucket(self):
         lengths = np.array([20])
-        row, off, ln, exp, folded = _fold_chunks(lengths, max_width=8)
+        row, off, ln, exp = _fold_chunks(lengths, max_width=8)
         assert list(row) == [0, 0, 0]
         assert list(ln) == [8, 8, 4]
         assert list(off) == [0, 8, 16]
         # all chunks land in the max (2^3) bucket
         assert list(exp) == [3, 3, 3]
-        assert folded.all()
 
     def test_exact_multiple_no_remainder(self):
         lengths = np.array([16])
-        row, off, ln, exp, folded = _fold_chunks(lengths, max_width=8)
+        row, off, ln, exp = _fold_chunks(lengths, max_width=8)
         assert list(ln) == [8, 8]
 
     def test_natural_width_no_folding(self):
         lengths = np.array([1, 2, 3, 100])
-        _, _, _, exp, folded = _fold_chunks(lengths, max_width=None)
-        assert not folded.any()
+        _, off, _, exp = _fold_chunks(lengths, max_width=None)
+        assert not off.any()
         assert exp.max() == ceil_pow2_exponent(100)
 
     def test_non_power_of_two_width_rejected(self):
@@ -148,9 +146,9 @@ class TestCELLConstruction:
         A = matrix_suite["uniform"]
         f = CELLFormat.from_csr(A, num_partitions=3)
         for part, bucket in f.iter_buckets():
-            real = bucket.col[bucket.col != PAD]
-            assert real.min() >= part.col_start
-            assert real.max() < part.col_end
+            cols = bucket.slab.indices
+            assert cols.min() >= part.col_start
+            assert cols.max() < part.col_end
 
     def test_nnz_preserved_across_partitions(self, matrix_suite):
         for A in matrix_suite.values():
@@ -190,15 +188,15 @@ class TestBucketQueries:
         A = matrix_suite["community"]
         f = CELLFormat.from_csr(A, num_partitions=1)
         for _, bucket in f.iter_buckets():
-            real = bucket.col[bucket.col != PAD]
-            assert bucket.unique_cols == np.unique(real).size
+            # one partition, natural widths: each bucket row is a whole row of A
+            assert bucket.unique_cols == np.unique(A[bucket.row_ind].indices).size
 
     def test_wave_traffic_consistency(self, matrix_suite):
         A = matrix_suite["power_law"]
         f = CELLFormat.from_csr(A, num_partitions=1)
         K = A.shape[1]
         for _, bucket in f.iter_buckets():
-            slab = bucket.slab(K)
+            slab = bucket.slab
             unique, refs = wave_unique_refs(slab.indptr, slab.indices, bucket.num_rows, K)
             assert refs.sum() == bucket.nnz
             assert unique.sum() == bucket.unique_cols
@@ -208,6 +206,17 @@ class TestBucketQueries:
             )
             assert r2.sum() == bucket.nnz
             assert u2.sum() >= unique.sum()
+
+    def test_bucket_rejects_inconsistent_fields(self):
+        import scipy.sparse as sp
+
+        from repro.formats.cell import Bucket
+
+        slab = sp.csr_matrix((3, 5), dtype=np.float32)
+        with pytest.raises(ValueError, match="one row per"):
+            Bucket(2, np.array([0, 1], dtype=np.int32), slab, 1)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Bucket(2, np.array([0, 2, 1], dtype=np.int32), slab, 1)
 
     def test_num_output_rows(self, matrix_suite):
         A = matrix_suite["dense_rows"]

@@ -45,7 +45,10 @@ class TestCSRKernelStats:
     def test_sputnik_output_tiling_multiplies_blocks(self, matrix_suite):
         A = matrix_suite["power_law"]
         fmt = CSRFormat.from_csr(A)
-        k = SputnikSpMM(j_tile=64)
+        class Sputnik64(SputnikSpMM):
+            J_TILE = 64
+
+        k = Sputnik64()
         n_small = k.plan(fmt, 64).num_blocks
         n_large = k.plan(fmt, 256).num_blocks
         assert n_large == 4 * n_small
@@ -73,8 +76,11 @@ class TestTacoStats:
     def test_coord_overhead_in_flops(self, matrix_suite):
         A = matrix_suite["community"]
         fmt = CSRFormat.from_csr(A)
-        base = TacoSpMM(coord_overhead=0.0).plan(fmt, 32).flops
-        heavy = TacoSpMM(coord_overhead=1.0).plan(fmt, 32).flops
+        class NoCoordTaco(TacoSpMM):
+            COORD_OVERHEAD = 0.0
+
+        base = NoCoordTaco().plan(fmt, 32).flops
+        heavy = TacoSpMM().plan(fmt, 32).flops
         assert heavy == pytest.approx(2 * base)
 
 

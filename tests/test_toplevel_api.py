@@ -38,6 +38,17 @@ def test_spmm_unknown_method(workload):
         repro.spmm(A, B, method="magic")
 
 
+def test_misspelled_format_option_is_rejected(workload):
+    from repro.formats import CELLFormat
+    from repro.formats.base import as_csr
+
+    A, B, _ = workload
+    with pytest.raises(TypeError, match="num_partition"):
+        CELLFormat.from_csr(as_csr(A), num_partition=4)
+    with pytest.raises(TypeError, match="num_partition"):
+        repro.spmm(A, B, method="cell", num_partition=4)
+
+
 def test_spmm_accepts_dense_input():
     A = np.eye(5, dtype=np.float32)
     B = np.arange(10, dtype=np.float32).reshape(5, 2)
@@ -64,6 +75,8 @@ def _retired_options():
     for cls in (kernels.RowSplitCSRSpMM, kernels.SputnikSpMM, kernels.DgSparseSpMM):
         yield cls, ("rows_per_block", "row_overhead", "cache")
     yield kernels.RowSplitCSRSpMM, ("wave_blocks",)
+    yield kernels.SputnikSpMM, ("j_tile",)
+    yield kernels.TacoSpMM, ("coord_overhead",)
     yield kernels.ELLSpMM, ("rows_per_block", "cache", "wave_blocks")
     yield kernels.BCSRSpMM, ("cache", "wave_blocks", "dense_tile_efficiency")
     yield spmv.MergeCSRSpMV, ("items_per_block",)
