@@ -175,17 +175,20 @@ def test_ext_adaptive_is_deterministic_and_bit_identical(liteform):
         assert np.array_equal(a.C, b.C), "replay is not bit-identical"
 
 
+class _RetrainingServer(SpMMServer):
+    BANDIT_RETRAIN_EVERY = 50
+
+
 def test_ext_adaptive_periodic_retrain_fixes_static_model(liteform):
     lf = _always_cell(liteform)
     requests = generate_workload(DRIFT_SPEC)
     bandit = FormatBandit(min_obs=3, explore=0.05, seed=7)
     device = FormatDriftDevice(slowdown=SLOWDOWN, drifted=True)
-    server = SpMMServer(
+    server = _RetrainingServer(
         liteform=lf,
         cache=PlanCache(max_bytes=1 << 30),
         devices=[device],
         bandit=bandit,
-        bandit_retrain_every=50,
     )
     for r in requests:
         server.serve(r)

@@ -56,6 +56,10 @@ def pool():
     ]
 
 
+class _HotAfter2(ClusterFrontend):
+    HOT_MIN_COUNT = 2
+
+
 def _zipf_indices(n, s, k, seed):
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, k + 1) ** s
@@ -66,13 +70,12 @@ def _zipf_indices(n, s, k, seed):
 def _saturated_run(liteform, pool, num_shards, replication, seed=17):
     """Warm every plan, then slam a saturated Zipf trace through the
     fleet; returns (frontend, saturated-phase scaling efficiency)."""
-    frontend = ClusterFrontend(
+    frontend = _HotAfter2(
         liteform,
         num_shards=num_shards,
         virtual_nodes=128,
         replication=replication,
         hot_fraction=0.004,
-        hot_min_count=2,
         seed=seed,
     )
     warm = [OpRequest(matrix=A, B=None, J=32) for A in pool] * 2
@@ -138,8 +141,10 @@ def test_ext_cluster_chaos_availability(benchmark, liteform, pool):
         frontend = ClusterFrontend(
             liteform,
             num_shards=4,
+            make_shard=lambda index: SpMMServer(
+                liteform=liteform, devices=[factory(index, 0)]
+            ),
             replication=2,
-            device_factory=factory,
             seed=31,
         )
         frontend.replay(
@@ -206,12 +211,11 @@ def test_ext_cluster_bit_identical_to_single_node(benchmark, liteform, pool):
     ]
 
     def cluster_run():
-        frontend = ClusterFrontend(
+        frontend = _HotAfter2(
             liteform,
             num_shards=5,
             replication=3,
             hot_fraction=0.1,
-            hot_min_count=2,
             seed=13,
         )
         return [frontend.serve(r) for r in requests]

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.gpu.faults import FaultPolicy, FaultyDevice
-from repro.gpu.multi import MultiGPUSpec
 from repro.obs import (
     SLOEngine,
     Tracer,
@@ -33,7 +32,7 @@ from repro.obs import (
     set_tracer,
     trace_ids_by_lane,
 )
-from repro.serve import ClusterFrontend, RetryPolicy
+from repro.serve import ClusterFrontend, RetryPolicy, SpMMServer
 from repro.serve.workload import WorkloadSpec, generate_workload
 
 #: Virtual-ms scale of the burn-rate windows (replays finish in ~hundreds
@@ -76,10 +75,12 @@ def chaos_run(liteform):
     frontend = ClusterFrontend(
         liteform,
         num_shards=4,
+        make_shard=lambda index: SpMMServer(
+            liteform=liteform,
+            devices=[_chaos_factory(index, d) for d in range(2)],
+            retry=RetryPolicy(max_attempts=2),
+        ),
         replication=2,
-        multi_spec=MultiGPUSpec(num_gpus=2),
-        device_factory=_chaos_factory,
-        retry=RetryPolicy(max_attempts=2),
         seed=CHAOS_SEED,
         slo=slo,
     )

@@ -167,41 +167,36 @@ def _get_liteform(args) -> LiteForm:
     return LiteForm().fit(generate_training_data(coll, J_values=(32, 128)))
 
 
-def _make_bandit(args):
-    """Single-node :class:`~repro.serve.FormatBandit` from the serve
-    flags (None when ``--adaptive`` is off).  An existing
-    ``--bandit-state`` file warm-starts the bandit, with this run's
-    flags overriding the saved hyperparameters."""
+def _make_bandit(args, index: int = 0):
+    """The :class:`~repro.serve.FormatBandit` of node or shard ``index``
+    from the serve flags (None when ``--adaptive`` is off), seeded
+    ``--seed + index``.  An existing ``--bandit-state`` file (single-node
+    only) warm-starts the bandit, with this run's flags overriding the
+    saved hyperparameters."""
     if not getattr(args, "adaptive", False):
         return None
     from repro.serve import FormatBandit
 
+    params = dict(min_obs=args.bandit_min_obs, explore=args.bandit_explore, seed=args.seed + index)
     state_path = getattr(args, "bandit_state", None)
     if state_path and Path(state_path).exists():
-        bandit = FormatBandit.load(
-            state_path,
-            min_obs=args.bandit_min_obs,
-            explore=args.bandit_explore,
-            seed=args.seed,
-        )
+        bandit = FormatBandit.load(state_path, **params)
         print(
             f"bandit: warm-started from {state_path} "
             f"({bandit.key_observations_total()} observations)",
             file=sys.stderr,
         )
         return bandit
-    return FormatBandit(
-        min_obs=args.bandit_min_obs,
-        explore=args.bandit_explore,
-        seed=args.seed,
-    )
+    return FormatBandit(**params)
 
 
-def _save_bandit(args, bandit) -> None:
-    """Persist a single-node bandit's state after the replay."""
+def _save_bandit(args, surface) -> None:
+    """Persist the single-node bandit's state after the replay
+    (``--bandit-state`` implies ``--adaptive`` without ``--shards``)."""
     state_path = getattr(args, "bandit_state", None)
-    if bandit is None or not state_path:
+    if not state_path:
         return
+    bandit = getattr(surface, "server", surface).bandit
     bandit.save(state_path)
     print(
         f"bandit: state saved to {state_path} "
@@ -366,36 +361,44 @@ def _device_factory(args):
     return None
 
 
-def _build_surface(args, lf: LiteForm, bandit, registry: MetricsRegistry | None = None):
+def _build_surface(args, lf: LiteForm, registry: MetricsRegistry | None = None):
     """The serving surface the ``serve`` flags describe: a
-    :class:`~repro.serve.ClusterFrontend` with ``--shards``, else a
-    :class:`~repro.serve.Scheduler` over a server with ``--batch``, else
-    a bare :class:`~repro.serve.SpMMServer`.  Its metrics publish onto
-    ``registry`` (default: a fresh one)."""
+    :class:`~repro.serve.ClusterFrontend` with ``--shards``, else one
+    node.  Every node and shard comes from the same ``make_shard(index)``:
+    a :class:`~repro.serve.Scheduler` over a server with ``--batch``, else
+    a bare :class:`~repro.serve.SpMMServer`.  A single node publishes its
+    metrics onto ``registry`` (default: a fresh one); shard servers keep
+    private registries and the fleet publishes there instead."""
     from repro.serve import ClusterFrontend, PlanCache, RetryPolicy, Scheduler, SpMMServer
     from repro.serve.cluster import ClusterMetrics
     from repro.serve.metrics import ServerMetrics
 
     factory = _device_factory(args)
-    policy = dict(
-        retry=RetryPolicy(max_attempts=args.retries),
-        degrade_on_oom=not args.no_degrade,
-        speculative=args.speculative,
-    )
-    queueing = dict(max_wait_ms=args.max_wait_ms, max_queue=args.max_queue)
     registry = MetricsRegistry() if registry is None else registry
-    if not args.shards:
+
+    def make_shard(index: int):
         server = SpMMServer(
             liteform=lf,
             cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
             num_devices=args.devices,
-            devices=None if factory is None else [factory(0, d) for d in range(args.devices)],
-            bandit=bandit,
-            metrics=ServerMetrics(registry=registry),
-            **policy,
+            devices=None if factory is None else [factory(index, d) for d in range(args.devices)],
+            bandit=_make_bandit(args, index),
+            metrics=ServerMetrics(registry=MetricsRegistry() if args.shards else registry),
+            retry=RetryPolicy(max_attempts=args.retries),
+            degrade_on_oom=not args.no_degrade,
+            speculative=args.speculative,
         )
-        return Scheduler(server=server, max_batch=args.batch, **queueing) if args.batch else server
-    from repro.gpu.multi import MultiGPUSpec
+        if not args.batch:
+            return server
+        return Scheduler(
+            server=server,
+            max_batch=args.batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue=args.max_queue,
+        )
+
+    if not args.shards:
+        return make_shard(0)
 
     slo = None
     if args.slo:
@@ -423,20 +426,12 @@ def _build_surface(args, lf: LiteForm, bandit, registry: MetricsRegistry | None 
     return ClusterFrontend(
         lf,
         num_shards=args.shards,
+        make_shard=make_shard,
         virtual_nodes=args.virtual_nodes,
         replication=args.replication,
-        multi_spec=MultiGPUSpec(num_gpus=args.devices),
-        device_factory=factory,
-        cache_bytes_per_shard=int(args.cache_mb * 2**20),
-        batch=args.batch,
-        adaptive=args.adaptive,
-        bandit_min_obs=args.bandit_min_obs,
-        bandit_explore=args.bandit_explore,
         seed=args.seed,
         metrics=ClusterMetrics(registry=registry),
         slo=slo,
-        **queueing,
-        **policy,
     )
 
 
@@ -498,9 +493,7 @@ def cmd_serve(args) -> int:
     _reject_unused_flags(args)
     gnn = args.workload == "gnn"
     traffic = _gnn_graphs(args) if gnn else _zipf_requests(args)
-    lf = _get_liteform(args)
-    bandit = None if args.shards else _make_bandit(args)
-    surface = _build_surface(args, lf, bandit)
+    surface = _build_surface(args, _get_liteform(args))
     # The trace region covers exactly the replay, so the exported spans
     # account for (nearly) all of the traced wall time.
     with _maybe_trace(args, frontend=surface if args.shards else None):
@@ -509,7 +502,7 @@ def cmd_serve(args) -> int:
         else:
             chaos = {"kill_shard_at_ms": args.kill_shard} if args.shards else {}
             surface.replay(traffic, **chaos)
-    _save_bandit(args, bandit)
+    _save_bandit(args, surface)
     if args.slo_report:
         report_path = Path(args.slo_report)
         report_path.write_text(json.dumps(surface.slo.snapshot(), indent=2) + "\n")
@@ -527,7 +520,7 @@ def cmd_stats(args) -> int:
     vars(serve).update(vars(args), slo=bool(args.shards))
     requests = _zipf_requests(serve)
     registry = get_registry()
-    surface = _build_surface(serve, _get_liteform(serve), None, registry)
+    surface = _build_surface(serve, _get_liteform(serve), registry)
     surface.replay(requests)
     if args.json:
         out = registry.snapshot()

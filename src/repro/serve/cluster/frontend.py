@@ -4,9 +4,9 @@ Everything below the frontend already exists: each shard is a full
 :class:`~repro.serve.server.SpMMServer` (plan cache, admission control,
 retries, breakers, OOM degradation) — optionally wrapped in a
 :class:`~repro.serve.scheduler.Scheduler` for fingerprint-coalesced
-micro-batching — over its own partition of the simulated device pool
-(per-shard :class:`~repro.gpu.multi.MultiGPUSpec`).  The frontend adds
-the fleet layer on top:
+micro-batching — over its own device pool, built by the caller's
+``make_shard(shard_index)`` factory.  The frontend adds the fleet layer
+on top:
 
 * **cache-aware routing** — requests are fingerprinted once and routed
   through a :class:`~repro.serve.cluster.ring.ShardRing`, so every
@@ -45,6 +45,7 @@ cluster benchmark asserts exactly this.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,8 +53,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.pipeline import LiteForm
-from repro.gpu.device import SimulatedDevice
-from repro.gpu.multi import MultiGPUSpec
 from repro.obs import (
     SLOEngine,
     TraceContext,
@@ -63,14 +62,12 @@ from repro.obs import (
     set_tracer,
     write_merged,
 )
-from repro.serve.adaptive import DEFAULT_EXPLORE, DEFAULT_MIN_OBS, FormatBandit
 from repro.serve.cluster.hotkeys import DEFAULT_WINDOW, WindowedFrequencySketch
 from repro.serve.cluster.metrics import ClusterMetrics
 from repro.serve.cluster.ring import DEFAULT_VIRTUAL_NODES, ShardRing
 from repro.serve.fingerprint import PlanKey, fingerprint_csr
 from repro.serve.metrics import FLEET_COUNTERS
-from repro.serve.plan_cache import DEFAULT_MAX_BYTES, CacheEntry, PlanCache
-from repro.serve.resilience import RetryPolicy
+from repro.serve.plan_cache import CacheEntry
 from repro.serve.scheduler import Scheduler
 from repro.serve.server import OpRequest, OpResponse, ServingSurface, SpMMServer
 
@@ -92,12 +89,12 @@ class _Pending:
 
 @dataclass
 class _Shard:
-    """One fleet member: a server (plus optional scheduler) and its queue."""
+    """One fleet member: a server, the surface that drives it (the server
+    itself or a scheduler over it), and its queue."""
 
     shard_id: str
     server: SpMMServer
-    scheduler: Scheduler | None
-    num_devices: int
+    surface: SpMMServer | Scheduler
     pending: list[_Pending] = field(default_factory=list)
     alive: bool = True
     #: Routing decisions that chose this shard.
@@ -110,7 +107,7 @@ class _Shard:
     @property
     def busy_ms(self) -> float:
         """Simulated busy time normalized by the shard's pool width."""
-        return self.exec_busy_ms / max(1, self.num_devices)
+        return self.exec_busy_ms / len(self.server.devices)
 
 
 @dataclass(frozen=True)
@@ -143,46 +140,42 @@ class ClusterFrontend(ServingSurface):
     #: can only receive a plan the primary has already composed), large
     #: enough that per-shard schedulers still coalesce micro-batches.
     REPLAY_CHUNK = 8
+    #: Observations in the window before a key can count as hot: the
+    #: floor keeps a nearly-empty window from calling its first key hot.
+    HOT_MIN_COUNT = 4
 
     def __init__(
         self,
         liteform: LiteForm,
         num_shards: int = 4,
         *,
+        make_shard: Callable[[int], SpMMServer | Scheduler] | None = None,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         replication: int = 1,
         hot_fraction: float = 0.1,
-        hot_min_count: int = 4,
-        multi_spec: MultiGPUSpec | None = None,
-        device_factory=None,
-        cache_bytes_per_shard: int = DEFAULT_MAX_BYTES,
-        batch: int = 0,
-        max_wait_ms: float = 2.0,
-        max_queue: int | None = None,
-        retry: RetryPolicy | None = None,
-        degrade_on_oom: bool = True,
-        speculative: bool = False,
-        adaptive: bool = False,
-        bandit_min_obs: int = DEFAULT_MIN_OBS,
-        bandit_explore: float = DEFAULT_EXPLORE,
         spill_dir: str | Path | None = None,
         seed: int = 0,
         metrics: ClusterMetrics | None = None,
         slo: SLOEngine | bool | None = None,
     ):
-        """``num_shards`` initial shards, each with its own plan cache and
-        a device pool described by ``multi_spec`` (``num_gpus`` devices of
-        ``multi_spec.gpu`` per shard; default one V100-class device).
+        """``num_shards`` initial shards, each built by
+        ``make_shard(shard_index)``: an :class:`SpMMServer` with its own
+        plan cache and device pool, or a :class:`Scheduler` over one for
+        coalesced micro-batching.  The factory is called once per shard,
+        :meth:`add_shard` included, so per-shard resources (fault-injecting
+        devices, bandit seeds) can depend on the index.  Shards must agree
+        on whether they carry a bandit: a handoff merges bandit evidence
+        between them.  The default is ``SpMMServer(liteform=liteform)``
+        (one V100-class device, a default-size plan cache, default
+        retries, static selection).
 
-        ``device_factory(shard_index, device_index) -> SimulatedDevice``
-        overrides device construction — the hook fault injection uses to
-        hand each shard :class:`~repro.gpu.faults.FaultyDevice` instances
-        with independent seeds.  ``replication`` > 1 enables hot-key
-        replication (a fingerprint above ``hot_fraction`` of the last
-        :data:`~repro.serve.cluster.hotkeys.DEFAULT_WINDOW` requests is
-        replicated to that many shards); ``batch`` > 0 puts a coalescing
-        :class:`Scheduler` in front of every shard.  ``spill_dir`` is
-        accepted and ignored: plans move between shards in memory.
+        ``replication`` > 1 enables hot-key replication (a fingerprint
+        above ``hot_fraction`` of the last
+        :data:`~repro.serve.cluster.hotkeys.DEFAULT_WINDOW` requests, and
+        seen at least :attr:`HOT_MIN_COUNT` times, is replicated to that
+        many shards).  ``spill_dir`` is accepted and ignored: plans move
+        between shards in memory.  ``seed`` drives power-of-two-choices
+        routing among replicas.
 
         ``slo`` attaches a burn-rate alerting engine
         (:class:`repro.obs.SLOEngine`; ``True`` = the stock objectives)
@@ -199,24 +192,9 @@ class ClusterFrontend(ServingSurface):
             raise ValueError(f"hot_fraction must be in (0, 1], got {hot_fraction}")
         super().__init__()
         self.liteform = liteform
+        self.make_shard = make_shard or (lambda index: SpMMServer(liteform=liteform))
         self.replication = int(replication)
         self.hot_fraction = float(hot_fraction)
-        self.hot_min_count = int(hot_min_count)
-        self.multi_spec = multi_spec or MultiGPUSpec(num_gpus=1)
-        self.device_factory = device_factory
-        self.cache_bytes_per_shard = int(cache_bytes_per_shard)
-        self.batch = int(batch)
-        self.max_wait_ms = max_wait_ms
-        self.max_queue = max_queue
-        self.retry = retry or RetryPolicy()
-        self.degrade_on_oom = degrade_on_oom
-        self.speculative = speculative
-        self.adaptive = adaptive
-        self.bandit_min_obs = int(bandit_min_obs)
-        self.bandit_explore = float(bandit_explore)
-        #: Base seed of per-shard bandit RNGs (offset by shard index so
-        #: shards explore independently but deterministically).
-        self._bandit_seed = int(seed)
         self.metrics = metrics or ClusterMetrics()
         if slo is True:
             slo = SLOEngine(registry=self.metrics.registry)
@@ -258,47 +236,9 @@ class ClusterFrontend(ServingSurface):
     def _new_shard(self) -> _Shard:
         index = self._next_shard_index
         self._next_shard_index += 1
-        shard_id = f"shard-{index}"
-        if self.device_factory is not None:
-            devices = [
-                self.device_factory(index, d)
-                for d in range(self.multi_spec.num_gpus)
-            ]
-        else:
-            devices = [
-                SimulatedDevice(spec=self.multi_spec.gpu)
-                for _ in range(self.multi_spec.num_gpus)
-            ]
-        bandit = None
-        if self.adaptive:
-            bandit = FormatBandit(
-                min_obs=self.bandit_min_obs,
-                explore=self.bandit_explore,
-                seed=self._bandit_seed + index,
-            )
-        server = SpMMServer(
-            liteform=self.liteform,
-            cache=PlanCache(max_bytes=self.cache_bytes_per_shard),
-            devices=devices,
-            retry=self.retry,
-            degrade_on_oom=self.degrade_on_oom,
-            speculative=self.speculative,
-            bandit=bandit,
-        )
-        scheduler = None
-        if self.batch:
-            scheduler = Scheduler(
-                server=server,
-                max_batch=self.batch,
-                max_wait_ms=self.max_wait_ms,
-                max_queue=self.max_queue,
-            )
-        return _Shard(
-            shard_id=shard_id,
-            server=server,
-            scheduler=scheduler,
-            num_devices=len(devices),
-        )
+        surface = self.make_shard(index)
+        server = surface.server if isinstance(surface, Scheduler) else surface
+        return _Shard(shard_id=f"shard-{index}", server=server, surface=surface)
 
     def _live(self) -> list[_Shard]:
         """Live shards in ring (sorted-id) order."""
@@ -372,13 +312,10 @@ class ClusterFrontend(ServingSurface):
             self._sketch.observe(key)
         tracer = get_tracer()
         with tracer.span("route", key=str(key)[:16]) as span:
-            # The absolute floor keeps a nearly-empty window from calling
-            # its very first key "hot" (frequency would be 1.0 after one
-            # observation).
             hot = (
                 self.replication > 1
                 and len(self.ring) > 1
-                and self._sketch.count(key) >= self.hot_min_count
+                and self._sketch.count(key) >= self.HOT_MIN_COUNT
                 and self._sketch.frequency(key) >= self.hot_fraction
             )
             if hot:
@@ -552,12 +489,11 @@ class ClusterFrontend(ServingSurface):
         lane = self._shard_lane(shard.shard_id)
         previous = set_tracer(lane) if lane is not None else None
         try:
-            surface = shard.server if shard.scheduler is None else shard.scheduler
             for item in items:
-                surface.submit(item.request, prepared=(item.A, item.key))
+                shard.surface.submit(item.request, prepared=(item.A, item.key))
             # Shard tickets are monotone and drain returns the unclaimed
             # responses in ticket order: our submission order.
-            return surface.drain()
+            return shard.surface.drain()
         finally:
             if previous is not None:
                 set_tracer(previous)
@@ -862,7 +798,7 @@ class ClusterFrontend(ServingSurface):
                 {
                     "shard_id": shard_id,
                     "alive": s.alive,
-                    "devices": s.num_devices,
+                    "devices": len(s.server.devices),
                     "routed": s.routed,
                     "completed": s.completed,
                     "busy_ms": s.busy_ms,

@@ -71,6 +71,9 @@ OVERHEAD_EWMA_ALPHA = 0.3
 #: Consecutive failures before a device's circuit breaker opens.
 BREAKER_THRESHOLD = 3
 
+#: Seconds an open breaker waits before admitting a probe request.
+BREAKER_COOLDOWN_S = 1.0
+
 
 def _remember(memo: OrderedDict, key, value) -> None:
     """Insert ``key`` as the newest entry of ``memo``, evicting the oldest
@@ -366,8 +369,6 @@ class SpMMServer(ServingSurface):
     #: Rebuild the plan as CSR (smaller footprint) on a structural OOM
     #: instead of failing the request.
     degrade_on_oom: bool = True
-    #: Seconds an open breaker waits before admitting a probe request.
-    breaker_cooldown_s: float = 1.0
     #: Speculative recompose: a cache miss serves the CSR fallback plan
     #: immediately while a background thread composes the full plan, which
     #: is swapped into the cache (on the serving thread) when ready.
@@ -378,9 +379,10 @@ class SpMMServer(ServingSurface):
     #: differs from the cached plan's arm re-pins the cache entry.
     #: ``None`` serves statically.
     bandit: FormatBandit | None = None
+
     #: Refit the static format selector on serving-derived samples every
     #: N bandit observations (0 = never retrain online).
-    bandit_retrain_every: int = 0
+    BANDIT_RETRAIN_EVERY = 0
 
     def __post_init__(self) -> None:
         super().__init__()
@@ -395,7 +397,7 @@ class SpMMServer(ServingSurface):
                 device=d,
                 breaker=CircuitBreaker(
                     failure_threshold=BREAKER_THRESHOLD,
-                    cooldown_s=self.breaker_cooldown_s,
+                    cooldown_s=BREAKER_COOLDOWN_S,
                 ),
             )
             for d in self.devices
@@ -767,7 +769,7 @@ class SpMMServer(ServingSurface):
         if b is None or key in self._oom_pinned:
             return
         b.observe(key, plan_arm(plan), exec_ms, A=A)
-        if self.bandit_retrain_every and b.observations % self.bandit_retrain_every == 0:
+        if self.BANDIT_RETRAIN_EVERY and b.observations % self.BANDIT_RETRAIN_EVERY == 0:
             with get_tracer().span("bandit_retrain", observations=b.observations):
                 b.retrain(self.liteform)
         self._sync_bandit_metrics()

@@ -1,6 +1,7 @@
 """Serve-mode matrix smoke: every serving surface the CLI builds (single
 node, batched scheduler, sharded frontend, sharded frontend with per-shard
-schedulers) replays both workloads to completion with no failures."""
+schedulers, sharded frontend with per-shard bandits and speculation)
+replays both workloads to completion with no failures."""
 
 import pytest
 
@@ -9,6 +10,7 @@ MODES = {
     "batch": ["--batch", 4],
     "shards": ["--shards", 2],
     "shards-batch": ["--shards", 2, "--batch", 4],
+    "shards-adaptive": ["--shards", 2, "--adaptive", "--speculative"],
 }
 
 WORKLOADS = {

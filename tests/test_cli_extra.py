@@ -12,6 +12,7 @@ from repro.core import LiteForm, generate_training_data
 from repro.core.persistence import save_liteform
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph, write_matrix_market
 from repro.obs import parse_prometheus
+from repro.serve import Scheduler
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,34 @@ class TestServeRejectsUnusedFlags:
         with pytest.raises(SystemExit, match=message):
             cli_main(["serve", *(a.format(state=state) for a in argv)])
         assert not state.exists()
+
+
+def _shard_config(surface: Scheduler) -> dict:
+    """What the serve flags set on one node or shard."""
+    server = surface.server
+    return {
+        "cache_max_bytes": server.cache.max_bytes,
+        "max_attempts": server.retry.max_attempts,
+        "degrade_on_oom": server.degrade_on_oom,
+        "speculative": server.speculative,
+        "devices": [type(d) for d in server.devices],
+        "queueing": (surface.max_batch, surface.max_wait_ms, surface.max_queue),
+        "bandit": (server.bandit.min_obs, server.bandit.explore),
+    }
+
+
+def test_every_shard_is_built_like_the_single_node():
+    argv = ["serve", "--batch", "4", "--speculative", "--retries", "1", "--cache-mb", "8",
+            "--adaptive", "--bandit-min-obs", "2", "--faults", "0.05", "--seed", "5"]
+    lf = LiteForm()
+    single = repro.cli._build_surface(build_parser().parse_args(argv), lf)
+    cluster = repro.cli._build_surface(build_parser().parse_args([*argv, "--shards", "2"]), lf)
+    assert isinstance(single, Scheduler)
+    assert single.server.bandit.seed == 5
+    for index in range(2):
+        shard = cluster._shards[f"shard-{index}"].surface
+        assert _shard_config(shard) == _shard_config(single)
+        assert shard.server.bandit.seed == 5 + index
 
 
 def _stats(*extra) -> str:

@@ -9,6 +9,7 @@ migration.
 
 import dataclasses
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -271,14 +272,18 @@ class TestServerIntegration:
         assert bandit.retrains == 0
 
 
+def _adaptive_shard(liteform, index):
+    """A cluster shard with its own bandit, seeded by its index."""
+    return SpMMServer(liteform=liteform, bandit=FormatBandit(min_obs=2, seed=7 + index))
+
+
 class TestClusterMigration:
     def test_bandit_state_moves_with_the_handoff(self, liteform):
         frontend = ClusterFrontend(
             liteform=liteform,
             num_shards=2,
             seed=7,
-            adaptive=True,
-            bandit_min_obs=2,
+            make_shard=partial(_adaptive_shard, liteform),
         )
         requests = generate_workload(SPEC)
         for r in requests:
@@ -307,8 +312,7 @@ class TestClusterMigration:
             liteform=liteform,
             num_shards=3,
             seed=7,
-            adaptive=True,
-            bandit_min_obs=2,
+            make_shard=partial(_adaptive_shard, liteform),
         )
         frontend.replay(generate_workload(spec))
         victim = max(frontend._live(), key=lambda s: len(s.server.cache))

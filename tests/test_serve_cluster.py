@@ -27,9 +27,11 @@ from repro.gpu import (
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.serve import (
     ClusterFrontend,
+    FormatBandit,
     OpRequest,
     PlanKey,
     RetryPolicy,
+    Scheduler,
     SpMMServer,
     WindowedFrequencySketch,
     fingerprint_csr,
@@ -40,6 +42,14 @@ from repro.serve import (
 def liteform():
     coll = SuiteSparseLikeCollection(size=6, max_rows=2500, seed=11)
     return LiteForm().fit(generate_training_data(coll, J_values=(32,)))
+
+
+class _HotAfter2(ClusterFrontend):
+    HOT_MIN_COUNT = 2
+
+
+class _HotAfter3(ClusterFrontend):
+    HOT_MIN_COUNT = 3
 
 
 def _matrices(n: int, rows: int = 300):
@@ -74,10 +84,7 @@ class TestBitIdentity:
         mats = _matrices(2)
         reqs = _requests(mats, 20, with_B=True, seed=4)
         single = SpMMServer(liteform=liteform)
-        cluster = ClusterFrontend(
-            liteform, num_shards=4, replication=3, hot_fraction=0.2,
-            hot_min_count=2,
-        )
+        cluster = _HotAfter2(liteform, num_shards=4, replication=3, hot_fraction=0.2)
         for r in reqs:
             a = single.serve(OpRequest(matrix=r.matrix, B=r.B, J=r.J))
             b = cluster.serve(r)
@@ -130,10 +137,7 @@ class TestHotKeyReplication:
             OpRequest(matrix=mats[pattern[i % 10]], B=None, J=32)
             for i in range(50)
         ]
-        fe = ClusterFrontend(
-            liteform, num_shards=4, replication=2, hot_fraction=0.3,
-            hot_min_count=3,
-        )
+        fe = _HotAfter3(liteform, num_shards=4, replication=2, hot_fraction=0.3)
         m = fe.replay(reqs)
         assert m.hot_keys == 1
         assert m.plans_replicated >= 1
@@ -174,8 +178,11 @@ class TestChaos:
         fe = ClusterFrontend(
             liteform,
             num_shards=3,
-            device_factory=factory,
-            retry=RetryPolicy(max_attempts=1),
+            make_shard=lambda index: SpMMServer(
+                liteform=liteform,
+                devices=[factory(index, 0)],
+                retry=RetryPolicy(max_attempts=1),
+            ),
         )
         m = fe.replay(_requests(_matrices(6), 30))
         assert m.failed == 0
@@ -261,9 +268,11 @@ class TestElasticMembership:
         mats = _matrices(4)
         head = [mats[0]] * 7 + mats[1:]
         reqs = [OpRequest(matrix=head[i % 10], B=None, J=32) for i in range(40)]
-        fe = ClusterFrontend(
+        fe = _HotAfter3(
             liteform, num_shards=3, replication=2, hot_fraction=0.3,
-            hot_min_count=3, adaptive=True,
+            make_shard=lambda index: SpMMServer(
+                liteform=liteform, bandit=FormatBandit(seed=index)
+            ),
         )
         monkeypatch.setattr(pathlib.Path, "open", no_files)
         assert fe.replay(reqs).plans_replicated >= 1
@@ -291,17 +300,18 @@ class TestMigrationCarriesOOMPins:
     A = power_law_graph(400, 6, seed=50)
     KEY = PlanKey(fingerprint_csr(A), "spmm", 32)
 
-    def _frontend(self, liteform, monkeypatch, **kwargs):
+    def _frontend(self, liteform, monkeypatch, cls=ClusterFrontend, **kwargs):
         monkeypatch.setattr(
             liteform,
             "compose_csr",
             partial(LiteForm.compose_csr, liteform, force_cell=True),
         )
-        return ClusterFrontend(
+        return cls(
             liteform,
             num_shards=2,
-            speculative=True,
-            device_factory=lambda shard, device: _CellOOMDevice(),
+            make_shard=lambda index: SpMMServer(
+                liteform=liteform, devices=[_CellOOMDevice()], speculative=True
+            ),
             **kwargs,
         )
 
@@ -335,7 +345,7 @@ class TestMigrationCarriesOOMPins:
         self._assert_pin_holds(fe, fe._live()[0])
 
     def test_replication_carries_the_pin(self, liteform, monkeypatch):
-        fe = self._frontend(liteform, monkeypatch, replication=2, hot_min_count=3)
+        fe = self._frontend(liteform, monkeypatch, _HotAfter3, replication=2)
         primary = self._pin_on_owner(fe)
         self._serve(fe)  # third request: hot, the pinned plan replicates
         assert fe.metrics.plans_replicated == 1
@@ -346,8 +356,16 @@ class TestMigrationCarriesOOMPins:
 
 class TestBatchedMode:
     def test_scheduler_per_shard(self, liteform):
+        """A factory that returns a scheduler gets the shard's requests
+        through it, and its server is the shard's server."""
+        schedulers = []
+
+        def make_shard(index):
+            schedulers.append(Scheduler(server=SpMMServer(liteform=liteform), max_batch=4))
+            return schedulers[-1]
+
         mats = _matrices(3)
-        fe = ClusterFrontend(liteform, num_shards=2, batch=4)
+        fe = ClusterFrontend(liteform, num_shards=2, make_shard=make_shard)
         reqs = _requests(mats, 18)
         for r in reqs:
             fe.submit(r)
@@ -356,6 +374,40 @@ class TestBatchedMode:
         assert all(not r.failed for r in responses)
         # repeats of one fingerprint coalesce into fused launches
         assert any(r.batch_size > 1 for r in responses)
+        for index, scheduler in enumerate(schedulers):
+            shard = fe._shards[f"shard-{index}"]
+            assert shard.surface is scheduler and shard.server is scheduler.server
+        assert sum(s.metrics.submitted for s in schedulers) == 18
+        assert sum(s.metrics.batches for s in schedulers) > 0
+
+
+class TestShardFactory:
+    def test_add_shard_builds_with_the_next_index(self, liteform):
+        built = {}
+
+        def make_shard(index):
+            built[index] = SpMMServer(liteform=liteform)
+            return built[index]
+
+        fe = ClusterFrontend(liteform, num_shards=3, make_shard=make_shard)
+        assert sorted(built) == [0, 1, 2]
+        change = fe.add_shard()
+        assert sorted(built) == [0, 1, 2, 3]
+        assert change.shard_id == "shard-3"
+        assert fe._shards["shard-3"].server is built[3]
+
+    def test_busy_ms_divides_kernel_time_by_pool_width(self, liteform):
+        fe = ClusterFrontend(
+            liteform,
+            num_shards=1,
+            make_shard=lambda index: SpMMServer(liteform=liteform, num_devices=2),
+        )
+        responses = [fe.serve(r) for r in _requests(_matrices(3), 6)]
+        kernel_ms = sum(r.measurement.time_ms for r in responses)
+        (shard,) = fe.snapshot()["shards"]
+        assert kernel_ms > 0
+        assert shard["devices"] == 2
+        assert shard["busy_ms"] == pytest.approx(kernel_ms / 2)
 
 
 class TestObservability:

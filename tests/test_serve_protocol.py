@@ -38,13 +38,22 @@ def liteform():
     return LiteForm().fit(generate_training_data(coll, J_values=(32,)))
 
 
+def _batched_frontend(lf):
+    """Two shards, each a 4-wide scheduler over its own server."""
+    return ClusterFrontend(
+        lf,
+        num_shards=2,
+        make_shard=lambda index: Scheduler(server=SpMMServer(liteform=lf), max_batch=4),
+    )
+
+
 SURFACES = {
     "server": lambda lf: SpMMServer(liteform=lf, cache=PlanCache(max_bytes=1 << 30)),
     "scheduler": lambda lf: Scheduler(
         server=SpMMServer(liteform=lf, cache=PlanCache(max_bytes=1 << 30)), max_batch=4
     ),
     "frontend": lambda lf: ClusterFrontend(lf, num_shards=2),
-    "frontend-batch": lambda lf: ClusterFrontend(lf, num_shards=2, batch=4),
+    "frontend-batch": _batched_frontend,
 }
 
 SCOREBOARDS = {
@@ -150,7 +159,7 @@ def test_frontend_fingerprints_each_request_once(liteform, monkeypatch):
 
     for module in (server_module, scheduler_module, frontend_module, graph_module):
         monkeypatch.setattr(module, "fingerprint_csr", counting)
-    surface = ClusterFrontend(liteform, num_shards=2, batch=4)
+    surface = _batched_frontend(liteform)
     requests = _requests()
     for r in requests:
         surface.submit(r)

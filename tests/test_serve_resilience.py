@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import repro.serve.server as server_module
 from repro.core import LiteForm, generate_training_data
 from repro.formats.csr import CSRFormat
 from repro.gpu import FaultPolicy, FaultyDevice, SimulatedDevice, SimulatedOOMError
@@ -189,13 +190,13 @@ class TestFailureAccounting:
 
 
 class TestCircuitBreakerIntegration:
-    def test_dead_device_is_ejected_and_traffic_continues(self, liteform):
+    def test_dead_device_is_ejected_and_traffic_continues(self, liteform, monkeypatch):
+        monkeypatch.setattr(server_module, "BREAKER_COOLDOWN_S", 60.0)
         server = SpMMServer(
             liteform=liteform,
             cache=PlanCache(max_bytes=1 << 30),
             devices=_faulty_pool([{"death_rate": 1.0}, {}]),
             retry=RetryPolicy(max_attempts=3),
-            breaker_cooldown_s=60.0,
         )
         req = _request(seed=27)
         for _ in range(10):
@@ -207,13 +208,13 @@ class TestCircuitBreakerIntegration:
         assert devices[0]["requests"] == 0 and devices[0]["failures"] == 1
         assert devices[1]["requests"] == 10
 
-    def test_all_devices_down_still_answers(self, liteform):
+    def test_all_devices_down_still_answers(self, liteform, monkeypatch):
+        monkeypatch.setattr(server_module, "BREAKER_COOLDOWN_S", 60.0)
         server = SpMMServer(
             liteform=liteform,
             cache=PlanCache(max_bytes=1 << 30),
             devices=_faulty_pool([{"death_rate": 1.0}]),
             retry=RetryPolicy(max_attempts=2),
-            breaker_cooldown_s=60.0,
         )
         for seed in (28, 29):
             resp = server.serve(_request(seed=seed))
