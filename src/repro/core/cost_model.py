@@ -85,10 +85,6 @@ class PartitionCostProfile:
     the suffix counts fall out of a reversed cumulative histogram.
     """
 
-    def __init__(self, lengths: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        self._init_from_cells(lengths, indptr[:-1], indices)
-
     @classmethod
     def from_cells(
         cls, lengths: np.ndarray, starts: np.ndarray, indices: np.ndarray
@@ -96,13 +92,8 @@ class PartitionCostProfile:
         """Build from per-row ``(length, start)`` cells into a shared
         ``indices`` array — the zero-copy layout of
         :func:`repro.formats.cell.partition_cells`."""
-        self = cls.__new__(cls)
-        self._init_from_cells(lengths, np.asarray(starts, dtype=np.int64), indices)
-        return self
-
-    def _init_from_cells(
-        self, lengths: np.ndarray, starts: np.ndarray, indices: np.ndarray
-    ) -> None:
+        self = cls()
+        starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         rows = np.nonzero(lengths > 0)[0]
         self.num_nonempty_rows = int(rows.size)
@@ -115,7 +106,7 @@ class PartitionCostProfile:
             self._suffix_unique = np.zeros(1, dtype=np.int64)
             self._suffix_rows = np.zeros(1, dtype=np.int64)
             self._lengths_desc = np.zeros(0, dtype=np.int64)
-            return
+            return self
         l = lengths[rows]
         exps = ceil_pow2_exponent(l)
         self.natural_max_exp = int(exps.max())
@@ -168,6 +159,7 @@ class PartitionCostProfile:
         suffix_rows[: E + 1] = np.cumsum(row_hist[::-1])[::-1]
         self._suffix_rows = suffix_rows
         self._lengths_desc = l[order[::-1]]
+        return self
 
     def cap_bucket_rows(self, max_exp: int) -> int:
         """I1 of the cap bucket: folded chunks of all rows with exp >= cap."""

@@ -8,7 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.matrices.features import partition_features
-from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
 
 #: Candidate partition counts LiteForm considers (powers of two; the
@@ -24,8 +23,8 @@ class PartitionPredictor:
     yield similar performance.
     """
 
-    def __init__(self, model: BaseClassifier | None = None):
-        self.model = model if model is not None else RandomForestClassifier(n_estimators=50)
+    def __init__(self):
+        self.model = RandomForestClassifier(n_estimators=50)
         self.last_inference_s: float = 0.0
         self._constant: int | None = None
 

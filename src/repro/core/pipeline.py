@@ -307,14 +307,13 @@ class LiteForm:
         self,
         selector: FormatSelector | None = None,
         partition_model: PartitionPredictor | None = None,
-        device: SimulatedDevice | None = None,
         block_multiple: int = 2,
         bcsr_occupancy_threshold: float = 0.5,
         pool: PoolSpec | None = None,
     ):
         self.selector = selector or FormatSelector()
         self.partition_model = partition_model or PartitionPredictor()
-        self.device = device or SimulatedDevice()
+        self.device = SimulatedDevice()
         self.block_multiple = block_multiple
         self.bcsr_occupancy_threshold = bcsr_occupancy_threshold
         self.pool = pool

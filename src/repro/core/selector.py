@@ -8,7 +8,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.matrices.features import format_selection_features
-from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
 
 #: A matrix is labelled TRUE when CELL's best time beats *both* fixed
@@ -19,12 +18,12 @@ CELL_ADVANTAGE_THRESHOLD = 1.1
 class FormatSelector:
     """Binary classifier over the seven Table 2 features.
 
-    Wraps any :class:`~repro.ml.base.BaseClassifier`; LiteForm adopts
-    Random Forest (Section 6).  Labels are booleans: True = use CELL.
+    A Random Forest, the classifier LiteForm adopts (Section 6).  Labels
+    are booleans: True = use CELL.
     """
 
-    def __init__(self, model: BaseClassifier | None = None):
-        self.model = model if model is not None else RandomForestClassifier(n_estimators=50)
+    def __init__(self):
+        self.model = RandomForestClassifier(n_estimators=50)
         self.last_inference_s: float = 0.0
         self._constant: bool | None = None
         self._fitted = False

@@ -79,11 +79,6 @@ class SparseFormat(abc.ABC):
     def from_csr(cls, A: sp.csr_matrix) -> "SparseFormat":
         """Build the format from a canonical CSR matrix."""
 
-    @classmethod
-    def from_matrix(cls, matrix: sp.spmatrix | np.ndarray) -> "SparseFormat":
-        """Build the format from any SciPy sparse matrix or dense array."""
-        return cls.from_csr(as_csr(matrix))
-
     @abc.abstractmethod
     def to_csr(self) -> sp.csr_matrix:
         """Reconstruct the logical matrix (used to verify losslessness)."""

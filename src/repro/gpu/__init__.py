@@ -6,7 +6,7 @@ NumPy and emit a :class:`~repro.gpu.stats.KernelStats` describing the
 *structural* work the corresponding CUDA kernel would perform: bytes moved
 to/from global memory (split by coalesced / scattered / atomic traffic),
 floating-point operations, and the per-thread-block work distribution.  The
-:class:`~repro.gpu.timing.TimingModel` converts those statistics into a
+timing model (:func:`~repro.gpu.timing.estimate`) converts those statistics into a
 deterministic execution-time estimate using a roofline-style model with an
 SM-level thread-block scheduler for load imbalance.
 
@@ -23,7 +23,7 @@ from repro.gpu.device import (
     SimulatedDevice,
     SimulatedOOMError,
 )
-from repro.gpu.executor import BlockScheduler, ScheduleResult
+from repro.gpu.executor import ScheduleResult
 from repro.gpu.faults import FaultPolicy, FaultyDevice
 from repro.gpu.memory import (
     CacheModel,
@@ -32,7 +32,7 @@ from repro.gpu.memory import (
     scattered_bytes,
 )
 from repro.gpu.stats import KernelStats, Measurement
-from repro.gpu.timing import TimeBreakdown, TimingModel
+from repro.gpu.timing import TimeBreakdown
 
 __all__ = [
     "GPUSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "FaultyDevice",
     "V100",
     "A100",
-    "BlockScheduler",
     "ScheduleResult",
     "CacheModel",
     "coalesced_bytes",
@@ -52,5 +51,4 @@ __all__ = [
     "KernelStats",
     "Measurement",
     "TimeBreakdown",
-    "TimingModel",
 ]

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.gpu import timing
 from repro.gpu.stats import KernelStats, Measurement
-from repro.gpu.timing import TimingModel
 from repro.obs import get_registry, get_tracer
 
 #: Bytes per 32-bit word (indices and float32 values).
@@ -131,7 +131,8 @@ class DeviceLostError(RuntimeError):
 
 @dataclass
 class SimulatedDevice:
-    """Facade combining a :class:`GPUSpec` with a :class:`TimingModel`.
+    """Facade combining a :class:`GPUSpec` with the timing model
+    (:func:`repro.gpu.timing.estimate`).
 
     Kernels hand their :class:`KernelStats` to :meth:`measure`; the device
     checks the memory footprint and returns a :class:`Measurement` with the
@@ -139,7 +140,6 @@ class SimulatedDevice:
     """
 
     spec: GPUSpec = field(default_factory=lambda: V100)
-    timing: TimingModel = field(default_factory=TimingModel)
 
     def measure(self, stats: KernelStats) -> Measurement:
         """Estimate the execution of one kernel launch (or fused launches).
@@ -150,22 +150,22 @@ class SimulatedDevice:
         achieved bandwidth fraction, block imbalance) as attributes.
 
         The time estimate is memoized on the immutable ``stats`` record per
-        timing model and spec, so re-measuring a cached plan's stats skips
-        the block scheduler; the footprint check, the span and the
-        histogram still run on every call.
+        spec, so re-measuring a cached plan's stats skips the block
+        scheduler; the footprint check, the span and the histogram still
+        run on every call.
         """
         if stats.footprint_bytes > self.spec.dram_bytes:
             raise SimulatedOOMError(stats.footprint_bytes, self.spec.dram_bytes)
         tracer = get_tracer()
         with tracer.span("kernel_launch", kernel=stats.label or "unlabeled") as span:
-            # Keyed by identity: the entry holds both objects, so their ids
+            # Keyed by identity: the entry holds the spec, so its id
             # cannot be reused while it lives.
-            key = (id(self.timing), id(self.spec))
+            key = id(self.spec)
             memo = stats.timings.get(key)
             if memo is None:
-                memo = (self.timing, self.spec, self.timing.estimate(stats, self.spec))
+                memo = (self.spec, timing.estimate(stats, self.spec))
                 stats.timings[key] = memo
-            breakdown = memo[2]
+            breakdown = memo[1]
             total_s = breakdown.total_s
             flops = float(stats.flops)
             peak = self.spec.fp32_gflops * 1e9

@@ -33,8 +33,13 @@ class ScheduleResult:
         return max(0.0, self.makespan - self.mean_load)
 
 
-class BlockScheduler:
-    """Greedy list scheduler approximating the GPU block dispatcher.
+#: Block counts up to which :func:`schedule` simulates greedy dispatch
+#: exactly; above it, analytic bounds keep planning O(n).
+EXACT_THRESHOLD = 8192
+
+
+def schedule(block_costs: np.ndarray, slots: int, lpt: bool = False) -> ScheduleResult:
+    """Greedy list scheduling approximating the GPU block dispatcher.
 
     GPUs dispatch thread blocks to SM slots as slots free up — greedy list
     scheduling in *launch order*.  Kernels that sort their work units
@@ -42,49 +47,42 @@ class BlockScheduler:
     optimal makespan; kernels issuing blocks in natural matrix order can
     expose a large straggler late in the kernel.
 
-    For very large block counts the exact simulation is replaced by tight
-    analytic bounds, keeping planning O(n).
+    For more than :data:`EXACT_THRESHOLD` blocks the exact simulation is
+    replaced by tight analytic bounds.
     """
+    costs = np.asarray(block_costs, dtype=np.float64)
+    costs = costs[costs > 0]
+    slots = max(1, int(slots))
+    if costs.size == 0:
+        return ScheduleResult(makespan=0.0, mean_load=0.0, num_waves=0.0)
+    total = float(costs.sum())
+    mean_load = total / slots
+    max_cost = float(costs.max())
+    if costs.size <= slots:
+        makespan = max_cost
+    elif costs.size <= EXACT_THRESHOLD:
+        order = np.sort(costs)[::-1] if lpt else costs
+        makespan = _greedy_makespan(order, slots)
+    elif lpt:
+        # LPT bound: balanced load plus at most one average-size block.
+        makespan = max(mean_load + float(costs.mean()) * (1.0 - 1.0 / slots), max_cost)
+    else:
+        # Natural order: the largest block arrives at an effectively
+        # arbitrary position; in expectation half of it is exposed
+        # beyond the balanced drain.
+        makespan = mean_load + 0.5 * max_cost
+    return ScheduleResult(
+        makespan=makespan,
+        mean_load=mean_load,
+        num_waves=costs.size / slots,
+    )
 
-    def __init__(self, exact_threshold: int = 8192):
-        self.exact_threshold = int(exact_threshold)
 
-    def schedule(
-        self, block_costs: np.ndarray, slots: int, lpt: bool = False
-    ) -> ScheduleResult:
-        costs = np.asarray(block_costs, dtype=np.float64)
-        costs = costs[costs > 0]
-        slots = max(1, int(slots))
-        if costs.size == 0:
-            return ScheduleResult(makespan=0.0, mean_load=0.0, num_waves=0.0)
-        total = float(costs.sum())
-        mean_load = total / slots
-        max_cost = float(costs.max())
-        if costs.size <= slots:
-            makespan = max_cost
-        elif costs.size <= self.exact_threshold:
-            order = np.sort(costs)[::-1] if lpt else costs
-            makespan = self._greedy_makespan(order, slots)
-        elif lpt:
-            # LPT bound: balanced load plus at most one average-size block.
-            makespan = max(mean_load + float(costs.mean()) * (1.0 - 1.0 / slots), max_cost)
-        else:
-            # Natural order: the largest block arrives at an effectively
-            # arbitrary position; in expectation half of it is exposed
-            # beyond the balanced drain.
-            makespan = mean_load + 0.5 * max_cost
-        return ScheduleResult(
-            makespan=makespan,
-            mean_load=mean_load,
-            num_waves=costs.size / slots,
-        )
-
-    @staticmethod
-    def _greedy_makespan(costs: np.ndarray, slots: int) -> float:
-        """Exact greedy dispatch: each block goes to the earliest-free slot."""
-        heap = [0.0] * slots
-        heapq.heapify(heap)
-        for c in costs:
-            earliest = heapq.heappop(heap)
-            heapq.heappush(heap, earliest + float(c))
-        return max(heap)
+def _greedy_makespan(costs: np.ndarray, slots: int) -> float:
+    """Exact greedy dispatch: each block goes to the earliest-free slot."""
+    heap = [0.0] * slots
+    heapq.heapify(heap)
+    for c in costs:
+        earliest = heapq.heappop(heap)
+        heapq.heappush(heap, earliest + float(c))
+    return max(heap)

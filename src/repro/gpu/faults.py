@@ -24,6 +24,9 @@ import numpy as np
 from repro.gpu.device import DeviceLostError, SimulatedDevice, SimulatedOOMError
 from repro.gpu.stats import KernelStats, Measurement
 
+#: Multiplier applied to a spiked launch's simulated time.
+LATENCY_SPIKE_FACTOR = 8.0
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -40,9 +43,8 @@ class FaultPolicy:
     #: Probability a launch permanently kills the device.
     death_rate: float = 0.0
     #: Probability a launch's simulated time is multiplied by
-    #: ``latency_spike_factor``.
+    #: :data:`LATENCY_SPIKE_FACTOR`.
     latency_spike_rate: float = 0.0
-    latency_spike_factor: float = 8.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -50,10 +52,6 @@ class FaultPolicy:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.latency_spike_factor < 1.0:
-            raise ValueError(
-                f"latency_spike_factor must be >= 1, got {self.latency_spike_factor}"
-            )
 
 
 @dataclass
@@ -106,7 +104,7 @@ class FaultyDevice(SimulatedDevice):
         measurement = super().measure(stats)
         if float(self._rng.random()) < p.latency_spike_rate:
             self.injected_spikes += 1
-            f = p.latency_spike_factor
+            f = LATENCY_SPIKE_FACTOR
             measurement = Measurement(
                 time_s=measurement.time_s * f,
                 breakdown=measurement.breakdown.scaled_to(measurement.time_s * f),

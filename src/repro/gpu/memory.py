@@ -62,7 +62,8 @@ class CacheModel:
     (partitioning), which is exactly how the format earns its locality.
     """
 
-    l2_bytes: int = 6 * 1024 * 1024
+    #: L2 capacity the reuse model credits (a V100-class 6 MiB).
+    L2_BYTES = 6 * 1024 * 1024
     #: Residual miss rate for re-references whose working set fits in L2
     #: (conflicts, line granularity).
     min_miss: float = 0.08
@@ -98,7 +99,7 @@ class CacheModel:
         row_bytes = float(J) * word_bytes
         total_refs = float(refs.sum())
         b_bytes = float(num_b_rows) * row_bytes
-        if b_bytes <= self.l2_bytes:
+        if b_bytes <= self.L2_BYTES:
             # Whole operand resident: pay it once, re-reference at the floor.
             compulsory = min(float(unique.sum()), float(num_b_rows))
             return (
@@ -107,7 +108,7 @@ class CacheModel:
             )
         working_set = unique * row_bytes
         with np.errstate(divide="ignore", invalid="ignore"):
-            resident = np.minimum(1.0, self.l2_bytes / np.maximum(working_set, 1.0))
+            resident = np.minimum(1.0, self.L2_BYTES / np.maximum(working_set, 1.0))
         miss = self.min_miss + (1.0 - self.min_miss) * (1.0 - resident)
         refetch = np.maximum(0.0, refs - unique)
         charged_rows = unique + refetch * miss

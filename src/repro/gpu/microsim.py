@@ -111,10 +111,11 @@ class _L2Cache:
 class DiscreteEventGPU:
     """Event-driven execution of block traces on an SM array."""
 
-    def __init__(self, spec: GPUSpec | None = None, compute_ipc: float = 64.0):
+    #: MACs retired per SM per cycle (warp-wide FMA pipes).
+    COMPUTE_IPC = 64.0
+
+    def __init__(self, spec: GPUSpec | None = None):
         self.spec = spec or V100
-        #: MACs retired per SM per cycle (warp-wide FMA pipes).
-        self.compute_ipc = compute_ipc
 
     def run(self, traces: list[BlockTrace]) -> MicrosimResult:
         spec = self.spec
@@ -171,7 +172,7 @@ class DiscreteEventGPU:
                 misses = cache.access(op.rows) if cache is not None else len(op.rows)
                 done = mem.issue(t, misses * op.amount) if misses else t
             else:
-                done = t + op.amount / self.compute_ipc
+                done = t + op.amount / self.COMPUTE_IPC
             heapq.heappush(events, (done, seq, b))
             seq += 1
 

@@ -14,31 +14,29 @@ the standard 1-D row decomposition on the simulated devices:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.base import as_csr
-from repro.gpu.device import GPUSpec, SimulatedDevice, V100
+from repro.gpu.device import SimulatedDevice, V100
 
 
 @dataclass(frozen=True)
 class MultiGPUSpec:
-    """A homogeneous multi-GPU node."""
+    """A homogeneous node of ``num_gpus`` V100s on an NVLink-class fabric."""
 
     num_gpus: int = 4
-    gpu: GPUSpec = field(default_factory=lambda: V100)
-    #: Per-link interconnect bandwidth in GB/s (NVLink-class default).
-    interconnect_gbs: float = 150.0
+    gpu = V100
+    #: Per-link interconnect bandwidth in GB/s.
+    interconnect_gbs = 150.0
     #: Fixed per-collective latency in microseconds.
-    collective_latency_us: float = 10.0
+    collective_latency_us = 10.0
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
             raise ValueError(f"num_gpus must be >= 1, got {self.num_gpus}")
-        if self.interconnect_gbs <= 0:
-            raise ValueError("interconnect_gbs must be positive")
 
 
 @dataclass
@@ -94,25 +92,13 @@ class MultiGPUSimulator:
     pipeline, or a fixed-format builder for baselines.
     """
 
-    def __init__(
-        self,
-        spec: MultiGPUSpec | None = None,
-        devices: list[SimulatedDevice] | None = None,
-    ):
+    def __init__(self, spec: MultiGPUSpec | None = None):
         self.spec = spec or MultiGPUSpec()
-        if devices is None:
-            devices = [
-                SimulatedDevice(spec=self.spec.gpu)
-                for _ in range(self.spec.num_gpus)
-            ]
-        elif len(devices) != self.spec.num_gpus:
-            raise ValueError(
-                f"got {len(devices)} devices for a {self.spec.num_gpus}-GPU spec"
-            )
         #: One simulated device per GPU — shard ``i`` always measures on
-        #: ``devices[i]``, so per-device state (launch counters, injected
-        #: faults) attributes to the GPU that actually ran the shard.
-        self.devices = devices
+        #: ``devices[i]``.
+        self.devices = [
+            SimulatedDevice(spec=self.spec.gpu) for _ in range(self.spec.num_gpus)
+        ]
 
     def measure(self, A: sp.spmatrix, J: int, compose_fn) -> MultiGPUResult:
         A = as_csr(A)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.gpu.executor import BlockScheduler
+from repro.gpu.executor import schedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import GPUSpec
@@ -36,14 +36,20 @@ class TimeBreakdown:
         )
 
 
-class TimingModel:
+#: Achievable fraction of peak global-memory bandwidth.
+BANDWIDTH_EFFICIENCY = 0.75
+#: Achievable fraction of peak FP32 throughput.
+COMPUTE_EFFICIENCY = 0.60
+
+
+def estimate(stats: "KernelStats", spec: "GPUSpec") -> TimeBreakdown:
     """Convert :class:`KernelStats` into a deterministic time estimate.
 
     ``time = max(memory_time, compute_makespan_time) + launch_overhead``
 
     * *memory_time* charges all global traffic (atomics amplified by the
-      device's RMW penalty) against peak bandwidth scaled by a fixed
-      achievable-bandwidth efficiency — global memory is a device-wide
+      device's RMW penalty) against peak bandwidth scaled by
+      :data:`BANDWIDTH_EFFICIENCY` — global memory is a device-wide
       shared resource, so it is insensitive to block placement;
     * *compute_makespan_time* schedules the per-block flop counts
       (``KernelStats.block_costs``, padding and per-row overheads included)
@@ -53,74 +59,51 @@ class TimingModel:
       outlasts the streaming of memory — the physical mechanism behind the
       skewed-row pathology of row-split CSR kernels.
     """
+    mem_bytes = stats.effective_memory_bytes(spec.atomic_penalty)
+    bw = spec.mem_bandwidth_gbs * 1e9 * BANDWIDTH_EFFICIENCY * stats.bandwidth_efficiency
+    memory_s = mem_bytes / bw
 
-    def __init__(
-        self,
-        bandwidth_efficiency: float = 0.75,
-        compute_efficiency: float = 0.60,
-        scheduler: BlockScheduler | None = None,
-    ):
-        if not 0 < bandwidth_efficiency <= 1:
-            raise ValueError("bandwidth_efficiency must be in (0, 1]")
-        if not 0 < compute_efficiency <= 1:
-            raise ValueError("compute_efficiency must be in (0, 1]")
-        self.bandwidth_efficiency = bandwidth_efficiency
-        self.compute_efficiency = compute_efficiency
-        self.scheduler = scheduler or BlockScheduler()
+    effective = (
+        spec.fp32_gflops
+        * 1e9
+        * COMPUTE_EFFICIENCY
+        * stats.lane_utilization
+        * stats.compute_efficiency
+    )
+    launch_s = stats.num_launches * spec.kernel_launch_us * 1e-6
 
-    def estimate(self, stats: "KernelStats", spec: "GPUSpec") -> TimeBreakdown:
-        mem_bytes = stats.effective_memory_bytes(spec.atomic_penalty)
-        bw = (
-            spec.mem_bandwidth_gbs
-            * 1e9
-            * self.bandwidth_efficiency
-            * stats.bandwidth_efficiency
-        )
-        memory_s = mem_bytes / bw
-
-        effective = (
-            spec.fp32_gflops
-            * 1e9
-            * self.compute_efficiency
-            * stats.lane_utilization
-            * stats.compute_efficiency
-        )
-        launch_s = stats.num_launches * spec.kernel_launch_us * 1e-6
-
-        if not stats.block_costs.size:
-            compute_s = stats.flops / effective
-            body = max(memory_s, compute_s)
-            return TimeBreakdown(
-                memory_s=memory_s,
-                compute_s=compute_s,
-                launch_s=launch_s,
-                imbalance=1.0,
-                total_s=body + launch_s,
-            )
-
-        schedule = self.scheduler.schedule(
-            stats.block_costs, spec.block_slots, lpt=stats.lpt_dispatch
-        )
-        total_cost = float(stats.block_costs.sum())
-        compute_s = total_cost / effective
-        # Balanced phase: full-device roofline over the evenly distributed work.
-        balanced_s = max(memory_s, compute_s)
-        # Straggler tail: the excess of the worst slot runs after the device
-        # drains, at single-slot rates for both compute and memory.
-        excess = schedule.excess
-        if excess > 0 and total_cost > 0:
-            slot_rate = effective / spec.block_slots
-            # The straggler's bytes scale with its real arithmetic, not with
-            # per-row overhead terms folded into block costs.
-            bytes_per_flop = mem_bytes / stats.flops if stats.flops > 0 else 0.0
-            tail_mem = excess * bytes_per_flop / (spec.sm_bandwidth_gbs * 1e9)
-            tail_s = max(excess / slot_rate, tail_mem)
-        else:
-            tail_s = 0.0
+    if not stats.block_costs.size:
+        compute_s = stats.flops / effective
+        body = max(memory_s, compute_s)
         return TimeBreakdown(
             memory_s=memory_s,
             compute_s=compute_s,
             launch_s=launch_s,
-            imbalance=schedule.imbalance,
-            total_s=balanced_s + tail_s + launch_s,
+            imbalance=1.0,
+            total_s=body + launch_s,
         )
+
+    result = schedule(stats.block_costs, spec.block_slots, lpt=stats.lpt_dispatch)
+    total_cost = float(stats.block_costs.sum())
+    compute_s = total_cost / effective
+    # Balanced phase: full-device roofline over the evenly distributed work.
+    balanced_s = max(memory_s, compute_s)
+    # Straggler tail: the excess of the worst slot runs after the device
+    # drains, at single-slot rates for both compute and memory.
+    excess = result.excess
+    if excess > 0 and total_cost > 0:
+        slot_rate = effective / spec.block_slots
+        # The straggler's bytes scale with its real arithmetic, not with
+        # per-row overhead terms folded into block costs.
+        bytes_per_flop = mem_bytes / stats.flops if stats.flops > 0 else 0.0
+        tail_mem = excess * bytes_per_flop / (spec.sm_bandwidth_gbs * 1e9)
+        tail_s = max(excess / slot_rate, tail_mem)
+    else:
+        tail_s = 0.0
+    return TimeBreakdown(
+        memory_s=memory_s,
+        compute_s=compute_s,
+        launch_s=launch_s,
+        imbalance=result.imbalance,
+        total_s=balanced_s + tail_s + launch_s,
+    )

@@ -40,21 +40,17 @@ class AttributionCollector:
 
     ``registry``/``prefix`` direct the per-stage histogram series (e.g.
     ``cluster_stage_ms{stage="queue_wait"}``); the reservoir keeps at
-    most ``capacity`` whole-request records via seeded Algorithm R, so
-    memory is bounded and replays are deterministic.
+    most :attr:`CAPACITY` whole-request records via seeded Algorithm R,
+    so memory is bounded and replays are deterministic.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        prefix: str = "stage",
-        capacity: int = 512,
-        seed: int = 0,
-    ):
+    #: Whole-request records the reservoir retains.
+    CAPACITY = 512
+
+    def __init__(self, registry: MetricsRegistry | None = None, prefix: str = "stage"):
         self.registry = registry
         self.prefix = prefix
-        self.capacity = int(capacity)
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._records: list[dict] = []
         self._seen = 0
         self._lock = threading.Lock()
@@ -95,11 +91,11 @@ class AttributionCollector:
         }
         with self._lock:
             self._seen += 1
-            if len(self._records) < self.capacity:
+            if len(self._records) < self.CAPACITY:
                 self._records.append(rec)
             else:  # Vitter's Algorithm R
                 j = self._rng.randrange(self._seen)
-                if j < self.capacity:
+                if j < self.CAPACITY:
                     self._records[j] = rec
 
     # ------------------------------------------------------------------

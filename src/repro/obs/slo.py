@@ -199,12 +199,13 @@ class SLOEngine:
         specs: tuple[SLOSpec, ...] | list[SLOSpec] | None = None,
         policies: tuple[BurnRatePolicy, ...] | list[BurnRatePolicy] | None = None,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | NullTracer | None = None,
     ):
         self.specs = tuple(specs) if specs is not None else default_slos()
         self.policies = tuple(policies) if policies is not None else default_policies()
         self.registry = registry
-        self.tracer = tracer
+        #: Tracer lane alerts are emitted on; the cluster frontend
+        #: assigns it when a traced replay runs.
+        self.tracer: Tracer | NullTracer | None = None
         self._trackers = {spec.name: _Tracker(spec) for spec in self.specs}
         self._alerts: list[Alert] = []
         self._horizon_ms = max(

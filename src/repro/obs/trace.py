@@ -131,10 +131,6 @@ class Span:
     def duration_s(self) -> float:
         return (self.end_s - self.start_s) if self.end_s is not None else 0.0
 
-    @property
-    def duration_ms(self) -> float:
-        return self.duration_s * 1e3
-
 
 class _NullSpan:
     """The do-nothing span handed out by :class:`NullTracer`."""

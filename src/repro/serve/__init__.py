@@ -15,7 +15,7 @@ across per-device circuit breakers
 (:class:`~repro.serve.resilience.CircuitBreaker`), and a structural OOM
 degrades the plan to CSR instead of failing the request.
 :mod:`~repro.serve.workload` generates seeded Zipf-distributed request
-traffic for replay — optionally timed with Poisson/burst ``arrival_ms``
+traffic for replay — optionally timed with Poisson ``arrival_ms``
 stamps — and :mod:`~repro.serve.metrics` aggregates the serving counters
 and latency percentiles.
 

@@ -21,7 +21,7 @@ See docs/CLUSTER.md for the design rationale and knobs.
 """
 
 from repro.serve.cluster.frontend import ClusterFrontend, MembershipChange
-from repro.serve.cluster.hotkeys import DEFAULT_WINDOW, WindowedFrequencySketch
+from repro.serve.cluster.hotkeys import WindowedFrequencySketch
 from repro.serve.cluster.metrics import ClusterMetrics
 from repro.serve.cluster.ring import (
     DEFAULT_VIRTUAL_NODES,
@@ -37,5 +37,4 @@ __all__ = [
     "WindowedFrequencySketch",
     "remigration_fraction",
     "DEFAULT_VIRTUAL_NODES",
-    "DEFAULT_WINDOW",
 ]

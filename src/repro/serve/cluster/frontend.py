@@ -62,7 +62,7 @@ from repro.obs import (
     set_tracer,
     write_merged,
 )
-from repro.serve.cluster.hotkeys import DEFAULT_WINDOW, WindowedFrequencySketch
+from repro.serve.cluster.hotkeys import WindowedFrequencySketch
 from repro.serve.cluster.metrics import ClusterMetrics
 from repro.serve.cluster.ring import DEFAULT_VIRTUAL_NODES, ShardRing
 from repro.serve.fingerprint import PlanKey, fingerprint_csr
@@ -171,9 +171,9 @@ class ClusterFrontend(ServingSurface):
 
         ``replication`` > 1 enables hot-key replication (a fingerprint
         above ``hot_fraction`` of the last
-        :data:`~repro.serve.cluster.hotkeys.DEFAULT_WINDOW` requests, and
-        seen at least :attr:`HOT_MIN_COUNT` times, is replicated to that
-        many shards).  ``spill_dir`` is accepted and ignored: plans move
+        :attr:`WindowedFrequencySketch.WINDOW` requests, and seen at
+        least :attr:`HOT_MIN_COUNT` times, is replicated to that many
+        shards).  ``spill_dir`` is accepted and ignored: plans move
         between shards in memory.  ``seed`` drives power-of-two-choices
         routing among replicas.
 
@@ -210,7 +210,7 @@ class ClusterFrontend(ServingSurface):
         #: Virtual time of the replay (feeds SLO evaluation windows).
         self._clock_ms = 0.0
         self.ring = ShardRing(virtual_nodes=virtual_nodes)
-        self._sketch = WindowedFrequencySketch(window=DEFAULT_WINDOW)
+        self._sketch = WindowedFrequencySketch()
         self._rng = np.random.default_rng(seed)
         self._shards: dict[str, _Shard] = {}
         self._next_shard_index = 0

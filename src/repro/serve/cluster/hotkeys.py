@@ -10,24 +10,22 @@ cached plan is copied to the next shards on the ring and traffic is
 spread among the replicas with power-of-two-choices routing.
 
 :class:`WindowedFrequencySketch` supplies the detection signal: exact
-per-key counts over the last ``window`` observations, held in a ring
-buffer so memory is O(``window``) no matter how many distinct keys pass
-through — the bounded-memory guarantee of a frequency sketch, with zero
-approximation error at serving-window scale.  The window slides, so a
-key that *was* hot decays back to cold as traffic moves on, which is
-what lets replication track a drifting workload.
+per-key counts over the last :attr:`~WindowedFrequencySketch.WINDOW`
+observations, held in a ring buffer so memory is O(window) no matter
+how many distinct keys pass through — the bounded-memory guarantee of a
+frequency sketch, with zero approximation error at serving-window
+scale.  The window slides, so a key that *was* hot decays back to cold
+as traffic moves on, which is what lets replication track a drifting
+workload.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
-#: Default sliding-window length (requests).
-DEFAULT_WINDOW = 512
-
 
 class WindowedFrequencySketch:
-    """Exact key frequencies over the last ``window`` observations.
+    """Exact key frequencies over the last :attr:`WINDOW` observations.
 
     ``observe`` is O(1): append to the ring buffer, bump the counter,
     and decrement the evicted key's count.  ``frequency`` is the key's
@@ -36,10 +34,10 @@ class WindowedFrequencySketch:
     stay pinned to extra shards forever.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = int(window)
+    #: Sliding-window length (requests).
+    WINDOW = 512
+
+    def __init__(self):
         self._recent: deque[str] = deque()
         self._counts: Counter[str] = Counter()
 
@@ -51,7 +49,7 @@ class WindowedFrequencySketch:
         """Record one request for ``key``, evicting the oldest if full."""
         self._recent.append(key)
         self._counts[key] += 1
-        if len(self._recent) > self.window:
+        if len(self._recent) > self.WINDOW:
             evicted = self._recent.popleft()
             remaining = self._counts[evicted] - 1
             if remaining:
@@ -69,14 +67,3 @@ class WindowedFrequencySketch:
         if not seen:
             return 0.0
         return self._counts.get(key, 0) / seen
-
-    def hot_keys(self, min_fraction: float) -> list[str]:
-        """Keys at or above ``min_fraction`` of the window, hottest first."""
-        if not 0.0 < min_fraction <= 1.0:
-            raise ValueError(f"min_fraction must be in (0, 1], got {min_fraction}")
-        seen = len(self._recent)
-        if not seen:
-            return []
-        threshold = min_fraction * seen
-        hot = [(c, k) for k, c in self._counts.items() if c >= threshold]
-        return [k for _, k in sorted(hot, key=lambda ck: (-ck[0], ck[1]))]

@@ -27,28 +27,24 @@ from repro.obs import AttributionCollector, MetricsRegistry
 #: Percentiles reported by every latency summary.
 PERCENTILES = (50, 95, 99)
 
-#: Default reservoir capacity of a :class:`LatencySeries` — exact
-#: percentiles up to this many observations, a uniform sample beyond.
-DEFAULT_MAX_SAMPLES = 4096
-
 
 class LatencySeries:
     """Latency aggregate with bounded memory and percentile summaries.
 
-    Up to ``max_samples`` observations are stored verbatim (percentiles
-    are exact); past that, reservoir sampling keeps a uniform sample of
-    everything seen, so memory stays O(``max_samples``) under sustained
-    traffic while ``count``, ``mean``, and ``max`` remain exact.  The
-    reservoir's RNG is seeded, keeping replays deterministic.
+    Up to :attr:`MAX_SAMPLES` observations are stored verbatim
+    (percentiles are exact); past that, reservoir sampling keeps a uniform
+    sample of everything seen, so memory stays O(:attr:`MAX_SAMPLES`)
+    under sustained traffic while ``count``, ``mean``, and ``max`` remain
+    exact.  The reservoir's RNG is seeded, keeping replays deterministic.
     """
 
-    def __init__(self, unit: str = "ms", max_samples: int = DEFAULT_MAX_SAMPLES,
-                 seed: int = 0):
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    #: Reservoir capacity: exact percentiles up to this many
+    #: observations, a uniform sample beyond.
+    MAX_SAMPLES = 4096
+
+    def __init__(self, unit: str = "ms"):
         self.unit = unit
-        self.max_samples = int(max_samples)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)
         self._values: list[float] = []
         self._count = 0
         self._sum = 0.0
@@ -60,13 +56,13 @@ class LatencySeries:
         self._sum += value
         if value > self._max:
             self._max = value
-        if len(self._values) < self.max_samples:
+        if len(self._values) < self.MAX_SAMPLES:
             self._values.append(value)
         else:
             # Algorithm R: keep each of the _count observations with
-            # probability max_samples / _count.
+            # probability MAX_SAMPLES / _count.
             j = int(self._rng.integers(0, self._count))
-            if j < self.max_samples:
+            if j < self.MAX_SAMPLES:
                 self._values[j] = value
 
     def __len__(self) -> int:
@@ -75,7 +71,7 @@ class LatencySeries:
 
     @property
     def values(self) -> np.ndarray:
-        """The retained sample (all values while under ``max_samples``)."""
+        """The retained sample (all values while under :attr:`MAX_SAMPLES`)."""
         return np.asarray(self._values, dtype=np.float64)
 
     def percentile(self, p: float) -> float:

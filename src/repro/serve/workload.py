@@ -5,16 +5,17 @@ Real SpMM serving (GNN inference, recommender retrieval) multiplies a
 following a heavy-tailed law: a handful of hot graphs take most of the
 traffic.  ``generate_workload`` models that as Zipf(s)-distributed
 requests over a pool mixing :class:`SuiteSparseLikeCollection` matrices
-with GNN stand-ins, mixed ``J`` widths, and an optional deadline on a
+with GNN stand-ins, a fixed ``J`` per matrix drawn from a mix of
+widths, and an optional deadline on a
 fraction of the requests (the latency-sensitive tier that exercises the
 server's admission control).
 
 Traffic can also be *timed*: with ``arrival_rate_rps`` set, each request
-gets a seeded ``arrival_ms`` timestamp (Poisson or bursty process) so the
-open-loop :class:`~repro.serve.scheduler.Scheduler` can replay it as a
-stream instead of a closed-loop list.  Arrival draws use a dedicated RNG
-stream, so turning arrivals on (or changing the process) never perturbs
-the matrices, picks, operands, or deadlines of an existing trace.
+gets a seeded Poisson ``arrival_ms`` timestamp so the open-loop
+:class:`~repro.serve.scheduler.Scheduler` can replay it as a stream
+instead of a closed-loop list.  Arrival draws use a dedicated RNG
+stream, so turning arrivals on never perturbs the matrices, picks,
+operands, or deadlines of an existing trace.
 
 Everything is seeded: the same :class:`WorkloadSpec` always yields the
 same request sequence, so replay benchmarks are reproducible.
@@ -28,8 +29,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.matrices.collection import MIN_ROWS, SuiteSparseLikeCollection
-from repro.matrices.gnn import GNN_DATASETS, make_gnn_standin
+from repro.matrices.gnn import make_gnn_standin
 from repro.serve.server import OpRequest
+
+#: GNN stand-ins mixed into every pool (the rest is SuiteSparse-like).
+GNN_NAMES = ("cora", "citeseer")
 
 
 def zipf_weights(n: int, s: float) -> np.ndarray:
@@ -50,14 +54,9 @@ class WorkloadSpec:
     num_matrices: int = 32
     #: Zipf popularity exponent (1.1 ≈ web-like skew; 0 = uniform).
     zipf_s: float = 1.1
-    #: Dense-operand widths mixed into the trace.
+    #: Dense-operand widths mixed into the trace.  Each matrix keeps one
+    #: of them — a model's feature width doesn't change between requests.
     J_choices: tuple[int, ...] = (32, 64, 128)
-    #: If True (the realistic GNN-serving default), each matrix keeps one
-    #: fixed J — a model's feature width doesn't change between requests.
-    #: If False, J is drawn per request (worst case for the plan cache).
-    J_per_matrix: bool = True
-    #: GNN stand-ins mixed into the pool (the rest is SuiteSparse-like).
-    gnn_names: tuple[str, ...] = ("cora", "citeseer")
     #: Row-count cap of the SuiteSparse-like pool entries (at least the
     #: collection's floor, :data:`~repro.matrices.collection.MIN_ROWS`).
     max_rows: int = 4_000
@@ -67,17 +66,10 @@ class WorkloadSpec:
     #: If True each request carries a dense B (full numeric execution);
     #: if False requests are measure-only (timing replay, much cheaper).
     with_operands: bool = True
-    #: Mean arrival rate in requests per *simulated* second.  None (the
-    #: default) keeps the legacy closed-loop trace: every ``arrival_ms``
-    #: stays 0.0 and replay order is the only timing.
+    #: Mean Poisson arrival rate in requests per *simulated* second.
+    #: None (the default) keeps the legacy closed-loop trace: every
+    #: ``arrival_ms`` stays 0.0 and replay order is the only timing.
     arrival_rate_rps: float | None = None
-    #: ``"poisson"`` — independent exponential inter-arrival gaps;
-    #: ``"burst"`` — requests arrive in simultaneous groups of
-    #: :attr:`burst_size` (bursts themselves Poisson at a rate keeping the
-    #: overall mean at :attr:`arrival_rate_rps`).
-    arrival_process: str = "poisson"
-    #: Requests per burst when :attr:`arrival_process` is ``"burst"``.
-    burst_size: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -94,25 +86,15 @@ class WorkloadSpec:
             )
         if not 0.0 <= self.deadline_fraction <= 1.0:
             raise ValueError("deadline_fraction must be in [0, 1]")
-        for name in self.gnn_names:
-            if name not in GNN_DATASETS:
-                raise ValueError(f"unknown GNN stand-in {name!r}")
         if self.arrival_rate_rps is not None and self.arrival_rate_rps <= 0:
             raise ValueError(
                 f"arrival_rate_rps must be > 0, got {self.arrival_rate_rps}"
             )
-        if self.arrival_process not in ("poisson", "burst"):
-            raise ValueError(
-                f"arrival_process must be 'poisson' or 'burst', "
-                f"got {self.arrival_process!r}"
-            )
-        if self.burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {self.burst_size}")
 
 
 def _build_pool(spec: WorkloadSpec) -> list[tuple[str, sp.csr_matrix]]:
     pool: list[tuple[str, sp.csr_matrix]] = []
-    for name in spec.gnn_names[: spec.num_matrices]:
+    for name in GNN_NAMES[: spec.num_matrices]:
         pool.append((f"gnn:{name}", make_gnn_standin(name, seed=spec.seed)))
     remaining = spec.num_matrices - len(pool)
     if remaining > 0:
@@ -136,9 +118,6 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRequest]:
     # isn't always the first GNN stand-in.
     order = rng.permutation(len(pool))
     weights = zipf_weights(len(pool), spec.zipf_s)
-    fixed_J = {
-        i: spec.J_choices[i % len(spec.J_choices)] for i in range(len(pool))
-    }
     operands: dict[tuple[int, int], np.ndarray] = {}
 
     def operand(cols: int, J: int) -> np.ndarray:
@@ -153,11 +132,7 @@ def generate_workload(spec: WorkloadSpec) -> list[OpRequest]:
     for i, rank in enumerate(picks):
         pool_index = int(order[rank])
         name, A = pool[pool_index]
-        J = (
-            fixed_J[pool_index]
-            if spec.J_per_matrix
-            else int(rng.choice(spec.J_choices))
-        )
+        J = spec.J_choices[pool_index % len(spec.J_choices)]
         deadline = (
             spec.deadline_ms
             if spec.deadline_ms is not None
@@ -191,13 +166,4 @@ def _arrival_times(spec: WorkloadSpec) -> np.ndarray:
     if spec.arrival_rate_rps is None:
         return np.zeros(n)
     rng = np.random.default_rng((spec.seed, _ARRIVAL_STREAM))
-    mean_gap_ms = 1e3 / spec.arrival_rate_rps
-    if spec.arrival_process == "poisson":
-        return np.cumsum(rng.exponential(mean_gap_ms, size=n))
-    # Bursty: groups of burst_size share one timestamp; burst gaps are
-    # scaled up by burst_size so the overall mean rate is unchanged.
-    num_bursts = -(-n // spec.burst_size)
-    burst_times = np.cumsum(
-        rng.exponential(mean_gap_ms * spec.burst_size, size=num_bursts)
-    )
-    return np.repeat(burst_times, spec.burst_size)[:n]
+    return np.cumsum(rng.exponential(1e3 / spec.arrival_rate_rps, size=n))

@@ -63,8 +63,8 @@ class TestProfileMatchesFormat:
         assert prof.cost(huge, 32) == prof.cost(prof.natural_max_exp, 32)
 
     def test_empty_partition(self):
-        prof = PartitionCostProfile(
-            np.zeros(4, dtype=np.int64), np.zeros(5, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        prof = PartitionCostProfile.from_cells(
+            np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
         assert prof.cost(3, 32) == 0.0
         assert prof.num_nonempty_rows == 0

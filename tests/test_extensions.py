@@ -113,8 +113,6 @@ class TestMultiGPU:
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             MultiGPUSpec(num_gpus=0)
-        with pytest.raises(ValueError):
-            MultiGPUSpec(interconnect_gbs=0.0)
 
 
 class TestCLI:

@@ -4,30 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gpu.executor import BlockScheduler
+from repro.gpu import executor
+from repro.gpu.executor import schedule
 
 
 class TestBlockScheduler:
-    def setup_method(self):
-        self.sched = BlockScheduler()
-
     def test_empty(self):
-        r = self.sched.schedule(np.zeros(0), slots=8)
+        r = schedule(np.zeros(0), slots=8)
         assert r.makespan == 0.0 and r.imbalance == 1.0
 
     def test_fewer_blocks_than_slots(self):
-        r = self.sched.schedule(np.array([5.0, 3.0, 1.0]), slots=8)
+        r = schedule(np.array([5.0, 3.0, 1.0]), slots=8)
         assert r.makespan == 5.0
 
     def test_uniform_blocks_balance_perfectly(self):
         costs = np.full(64, 2.0)
-        r = self.sched.schedule(costs, slots=8)
+        r = schedule(costs, slots=8)
         assert r.makespan == pytest.approx(16.0)
         assert r.imbalance == pytest.approx(1.0)
 
     def test_single_giant_block_dominates(self):
         costs = np.concatenate([[1000.0], np.ones(63)])
-        r = self.sched.schedule(costs, slots=8)
+        r = schedule(costs, slots=8)
         assert r.makespan >= 1000.0
         assert r.excess > 0
 
@@ -35,27 +33,29 @@ class TestBlockScheduler:
         rng = np.random.default_rng(3)
         costs = rng.exponential(1.0, size=500)
         costs[-1] = 200.0  # straggler arriving last
-        nat = self.sched.schedule(costs, slots=16, lpt=False)
-        lpt = self.sched.schedule(costs, slots=16, lpt=True)
+        nat = schedule(costs, slots=16, lpt=False)
+        lpt = schedule(costs, slots=16, lpt=True)
         assert lpt.makespan <= nat.makespan + 1e-9
 
     def test_makespan_lower_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             costs = rng.exponential(1.0, size=300)
-            r = self.sched.schedule(costs, slots=10)
+            r = schedule(costs, slots=10)
             assert r.makespan >= costs.max() - 1e-9
             assert r.makespan >= costs.sum() / 10 - 1e-9
 
-    def test_approximate_path_close_to_exact(self):
+    def test_approximate_path_close_to_exact(self, monkeypatch):
         rng = np.random.default_rng(11)
         costs = rng.exponential(1.0, size=20000)
-        exact = BlockScheduler(exact_threshold=50000).schedule(costs, 640, lpt=True)
-        approx = BlockScheduler(exact_threshold=100).schedule(costs, 640, lpt=True)
+        monkeypatch.setattr(executor, "EXACT_THRESHOLD", 50000)
+        exact = schedule(costs, 640, lpt=True)
+        monkeypatch.setattr(executor, "EXACT_THRESHOLD", 100)
+        approx = schedule(costs, 640, lpt=True)
         assert approx.makespan == pytest.approx(exact.makespan, rel=0.1)
 
     def test_excess_property(self):
-        r = self.sched.schedule(np.array([10.0, 1.0, 1.0]), slots=2)
+        r = schedule(np.array([10.0, 1.0, 1.0]), slots=2)
         assert r.excess == pytest.approx(r.makespan - r.mean_load)
 
 
@@ -69,9 +69,8 @@ def test_makespan_bounds_property(seed, n, slots):
     """Greedy makespan always within the classic (2 - 1/m) bound of optimal."""
     rng = np.random.default_rng(seed)
     costs = rng.exponential(1.0, size=n) + 0.01
-    sched = BlockScheduler()
     for lpt in (False, True):
-        r = sched.schedule(costs, slots, lpt=lpt)
+        r = schedule(costs, slots, lpt=lpt)
         lower = max(costs.max(), costs.sum() / slots)
         assert r.makespan >= lower - 1e-9
         assert r.makespan <= lower * (2.0 - 1.0 / slots) + 1e-9

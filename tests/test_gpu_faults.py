@@ -12,6 +12,7 @@ from repro.gpu import (
     SimulatedDevice,
     SimulatedOOMError,
 )
+from repro.gpu.faults import LATENCY_SPIKE_FACTOR
 
 
 def _stats(footprint=1 << 20):
@@ -46,8 +47,6 @@ class TestFaultPolicy:
             FaultPolicy(transient_oom_rate=1.5)
         with pytest.raises(ValueError):
             FaultPolicy(death_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultPolicy(latency_spike_factor=0.5)
 
     def test_default_policy_injects_nothing(self):
         device = FaultyDevice()
@@ -120,10 +119,10 @@ class TestLatencySpikes:
     def test_spike_scales_time_by_factor(self):
         clean = SimulatedDevice().measure(_stats())
         spiky = FaultyDevice(
-            faults=FaultPolicy(latency_spike_rate=1.0, latency_spike_factor=8.0)
+            faults=FaultPolicy(latency_spike_rate=1.0)
         ).measure(_stats())
-        assert spiky.time_s == pytest.approx(clean.time_s * 8.0)
-        assert spiky.breakdown.total_s == pytest.approx(clean.time_s * 8.0)
+        assert spiky.time_s == pytest.approx(clean.time_s * LATENCY_SPIKE_FACTOR)
+        assert spiky.breakdown.total_s == pytest.approx(clean.time_s * LATENCY_SPIKE_FACTOR)
 
     def test_spike_preserves_stats(self):
         m = FaultyDevice(

@@ -35,9 +35,15 @@ class TestTransactionHelpers:
         assert atomic_store_bytes(25) == 100.0
 
 
+class _OneMiBCache(CacheModel):
+    """A 1 MiB L2, so small test operands overflow it."""
+
+    L2_BYTES = 1024 * 1024
+
+
 class TestCacheModel:
     def setup_method(self):
-        self.cache = CacheModel(l2_bytes=1024 * 1024, min_miss=0.1)
+        self.cache = _OneMiBCache(min_miss=0.1)
 
     def test_no_refs_no_bytes(self):
         z = np.zeros(0)

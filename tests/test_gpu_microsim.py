@@ -17,6 +17,12 @@ from repro.gpu.microsim import (
 from repro.matrices import power_law_graph
 
 
+class _UnitIPCGPU(DiscreteEventGPU):
+    """One MAC per SM per cycle, so a compute op's cycles are its amount."""
+
+    COMPUTE_IPC = 1.0
+
+
 class TestMemorySubsystem:
     def test_latency_plus_service(self):
         mem = MemorySubsystem(bytes_per_cycle=10.0, latency_cycles=100.0)
@@ -54,13 +60,13 @@ class TestEventLoop:
         assert r.cycles == 0.0 and r.blocks == 0
 
     def test_single_compute_block(self):
-        gpu = DiscreteEventGPU(compute_ipc=10.0)
-        r = gpu.run([[TraceOp("compute", 100.0)]])
+        gpu = DiscreteEventGPU()
+        r = gpu.run([[TraceOp("compute", 10.0 * gpu.COMPUTE_IPC)]])
         assert r.cycles == pytest.approx(10.0)
 
     def test_blocks_beyond_slots_queue(self):
         spec = V100.with_overrides(num_sms=1, blocks_per_sm=1)
-        gpu = DiscreteEventGPU(spec, compute_ipc=1.0)
+        gpu = _UnitIPCGPU(spec)
         traces = [[TraceOp("compute", 10.0)] for _ in range(3)]
         r = gpu.run(traces)
         # one slot: strictly serialized
@@ -68,7 +74,7 @@ class TestEventLoop:
 
     def test_parallel_slots_overlap(self):
         spec = V100.with_overrides(num_sms=1, blocks_per_sm=4)
-        gpu = DiscreteEventGPU(spec, compute_ipc=1.0)
+        gpu = _UnitIPCGPU(spec)
         traces = [[TraceOp("compute", 10.0)] for _ in range(4)]
         assert gpu.run(traces).cycles == pytest.approx(10.0)
 
@@ -81,7 +87,7 @@ class TestEventLoop:
 
     def test_straggler_dominates(self):
         spec = V100.with_overrides(num_sms=2, blocks_per_sm=1)
-        gpu = DiscreteEventGPU(spec, compute_ipc=1.0)
+        gpu = _UnitIPCGPU(spec)
         traces = [[TraceOp("compute", 1.0)] for _ in range(4)]
         traces.append([TraceOp("compute", 1000.0)])
         r = gpu.run(traces)

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.formats.csr import CSRFormat
+from repro.gpu import multi
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.multi import MultiGPUSimulator, MultiGPUSpec, partition_rows_by_nnz
 from repro.kernels.csr_spmm import RowSplitCSRSpMM
@@ -70,42 +71,37 @@ class _CountingDevice(SimulatedDevice):
         return super().measure(stats)
 
 
+@pytest.fixture
+def counting_sim(monkeypatch):
+    """Build simulators whose per-GPU devices count their launches."""
+    monkeypatch.setattr(multi, "SimulatedDevice", _CountingDevice)
+    return lambda num_gpus: MultiGPUSimulator(MultiGPUSpec(num_gpus=num_gpus))
+
+
 class TestPerShardDevices:
     def test_one_device_per_gpu(self):
         sim = MultiGPUSimulator(MultiGPUSpec(num_gpus=3))
         assert len(sim.devices) == 3
         assert len({id(d) for d in sim.devices}) == 3
+        assert all(d.spec is sim.spec.gpu for d in sim.devices)
 
-    def test_shards_measure_on_their_own_device(self):
-        spec = MultiGPUSpec(num_gpus=4)
-        devices = [_CountingDevice(spec=spec.gpu) for _ in range(4)]
-        sim = MultiGPUSimulator(spec, devices=devices)
+    def test_shards_measure_on_their_own_device(self, counting_sim):
+        sim = counting_sim(4)
         A = power_law_graph(2000, 8, seed=2)
         result = sim.measure(A, 32, csr_compose)
         assert len(result.shard_times_s) == 4
         # every device ran exactly its own shard, not a shared singleton
-        assert [d.calls for d in devices] == [1, 1, 1, 1]
+        assert [d.calls for d in sim.devices] == [1, 1, 1, 1]
 
-    def test_device_count_must_match_spec(self):
-        spec = MultiGPUSpec(num_gpus=2)
-        with pytest.raises(ValueError, match="devices"):
-            MultiGPUSimulator(spec, devices=[SimulatedDevice()])
-
-    def test_zero_nnz_measures_nothing(self):
-        spec = MultiGPUSpec(num_gpus=2)
-        devices = [_CountingDevice(spec=spec.gpu) for _ in range(2)]
-        result = MultiGPUSimulator(spec, devices=devices).measure(
-            _empty(50), 16, csr_compose
-        )
+    def test_zero_nnz_measures_nothing(self, counting_sim):
+        sim = counting_sim(2)
+        result = sim.measure(_empty(50), 16, csr_compose)
         assert result.compute_s == 0.0
-        assert [d.calls for d in devices] == [0, 0]
+        assert [d.calls for d in sim.devices] == [0, 0]
 
-    def test_fewer_rows_than_gpus_leaves_devices_idle(self):
-        spec = MultiGPUSpec(num_gpus=8)
-        devices = [_CountingDevice(spec=spec.gpu) for _ in range(8)]
+    def test_fewer_rows_than_gpus_leaves_devices_idle(self, counting_sim):
+        sim = counting_sim(8)
         A = power_law_graph(3, 2, seed=3)
-        result = MultiGPUSimulator(spec, devices=devices).measure(
-            A, 16, csr_compose
-        )
+        result = sim.measure(A, 16, csr_compose)
         assert len(result.shard_times_s) == 3
-        assert sum(d.calls for d in devices) <= 3
+        assert sum(d.calls for d in sim.devices) <= 3

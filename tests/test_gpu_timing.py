@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gpu import KernelStats, SimulatedDevice, TimingModel, V100
+from repro.gpu import KernelStats, SimulatedDevice, V100
 from repro.gpu.device import SimulatedOOMError
+from repro.gpu.timing import estimate
 
 
 def make_stats(**overrides) -> KernelStats:
@@ -21,7 +22,6 @@ def make_stats(**overrides) -> KernelStats:
 
 class TestTimingModel:
     def setup_method(self):
-        self.model = TimingModel()
         self.spec = V100
 
     def test_memory_bound_kernel(self):
@@ -30,7 +30,7 @@ class TestTimingModel:
         stats = make_stats(
             coalesced_load_bytes=1e9, flops=1e6, block_costs=np.full(6400, 1e6 / 6400)
         )
-        bd = self.model.estimate(stats, self.spec)
+        bd = estimate(stats, self.spec)
         assert bd.memory_s > bd.compute_s
         assert bd.total_s == pytest.approx(bd.memory_s + bd.launch_s, rel=1e-6)
 
@@ -38,12 +38,12 @@ class TestTimingModel:
         stats = make_stats(
             coalesced_load_bytes=1e3, flops=1e12, block_costs=np.full(6400, 1e12 / 6400)
         )
-        bd = self.model.estimate(stats, self.spec)
+        bd = estimate(stats, self.spec)
         assert bd.compute_s > bd.memory_s
 
     def test_more_bytes_more_time(self):
-        t1 = self.model.estimate(make_stats(coalesced_load_bytes=1e8), self.spec).total_s
-        t2 = self.model.estimate(make_stats(coalesced_load_bytes=2e8), self.spec).total_s
+        t1 = estimate(make_stats(coalesced_load_bytes=1e8), self.spec).total_s
+        t2 = estimate(make_stats(coalesced_load_bytes=2e8), self.spec).total_s
         assert t2 > t1
 
     def test_atomic_penalty_charged(self):
@@ -53,13 +53,13 @@ class TestTimingModel:
         atomic = make_stats(
             coalesced_load_bytes=0.0, coalesced_store_bytes=0.0, atomic_store_bytes=1e8
         )
-        t_plain = self.model.estimate(plain, self.spec).memory_s
-        t_atomic = self.model.estimate(atomic, self.spec).memory_s
+        t_plain = estimate(plain, self.spec).memory_s
+        t_atomic = estimate(atomic, self.spec).memory_s
         assert t_atomic == pytest.approx(t_plain * self.spec.atomic_penalty, rel=1e-6)
 
     def test_launch_overhead_per_launch(self):
-        one = self.model.estimate(make_stats(num_launches=1), self.spec)
-        ten = self.model.estimate(make_stats(num_launches=10), self.spec)
+        one = estimate(make_stats(num_launches=1), self.spec)
+        ten = estimate(make_stats(num_launches=10), self.spec)
         extra = (ten.total_s - one.total_s)
         assert extra == pytest.approx(9 * self.spec.kernel_launch_us * 1e-6, rel=1e-6)
 
@@ -68,22 +68,16 @@ class TestTimingModel:
         skewed_costs = np.full(1000, 1e4)
         skewed_costs[0] = 1e7
         skewed = make_stats(block_costs=skewed_costs, flops=1e7 + 1e7)
-        t_b = self.model.estimate(balanced, self.spec).total_s
-        t_s = self.model.estimate(skewed, self.spec).total_s
+        t_b = estimate(balanced, self.spec).total_s
+        t_s = estimate(skewed, self.spec).total_s
         assert t_s > t_b
 
     def test_bandwidth_efficiency_scales_memory(self):
         slow = make_stats(bandwidth_efficiency=0.5, coalesced_load_bytes=1e9)
         fast = make_stats(bandwidth_efficiency=1.0, coalesced_load_bytes=1e9)
-        assert self.model.estimate(slow, self.spec).memory_s == pytest.approx(
-            2 * self.model.estimate(fast, self.spec).memory_s
+        assert estimate(slow, self.spec).memory_s == pytest.approx(
+            2 * estimate(fast, self.spec).memory_s
         )
-
-    def test_invalid_efficiencies_rejected(self):
-        with pytest.raises(ValueError):
-            TimingModel(bandwidth_efficiency=0.0)
-        with pytest.raises(ValueError):
-            TimingModel(compute_efficiency=1.5)
 
 
 class TestKernelStats:

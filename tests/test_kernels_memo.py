@@ -2,7 +2,7 @@
 
 ``SpMMKernel.stats`` plans each ``(kernel, format, J)`` once; the device
 memoizes each record's timing; CELL buckets keep their CSR slab.  Every memoized answer must equal the parent computation
-(a fresh ``plan()`` + ``TimingModel.estimate``) field for field, survive
+(a fresh ``plan()`` + ``repro.gpu.timing.estimate``) field for field, survive
 ``patch_rows``, leave fault injection's draw order alone, hand out
 read-only records, and stay small beside the plan it rides on.
 """
@@ -18,7 +18,7 @@ from repro.formats import BCSRFormat, CELLFormat, CSRFormat, ELLFormat, SlicedEL
 from repro.gpu import FaultPolicy, FaultyDevice, SimulatedDevice
 from repro.gpu.device import DeviceLostError, SimulatedOOMError
 from repro.gpu.stats import KernelStats, PackedStats
-from repro.gpu.timing import TimingModel
+from repro.gpu.timing import estimate
 from repro.kernels.bcsr_spmm import BCSRSpMM
 from repro.kernels.cell_spmm import CELLSpMM
 from repro.kernels.csr_spmm import DgSparseSpMM, RowSplitCSRSpMM, SputnikSpMM
@@ -83,7 +83,7 @@ def test_memoized_measure_equals_fresh_plan(entry, matrix_suite):
             # planned, planned and memoized, then served from both memos
             runs = [kernel.measure(fmt, J, device) for _ in range(3)]
             fresh = kernel_cls().plan(fmt, J)
-            expected = TimingModel().estimate(fresh, device.spec)
+            expected = estimate(fresh, device.spec)
             for m in runs:
                 assert_stats_equal(m.stats, fresh)
                 assert m.breakdown == expected, (name, J)
@@ -113,7 +113,7 @@ def test_memoized_run_equals_fresh_plan(entry, matrix_suite):
         fresh = kernel_cls().plan(fmt, J)
         assert_stats_equal(m1.stats, fresh)
         assert_stats_equal(m2.stats, fresh)
-        assert m1.time_s == m2.time_s == TimingModel().estimate(fresh, device.spec).total_s
+        assert m1.time_s == m2.time_s == estimate(fresh, device.spec).total_s
         if isinstance(C1, np.ndarray):
             assert np.array_equal(C1, C2)
         else:
@@ -236,9 +236,7 @@ def test_timing_memo_is_per_spec(matrix_suite):
     fmt = CSRFormat.from_csr(matrix_suite["power_law"])
     kernel = RowSplitCSRSpMM()
     v100 = SimulatedDevice()
-    slow = SimulatedDevice(
-        spec=v100.spec.with_overrides(mem_bandwidth_gbs=300.0), timing=v100.timing
-    )
+    slow = SimulatedDevice(spec=v100.spec.with_overrides(mem_bandwidth_gbs=300.0))
     t_v100 = kernel.measure(fmt, 64, v100).time_s
     t_slow = kernel.measure(fmt, 64, slow).time_s
     assert t_slow > t_v100

@@ -41,24 +41,19 @@ class TestRecording:
         )
 
 
+class _EightRecords(AttributionCollector):
+    CAPACITY = 8
+
+
 class TestReservoir:
     def test_bounded_and_deterministic(self):
-        a = AttributionCollector(capacity=8, seed=7)
-        b = AttributionCollector(capacity=8, seed=7)
+        a, b = _EightRecords(), _EightRecords()
         for c in (a, b):
             for i in range(200):
                 c.record(f"t{i}", {"compose": float(i)})
         assert a.count == b.count == 200
         assert len(a.records()) == 8
         assert a.records() == b.records()
-
-    def test_different_seed_different_sample(self):
-        a = AttributionCollector(capacity=8, seed=1)
-        b = AttributionCollector(capacity=8, seed=2)
-        for c in (a, b):
-            for i in range(200):
-                c.record(f"t{i}", {"compose": float(i)})
-        assert a.records() != b.records()
 
 
 class TestPercentileAttribution:

@@ -212,18 +212,21 @@ class TestHistogramPercentileBoundaries:
 
 
 class TestLatencySeriesReservoir:
-    def _series(self, n, seed=0, max_samples=64):
+    def _series(self, n):
         from repro.serve.metrics import LatencySeries
 
-        s = LatencySeries(max_samples=max_samples, seed=seed)
+        class Capped(LatencySeries):
+            MAX_SAMPLES = 64
+
+        s = Capped()
         rng = np.random.default_rng(99)
         for v in rng.exponential(5.0, size=n):
             s.add(float(v))
         return s
 
     def test_deterministic_under_fixed_seed(self):
-        a = self._series(5000, seed=3)
-        b = self._series(5000, seed=3)
+        a = self._series(5000)
+        b = self._series(5000)
         assert np.array_equal(a.values, b.values)
         assert a.summary() == b.summary()
 
@@ -238,6 +241,6 @@ class TestLatencySeriesReservoir:
         assert s.max == pytest.approx(values.max())
 
     def test_no_sampling_below_capacity(self):
-        s = self._series(50, max_samples=64)
+        s = self._series(50)
         assert len(s.values) == 50
         assert s.percentile(100) == pytest.approx(s.max)

@@ -172,7 +172,8 @@ class TestEmission:
 
     def test_tracer_span_emitted(self):
         tracer = Tracer()
-        engine = _engine(tracer=tracer)
+        engine = _engine()
+        engine.tracer = tracer
         for t in (0.0, 1.0, 2.0):
             engine.record(t, ok=False)
         spans = [s for s in tracer.spans if s.name == "slo_alert"]

@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve.metrics import DEFAULT_MAX_SAMPLES, LatencySeries, ServerMetrics
+from repro.serve.metrics import LatencySeries, ServerMetrics
+
+
+def _capped(max_samples: int) -> LatencySeries:
+    """A series whose reservoir holds ``max_samples`` values."""
+
+    class Capped(LatencySeries):
+        MAX_SAMPLES = max_samples
+
+    return Capped()
 
 
 class TestLatencySeriesBounded:
     def test_memory_is_bounded_under_sustained_traffic(self):
-        s = LatencySeries(max_samples=128)
+        s = _capped(128)
         for i in range(100_000):
             s.add(float(i % 1000))
         assert len(s.values) == 128  # reservoir, not an unbounded list
         assert len(s) == 100_000  # observation count stays exact
 
     def test_exact_below_capacity(self):
-        s = LatencySeries(max_samples=64)
+        s = _capped(64)
         data = np.random.default_rng(3).uniform(0, 10, size=50)
         for v in data:
             s.add(float(v))
@@ -25,7 +34,7 @@ class TestLatencySeriesBounded:
         assert s.max == pytest.approx(data.max())
 
     def test_mean_and_max_stay_exact_beyond_capacity(self):
-        s = LatencySeries(max_samples=32)
+        s = _capped(32)
         data = np.random.default_rng(4).uniform(0, 100, size=5000)
         for v in data:
             s.add(float(v))
@@ -33,7 +42,7 @@ class TestLatencySeriesBounded:
         assert s.max == pytest.approx(data.max())
 
     def test_reservoir_percentiles_track_distribution(self):
-        s = LatencySeries(max_samples=512)
+        s = _capped(512)
         data = np.random.default_rng(5).exponential(10.0, size=20_000)
         for v in data:
             s.add(float(v))
@@ -41,7 +50,7 @@ class TestLatencySeriesBounded:
         assert s.percentile(95) == pytest.approx(np.percentile(data, 95), rel=0.25)
 
     def test_deterministic_given_seed(self):
-        a, b = LatencySeries(seed=7, max_samples=16), LatencySeries(seed=7, max_samples=16)
+        a, b = _capped(16), _capped(16)
         for i in range(1000):
             a.add(float(i))
             b.add(float(i))
@@ -55,9 +64,11 @@ class TestLatencySeriesBounded:
         assert s.summary()["max"] == 2.0
 
     def test_default_capacity_and_validation(self):
-        assert LatencySeries().max_samples == DEFAULT_MAX_SAMPLES
-        with pytest.raises(ValueError):
-            LatencySeries(max_samples=0)
+        s = LatencySeries()
+        for i in range(LatencySeries.MAX_SAMPLES + 10):
+            s.add(float(i))
+        assert LatencySeries.MAX_SAMPLES == 4096
+        assert len(s.values) == LatencySeries.MAX_SAMPLES
 
 
 class TestServerMetricsRegistry:

@@ -324,15 +324,6 @@ class TestArrivalWorkload:
         gaps = np.diff([0.0, *a])
         assert 0.5 < gaps.mean() < 2.0
 
-    def test_burst_arrivals_share_timestamps(self):
-        spec = WorkloadSpec(
-            num_requests=32, num_matrices=3, max_rows=2000,
-            with_operands=False, arrival_rate_rps=1000.0,
-            arrival_process="burst", burst_size=8, seed=4,
-        )
-        times = [r.arrival_ms for r in generate_workload(spec)]
-        assert len(set(times)) == 4  # 32 requests / bursts of 8
-
     def test_arrivals_do_not_perturb_trace(self):
         base = WorkloadSpec(
             num_requests=40, num_matrices=4, max_rows=2000, seed=9,
@@ -348,7 +339,3 @@ class TestArrivalWorkload:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadSpec(arrival_rate_rps=0.0)
-        with pytest.raises(ValueError):
-            WorkloadSpec(arrival_process="uniform")
-        with pytest.raises(ValueError):
-            WorkloadSpec(burst_size=0)

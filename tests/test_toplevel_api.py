@@ -65,12 +65,41 @@ def _retired_options():
     schedule or policy a class reproduces (class attributes or module
     constants now)."""
     from repro import kernels
+    from repro.core import FormatSelector, LiteForm, PartitionPredictor
+    from repro.gpu import CacheModel, FaultPolicy, SimulatedDevice
+    from repro.gpu.microsim import DiscreteEventGPU
+    from repro.gpu.multi import MultiGPUSimulator, MultiGPUSpec
     from repro.kernels import sddmm, spmv
+    from repro.obs import AttributionCollector, SLOEngine
     from repro.serve import ClusterFrontend, FormatBandit, RetryPolicy, SpMMServer
+    from repro.serve.cluster import WindowedFrequencySketch
+    from repro.serve.metrics import LatencySeries
+    from repro.serve.workload import WorkloadSpec
 
     yield SpMMServer, ("overhead_ewma_alpha", "breaker_threshold")
+    yield SpMMServer, ("breaker_cooldown_s", "bandit_retrain_every")
     yield RetryPolicy, ("backoff_base_ms", "backoff_factor", "backoff_max_ms", "real_sleep")
-    yield ClusterFrontend, ("hot_window", "reroute_on_failure")
+    yield ClusterFrontend, ("hot_window", "reroute_on_failure", "hot_min_count")
+    # Server and scheduler options a shard now takes from ``make_shard``.
+    yield ClusterFrontend, (
+        "multi_spec", "device_factory", "cache_bytes_per_shard", "batch",
+        "max_wait_ms", "max_queue", "retry", "degrade_on_oom", "speculative",
+        "adaptive", "bandit_min_obs", "bandit_explore",
+    )
+    yield SimulatedDevice, ("timing",)
+    yield FaultPolicy, ("latency_spike_factor",)
+    yield CacheModel, ("l2_bytes",)
+    yield DiscreteEventGPU, ("compute_ipc",)
+    yield MultiGPUSpec, ("gpu", "interconnect_gbs", "collective_latency_us")
+    yield MultiGPUSimulator, ("devices",)
+    yield AttributionCollector, ("capacity", "seed")
+    yield SLOEngine, ("tracer",)
+    yield LatencySeries, ("max_samples", "seed")
+    yield WindowedFrequencySketch, ("window",)
+    yield WorkloadSpec, ("J_per_matrix", "gnn_names", "arrival_process", "burst_size")
+    yield LiteForm, ("device",)
+    yield FormatSelector, ("model",)
+    yield PartitionPredictor, ("model",)
     yield FormatBandit, ("decay", "prior_std_ms")
     for cls in (kernels.RowSplitCSRSpMM, kernels.SputnikSpMM, kernels.DgSparseSpMM):
         yield cls, ("rows_per_block", "row_overhead", "cache")
