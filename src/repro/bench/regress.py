@@ -11,8 +11,10 @@ regression, which is what the CI ``bench-gate`` job runs.
 Metric kinds and their comparison semantics (see docs/BENCHMARKS.md):
 
 ``wall``
-    Wall-clock milliseconds, median of ``repeats`` runs.  Lower is
-    better; noisy on shared CI runners, so the default band is wide.
+    Wall-clock milliseconds, median of ``repeats`` runs (of at least
+    ``MIN_WALL_ROUNDS`` rounds, each on fresh inputs, for the compose,
+    tune and kernel benchmarks).  Lower is better; noisy on shared CI
+    runners, so the default band is wide.
 ``virtual``
     Deterministic modeled quantities (simulator time).  Any drift beyond
     float noise means the cost/timing model changed — tight band, both
@@ -34,6 +36,7 @@ import platform
 import subprocess
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -44,7 +47,7 @@ from repro.bench.reference import reference_compose_cell
 from repro.bench.reporting import geomean
 from repro.core.bucket_search import build_buckets
 from repro.core.cost_model import matrix_cost_profiles
-from repro.core.pipeline import LiteForm
+from repro.core.pipeline import LiteForm, compose_cell_plan
 from repro.core.training import generate_training_data
 from repro.formats.cell import CELLFormat, split_csr
 from repro.gpu.device import SimulatedDevice
@@ -72,6 +75,17 @@ SUITE_MAX_ROWS = 8000
 SUITE_SEED = 7
 SUITE_J = 128
 KERNEL_J = 32
+
+#: Partitions and workers of the pooled compose benchmark.
+PARALLEL_PARTITIONS = 4
+PARALLEL_WORKERS = 4
+#: Partitions and update steps of the incremental compose benchmark.
+INCREMENTAL_PARTITIONS = 8
+INCREMENTAL_STEPS = 6
+
+#: Floor on the rounds of :func:`_sample_walls` behind each wall metric of
+#: the compose, tune and kernel benchmarks.
+MIN_WALL_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -180,19 +194,161 @@ def _format_checksum(formats: list[CELLFormat]) -> float:
     return float(col_sum % (1 << 31)) + float(row_sum % (1 << 20)) + val_sum + buckets
 
 
-def _bench_compose(entries, repeats: int) -> Iterator[Metric]:
+#: A timed job: called untimed, it builds fresh inputs and returns the
+#: thunk :func:`_sample_walls` times.
+Job = Callable[[], Callable[[], object]]
+
+
+def _sample_walls(jobs: dict[str, Job], rounds: int) -> dict[str, np.ndarray]:
+    """Time every job once per round, the rounds cycling through all jobs,
+    and return each job's per-round walls in ms.
+
+    A median over back-to-back repeats on the same inputs misses the two
+    largest noise sources on a shared runner: where the inputs sit in
+    memory (on a 2-vCPU VM one build of the kernel inputs ran at 14 ms,
+    the next at 26 ms, every repeat alike) and load that shifts over
+    seconds.  Fresh inputs per round and samples spread over the whole
+    suite let the median see both."""
+    walls: dict[str, list[float]] = {name: [] for name in jobs}
+    for _ in range(rounds):
+        for name, job in jobs.items():
+            run = job()
+            t0 = time.perf_counter()
+            run()
+            walls[name].append((time.perf_counter() - t0) * 1e3)
+    return {name: np.asarray(w) for name, w in walls.items()}
+
+
+def _fresh_matrices(entries) -> list:
+    return [e.matrix.copy() for e in entries]
+
+
+def _parallel_pool():
+    from repro.core.parallel import PoolSpec
+
+    return PoolSpec(workers=PARALLEL_WORKERS, kind="thread")
+
+
+def _incremental_stream():
+    """Seeded row-update stream over a banded matrix: ``(A0, [(rows, A)])``."""
+    from repro.matrices.generators import banded_matrix, random_row_update
+
+    A0 = banded_matrix(4000, 24, fill=0.6, seed=SUITE_SEED)
+    rng = np.random.default_rng(SUITE_SEED)
+    stream = []
+    A = A0
+    for _ in range(INCREMENTAL_STEPS):
+        rows, A = random_row_update(A, rng, num_rows=3, band=24)
+        stream.append((rows, A))
+    return A0, stream
+
+
+def _run_patch(A0, stream):
+    """Compose ``A0`` once and patch it along ``stream``: (plan, rebuilt)."""
+    rebuilt = 0
+    plan = compose_cell_plan(A0, INCREMENTAL_PARTITIONS, SUITE_J)
+    for rows, B in stream:
+        plan = plan.patch_rows(B, rows)
+        rebuilt += len(plan.incremental.patched)
+    return plan, rebuilt
+
+
+def _run_full(A0, stream):
+    """Recompose from scratch after every update of ``stream``."""
+    plan = compose_cell_plan(A0, INCREMENTAL_PARTITIONS, SUITE_J)
+    for _, B in stream:
+        plan = compose_cell_plan(B, INCREMENTAL_PARTITIONS, SUITE_J)
+    return plan
+
+
+def _tune_all(matrices) -> int:
+    evals = 0
+    for A in matrices:
+        for P in (1, 4):
+            for prof in matrix_cost_profiles(A, P):
+                if prof.num_nonempty_rows:
+                    evals += build_buckets(prof, SUITE_J, num_partitions=P).evaluations
+    return evals
+
+
+def _kernel_pairs(matrices) -> list[tuple[CELLFormat, np.ndarray]]:
+    rng = np.random.default_rng(3)
+    return [
+        (
+            _tuned_compose(A, 1),
+            rng.standard_normal((A.shape[1], KERNEL_J)).astype(np.float32),
+        )
+        for A in matrices
+    ]
+
+
+def _execute_all(kernel: CELLSpMM, pairs) -> list[np.ndarray]:
+    return [kernel.execute(fmt, B) for fmt, B in pairs]
+
+
+def _wall_jobs(entries, A0, stream) -> dict[str, Job]:
+    """The timed jobs of the compose, parallel, incremental, tune and
+    kernel benchmarks.  A compose job and its reference, and the patch and
+    full jobs, sit next to each other, so each round's ratio compares two
+    back-to-back runs."""
+    from repro.core.parallel import compose_partitions
+
+    def compose(P):
+        mats = _fresh_matrices(entries)
+        return lambda: [_tuned_compose(A, P) for A in mats]
+
+    def reference(P):
+        mats = _fresh_matrices(entries)
+        return lambda: [reference_compose_cell(A, P, SUITE_J) for A in mats]
+
+    def parallel():
+        mats, pool = _fresh_matrices(entries), _parallel_pool()
+        return lambda: [
+            compose_partitions(A, PARALLEL_PARTITIONS, SUITE_J, pool=pool)
+            for A in mats
+        ]
+
+    def fresh_stream():
+        return A0.copy(), [(rows, B.copy()) for rows, B in stream]
+
+    def patch():
+        return partial(_run_patch, *fresh_stream())
+
+    def full():
+        return partial(_run_full, *fresh_stream())
+
+    def tune():
+        return partial(_tune_all, _fresh_matrices(entries))
+
+    def kernel():
+        run = partial(_execute_all, CELLSpMM(), _kernel_pairs(_fresh_matrices(entries)))
+        run()  # warm up before timing
+        return run
+
+    jobs: dict[str, Job] = {}
+    for P in COMPOSE_PARTITIONS:
+        jobs[f"compose.P{P}"] = partial(compose, P)
+        jobs[f"compose.P{P}.reference"] = partial(reference, P)
+    jobs["compose.parallel"] = parallel
+    jobs["compose.incremental.patch"] = patch
+    jobs["compose.incremental.full"] = full
+    jobs["tune"] = tune
+    jobs["kernel.execute"] = kernel
+    return jobs
+
+
+def _median_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Median of the per-round ratios ``num / den``."""
+    return float(np.median(num / np.maximum(den, 1e-9)))
+
+
+def _bench_compose(entries, walls: dict[str, np.ndarray]) -> Iterator[Metric]:
     speedups = []
     for P in COMPOSE_PARTITIONS:
-        wall_vec = _median_wall_ms(
-            lambda: [_tuned_compose(e.matrix, P) for e in entries], repeats
-        )
-        wall_ref = _median_wall_ms(
-            lambda: [reference_compose_cell(e.matrix, P, SUITE_J) for e in entries],
-            repeats,
-        )
-        speedup = wall_ref / max(wall_vec, 1e-9)
+        vec = walls[f"compose.P{P}"]
+        speedup = _median_ratio(walls[f"compose.P{P}.reference"], vec)
         speedups.append(speedup)
-        yield Metric(f"compose.P{P}.wall_ms", wall_vec, "wall", "ms")
+        yield Metric(f"compose.P{P}.wall_ms", float(np.median(vec)), "wall", "ms")
         yield Metric(f"compose.P{P}.speedup_vs_reference", speedup, "ratio", "x")
     yield Metric("compose.speedup_geomean", float(geomean(speedups)), "ratio", "x")
 
@@ -207,7 +363,9 @@ def _bench_compose(entries, repeats: int) -> Iterator[Metric]:
     )
 
 
-def _bench_parallel(entries, repeats: int) -> Iterator[Metric]:
+def _bench_parallel(
+    entries, repeats: int, walls: dict[str, np.ndarray]
+) -> Iterator[Metric]:
     """Partition-pool compose fan-out: pooled wall time, LPT-modeled
     speedup at 4 workers, and a bit-identity checksum.
 
@@ -215,34 +373,33 @@ def _bench_parallel(entries, repeats: int) -> Iterator[Metric]:
     times scheduled LPT onto 4 workers), not measured thread speedup —
     wall-clock parallel efficiency on an oversubscribed CI runner is
     noise, while the model is as deterministic as the wall-time band."""
-    from repro.core.parallel import PoolSpec, compose_partitions, lpt_makespan
+    from repro.core.parallel import compose_partitions, lpt_makespan
 
-    P = 4
-    pool = PoolSpec(workers=4, kind="thread")
-    wall_pool = _median_wall_ms(
-        lambda: [
-            compose_partitions(e.matrix, P, SUITE_J, pool=pool) for e in entries
-        ],
-        repeats,
+    P = PARALLEL_PARTITIONS
+    pool = _parallel_pool()
+    yield Metric(
+        "compose.parallel.wall_ms",
+        float(np.median(walls["compose.parallel"])),
+        "wall",
+        "ms",
     )
-    yield Metric("compose.parallel.wall_ms", wall_pool, "wall", "ms")
     # De-jitter the model input: a single descheduled partition task can
     # balloon one wall and drag the modeled speedup toward 1, so take the
     # per-task minimum over a few serial runs before scheduling LPT.
-    walls: list[np.ndarray] = []
+    task_walls: list[np.ndarray] = []
     for _ in range(max(repeats, 3)):
         fans = [compose_partitions(e.matrix, P, SUITE_J) for e in entries]
         run_walls = [np.asarray(f.task_walls, dtype=np.float64) for f in fans]
-        walls = (
+        task_walls = (
             run_walls
-            if not walls
-            else [np.minimum(a, b) for a, b in zip(walls, run_walls)]
+            if not task_walls
+            else [np.minimum(a, b) for a, b in zip(task_walls, run_walls)]
         )
     speedups = [
         float(w.sum()) / max(lpt_makespan(w.tolist(), pool.workers), 1e-12)
         if w.sum() > 0.0
         else 1.0
-        for w in walls
+        for w in task_walls
     ]
     yield Metric(
         "compose.parallel.speedup_model_w4",
@@ -262,7 +419,7 @@ def _bench_parallel(entries, repeats: int) -> Iterator[Metric]:
     )
 
 
-def _bench_incremental(repeats: int) -> Iterator[Metric]:
+def _bench_incremental(A0, stream, walls: dict[str, np.ndarray]) -> Iterator[Metric]:
     """Delta patching vs. full recompose on a seeded row-update stream.
 
     Banded matrices keep each row inside one or two column partitions,
@@ -270,92 +427,51 @@ def _bench_incremental(repeats: int) -> Iterator[Metric]:
     partitions — the case ``patch_rows`` exists for.  The rebuilt count
     and the final structure checksum are exact (seeded updates); the
     patch/full ratio is machine-relative."""
-    from repro.core.pipeline import compose_cell_plan
-    from repro.matrices.generators import banded_matrix, random_row_update
-
-    P = 8
-    steps = 6
-    A0 = banded_matrix(4000, 24, fill=0.6, seed=SUITE_SEED)
-    rng = np.random.default_rng(SUITE_SEED)
-    stream = []
-    A = A0
-    for _ in range(steps):
-        rows, A = random_row_update(A, rng, num_rows=3, band=24)
-        stream.append((rows, A))
-
-    rebuilt = 0
-    final_fmt = None
-
-    def run_patch():
-        nonlocal rebuilt, final_fmt
-        rebuilt = 0
-        plan = compose_cell_plan(A0, P, SUITE_J)
-        for rows, B in stream:
-            plan = plan.patch_rows(B, rows)
-            rebuilt += len(plan.incremental.patched)
-        final_fmt = plan.fmt
-        return plan
-
-    def run_full():
-        plan = compose_cell_plan(A0, P, SUITE_J)
-        for _, B in stream:
-            plan = compose_cell_plan(B, P, SUITE_J)
-        return plan
-
-    # Median-of-3 floor: the patch/full ratio gate divides two small
-    # walls, so a single-sample measurement is too jitter-prone.
-    wall_patch = _median_wall_ms(run_patch, max(repeats, 3))
-    wall_full = _median_wall_ms(run_full, max(repeats, 3))
-    yield Metric("compose.incremental.patch.wall_ms", wall_patch, "wall", "ms")
-    yield Metric("compose.incremental.full.wall_ms", wall_full, "wall", "ms")
+    wall_patch = walls["compose.incremental.patch"]
+    wall_full = walls["compose.incremental.full"]
+    yield Metric(
+        "compose.incremental.patch.wall_ms", float(np.median(wall_patch)), "wall", "ms"
+    )
+    yield Metric(
+        "compose.incremental.full.wall_ms", float(np.median(wall_full)), "wall", "ms"
+    )
     yield Metric(
         "compose.incremental.speedup_vs_full",
-        wall_full / max(wall_patch, 1e-9),
+        _median_ratio(wall_full, wall_patch),
         "ratio",
         "x",
     )
+    plan, rebuilt = _run_patch(A0, stream)
     yield Metric(
         "compose.incremental.partitions_rebuilt", float(rebuilt), "exact"
     )
-    assert final_fmt is not None
     yield Metric(
         "compose.incremental.structure_checksum",
-        _format_checksum([final_fmt]),
+        _format_checksum([plan.fmt]),
         "exact",
         tol=1e-9,
     )
 
 
-def _bench_tune(entries, repeats: int) -> Iterator[Metric]:
-    def tune_all():
-        evals = 0
-        for e in entries:
-            for P in (1, 4):
-                for prof in matrix_cost_profiles(e.matrix, P):
-                    if prof.num_nonempty_rows:
-                        r = build_buckets(prof, SUITE_J, num_partitions=P)
-                        evals += r.evaluations
-        return evals
-
-    yield Metric("tune.wall_ms", _median_wall_ms(tune_all, repeats), "wall", "ms")
-    yield Metric("tune.evaluations", float(tune_all()), "exact")
+def _bench_tune(entries, walls: dict[str, np.ndarray]) -> Iterator[Metric]:
+    yield Metric("tune.wall_ms", float(np.median(walls["tune"])), "wall", "ms")
+    yield Metric(
+        "tune.evaluations", float(_tune_all(e.matrix for e in entries)), "exact"
+    )
 
 
-def _bench_kernel(entries, repeats: int) -> Iterator[Metric]:
+def _bench_kernel(entries, walls: dict[str, np.ndarray]) -> Iterator[Metric]:
+    yield Metric(
+        "kernel.execute.wall_ms",
+        float(np.median(walls["kernel.execute"])),
+        "wall",
+        "ms",
+    )
     kernel = CELLSpMM()
-    rng = np.random.default_rng(3)
-    pairs = []
-    for e in entries:
-        fmt = _tuned_compose(e.matrix, 1)
-        B = rng.standard_normal((e.matrix.shape[1], KERNEL_J)).astype(np.float32)
-        pairs.append((fmt, B))
-
-    def run_all():
-        return [kernel.execute(fmt, B) for fmt, B in pairs]
-
-    run_all()  # warm up before timing
-    yield Metric("kernel.execute.wall_ms", _median_wall_ms(run_all, repeats), "wall", "ms")
-    checksum = float(sum(float(C.astype(np.float64).sum()) for C in run_all()))
+    pairs = _kernel_pairs([e.matrix for e in entries])
+    checksum = float(
+        sum(float(C.astype(np.float64).sum()) for C in _execute_all(kernel, pairs))
+    )
     yield Metric("kernel.execute.checksum", checksum, "exact", tol=1e-9)
 
     device = SimulatedDevice()
@@ -653,12 +769,16 @@ def run_suite(repeats: int = 3, include_serve: bool = True) -> dict:
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     entries = _suite_entries()
+    A0, stream = _incremental_stream()
+    walls = _sample_walls(
+        _wall_jobs(entries, A0, stream), max(repeats, MIN_WALL_ROUNDS)
+    )
     metrics: list[Metric] = []
-    metrics.extend(_bench_compose(entries, repeats))
-    metrics.extend(_bench_parallel(entries, repeats))
-    metrics.extend(_bench_incremental(repeats))
-    metrics.extend(_bench_tune(entries, repeats))
-    metrics.extend(_bench_kernel(entries, repeats))
+    metrics.extend(_bench_compose(entries, walls))
+    metrics.extend(_bench_parallel(entries, repeats, walls))
+    metrics.extend(_bench_incremental(A0, stream, walls))
+    metrics.extend(_bench_tune(entries, walls))
+    metrics.extend(_bench_kernel(entries, walls))
     if include_serve:
         metrics.extend(_bench_serve(repeats))
         metrics.extend(_bench_adaptive(repeats))
