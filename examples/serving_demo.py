@@ -22,6 +22,7 @@ Run:  python examples/serving_demo.py
 from pathlib import Path
 
 from repro.core import LiteForm, generate_training_data
+from repro.gpu import SimulatedDevice
 from repro.matrices import SuiteSparseLikeCollection
 from repro.obs import tracing
 from repro.serve import PlanCache, SpMMServer, WorkloadSpec, generate_workload
@@ -44,7 +45,9 @@ def main() -> None:
         J_choices=(32, 64, 128), max_rows=2_500, seed=7,
     )
     server = SpMMServer(
-        liteform=lf, cache=PlanCache(max_bytes=128 * 2**20), num_devices=2
+        liteform=lf,
+        cache=PlanCache(max_bytes=128 * 2**20),
+        devices=[SimulatedDevice(), SimulatedDevice()],
     )
     with tracing() as tracer:
         server.replay(generate_workload(spec))

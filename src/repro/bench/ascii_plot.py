@@ -12,12 +12,6 @@ import math
 import numpy as np
 
 
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
-    return [10.0**e for e in range(lo_e, hi_e + 1)]
-
-
 def scatter(
     x,
     y,

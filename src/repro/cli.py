@@ -325,7 +325,8 @@ def _faults(args) -> bool:
 
 def _device_factory(args):
     """``device_factory(shard_index, device_index)`` for the fault and
-    drift flags (None without them).  A single node uses shard 0's."""
+    drift flags (plain simulated devices without them).  A single node
+    uses shard 0's."""
     if _faults(args):
         from repro.gpu.faults import FaultPolicy, FaultyDevice
 
@@ -358,7 +359,7 @@ def _device_factory(args):
             slowdown=args.drift_slowdown,
             shift_after_launches=args.drift_after,
         )
-    return None
+    return lambda shard, device: SimulatedDevice()
 
 
 def _build_surface(args, lf: LiteForm, registry: MetricsRegistry | None = None):
@@ -380,8 +381,7 @@ def _build_surface(args, lf: LiteForm, registry: MetricsRegistry | None = None):
         server = SpMMServer(
             liteform=lf,
             cache=PlanCache(max_bytes=int(args.cache_mb * 2**20)),
-            num_devices=args.devices,
-            devices=None if factory is None else [factory(index, d) for d in range(args.devices)],
+            devices=[factory(index, d) for d in range(args.devices)],
             bandit=_make_bandit(args, index),
             metrics=ServerMetrics(registry=MetricsRegistry() if args.shards else registry),
             retry=RetryPolicy(max_attempts=args.retries),
@@ -587,7 +587,7 @@ def cmd_bench(args) -> int:
         write_snapshot,
     )
 
-    snapshot = run_suite(repeats=args.repeats, include_serve=not args.no_serve)
+    snapshot = run_suite(include_serve=not args.no_serve)
     out_dir = Path(args.out) if args.out else Path(".")
     snap_path = write_snapshot(snapshot, out_dir / snapshot_filename(git_rev()))
     if args.json:
@@ -808,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="baseline snapshot path (default benchmarks/baseline.json)")
     sp.add_argument("--out", metavar="DIR",
                     help="directory for the fresh BENCH_<rev>.json (default .)")
-    sp.add_argument("--repeats", type=int, default=3,
-                    help="wall-time repetitions per benchmark; median wins")
     sp.add_argument("--no-serve", action="store_true",
                     help="skip the serving-replay benchmarks (fastest mode)")
     sp.add_argument("--json", action="store_true", help="print the snapshot as JSON")

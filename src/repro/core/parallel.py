@@ -180,10 +180,6 @@ class FanoutResult:
         return [o.partition for o in self.outcomes]
 
     @property
-    def results(self) -> list[BucketSearchResult | None]:
-        return [o.result for o in self.outcomes]
-
-    @property
     def widths(self) -> list[int]:
         return [o.width for o in self.outcomes]
 

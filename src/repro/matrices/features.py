@@ -80,12 +80,3 @@ def partition_features(A: sp.csr_matrix, J: int) -> np.ndarray:
             float(A.shape[1] * J),
         ]
     )
-
-
-def feature_matrix(
-    matrices: list[sp.csr_matrix],
-    extractor=format_selection_features,
-    **kwargs,
-) -> np.ndarray:
-    """Stack an extractor over a list of matrices into an (n, d) array."""
-    return np.vstack([extractor(A, **kwargs) for A in matrices])

@@ -17,6 +17,7 @@ latencies) so ``cli stats`` can render a Prometheus-style exposition.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, fields
 from functools import cache
 
@@ -44,7 +45,7 @@ class LatencySeries:
 
     def __init__(self, unit: str = "ms"):
         self.unit = unit
-        self._rng = np.random.default_rng(0)
+        self._rng = random.Random(0)
         self._values: list[float] = []
         self._count = 0
         self._sum = 0.0
@@ -61,7 +62,7 @@ class LatencySeries:
         else:
             # Algorithm R: keep each of the _count observations with
             # probability MAX_SAMPLES / _count.
-            j = int(self._rng.integers(0, self._count))
+            j = self._rng.randrange(self._count)
             if j < self.MAX_SAMPLES:
                 self._values[j] = value
 

@@ -361,8 +361,8 @@ class SpMMServer(ServingSurface):
 
     liteform: LiteForm
     cache: PlanCache = field(default_factory=PlanCache)
+    #: The device pool; ``None`` serves on one :class:`SimulatedDevice`.
     devices: list[SimulatedDevice] | None = None
-    num_devices: int = 1
     metrics: ServerMetrics = field(default_factory=ServerMetrics)
     #: Bounded-retry policy for transient execution faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -387,9 +387,7 @@ class SpMMServer(ServingSurface):
     def __post_init__(self) -> None:
         super().__init__()
         if self.devices is None:
-            if self.num_devices < 1:
-                raise ValueError(f"num_devices must be >= 1, got {self.num_devices}")
-            self.devices = [SimulatedDevice() for _ in range(self.num_devices)]
+            self.devices = [SimulatedDevice()]
         if not self.devices:
             raise ValueError("device pool must not be empty")
         self._slots = [

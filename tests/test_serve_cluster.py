@@ -400,7 +400,9 @@ class TestShardFactory:
         fe = ClusterFrontend(
             liteform,
             num_shards=1,
-            make_shard=lambda index: SpMMServer(liteform=liteform, num_devices=2),
+            make_shard=lambda index: SpMMServer(
+                liteform=liteform, devices=[SimulatedDevice(), SimulatedDevice()]
+            ),
         )
         responses = [fe.serve(r) for r in _requests(_matrices(3), 6)]
         kernel_ms = sum(r.measurement.time_ms for r in responses)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.core import LiteForm, generate_training_data
 from repro.formats.base import as_csr
+from repro.gpu import SimulatedDevice
 from repro.kernels import spmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.obs import tracing
@@ -174,7 +175,9 @@ class TestAdmissionControl:
 
 class TestDevicePool:
     def test_requests_spread_over_devices(self, liteform):
-        server = SpMMServer(liteform=liteform, num_devices=3)
+        server = SpMMServer(
+            liteform=liteform, devices=[SimulatedDevice() for _ in range(3)]
+        )
         for seed in range(6):
             server.serve(_request(seed=seed, n=300))
         counts = [s["requests"] for s in server.snapshot()["devices"]]
@@ -183,7 +186,7 @@ class TestDevicePool:
 
     def test_rejects_empty_pool(self, liteform):
         with pytest.raises(ValueError):
-            SpMMServer(liteform=liteform, num_devices=0)
+            SpMMServer(liteform=liteform, devices=[])
 
 
 class TestMetricsSnapshot:

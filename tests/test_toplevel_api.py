@@ -78,6 +78,8 @@ def _retired_options():
 
     yield SpMMServer, ("overhead_ewma_alpha", "breaker_threshold")
     yield SpMMServer, ("breaker_cooldown_s", "bandit_retrain_every")
+    # the pool size is the length of ``devices``
+    yield SpMMServer, ("num_devices",)
     yield RetryPolicy, ("backoff_base_ms", "backoff_factor", "backoff_max_ms", "real_sleep")
     yield ClusterFrontend, ("hot_window", "reroute_on_failure", "hot_min_count")
     # Server and scheduler options a shard now takes from ``make_shard``.
