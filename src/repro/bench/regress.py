@@ -76,14 +76,15 @@ SUITE_SEED = 7
 SUITE_J = 128
 KERNEL_J = 32
 
-#: Partitions and workers of the pooled compose benchmark.
+#: Partitions of the per-partition compose fan-out benchmark, and the
+#: worker count its LPT speedup model schedules the partition tasks onto.
 PARALLEL_PARTITIONS = 4
 PARALLEL_WORKERS = 4
 #: Partitions and update steps of the incremental compose benchmark.
 INCREMENTAL_PARTITIONS = 8
 INCREMENTAL_STEPS = 6
 
-#: Serial runs whose per-task minimum feeds the pooled compose model.
+#: Runs whose per-task minimum feeds the fan-out's speedup model.
 PARALLEL_MODEL_RUNS = 3
 
 #: Rounds of :func:`_sample_walls` behind every wall metric.
@@ -259,12 +260,6 @@ def _fresh_matrices(entries) -> list:
     return [e.matrix.copy() for e in entries]
 
 
-def _parallel_pool():
-    from repro.core.parallel import PoolSpec
-
-    return PoolSpec(workers=PARALLEL_WORKERS, kind="thread")
-
-
 def _incremental_stream():
     """Seeded row-update stream over a banded matrix: ``(A0, [(rows, A)])``."""
     from repro.matrices.generators import banded_matrix, random_row_update
@@ -338,10 +333,9 @@ def _wall_jobs(entries, A0, stream) -> dict[str, Job]:
         return lambda: [reference_compose_cell(A, P, SUITE_J) for A in mats]
 
     def parallel():
-        mats, pool = _fresh_matrices(entries), _parallel_pool()
+        mats = _fresh_matrices(entries)
         return lambda: [
-            compose_partitions(A, PARALLEL_PARTITIONS, SUITE_J, pool=pool)
-            for A in mats
+            compose_partitions(A, PARALLEL_PARTITIONS, SUITE_J) for A in mats
         ]
 
     def fresh_stream():
@@ -511,14 +505,15 @@ def _bench_compose(samples: dict[str, Sample]) -> Iterator[Metric]:
 
 
 def _bench_parallel(entries, samples: dict[str, Sample]) -> Iterator[Metric]:
-    """Partition-pool compose fan-out: LPT-modeled speedup at 4 workers
-    and a bit-identity checksum.
+    """Per-partition compose fan-out: LPT-modeled speedup at 4 workers
+    and a structure checksum of the composed formats.
 
-    The speedup gate is *modeled* (serial-measured per-partition task
-    times scheduled LPT onto 4 workers), not measured thread speedup —
+    The speedup gate is *modeled* (measured per-partition task times
+    scheduled LPT onto 4 workers), not a measured thread speedup —
     wall-clock parallel efficiency on an oversubscribed CI runner is
     noise, while the model is as deterministic as the wall-time band."""
-    from repro.core.parallel import compose_partitions, lpt_makespan
+    from repro.core.parallel import compose_partitions
+    from repro.gpu.executor import schedule
 
     # De-jitter the model input: a single descheduled partition task can
     # balloon one wall and drag the modeled speedup toward 1, so take the
@@ -533,7 +528,8 @@ def _bench_parallel(entries, samples: dict[str, Sample]) -> Iterator[Metric]:
             else [np.minimum(a, b) for a, b in zip(task_walls, run_walls)]
         )
     speedups = [
-        float(w.sum()) / max(lpt_makespan(w.tolist(), PARALLEL_WORKERS), 1e-12)
+        float(w.sum())
+        / max(schedule(w, PARALLEL_WORKERS, lpt=True).makespan, 1e-12)
         if w.sum() > 0.0
         else 1.0
         for w in task_walls

@@ -5,8 +5,6 @@ Commands
 ``compose``
     Compose a format for a Matrix Market file (or a named synthetic
     workload) and print the plan plus simulated SpMM performance.
-    ``--pool thread --workers 4`` fans the per-partition compose out over
-    a worker pool (bit-identical to serial; see docs/COMPOSE.md).
 ``compare``
     Run every baseline system on the input and print a Figure 6-style row.
 ``train``
@@ -80,7 +78,6 @@ import numpy as np
 
 from repro.baselines import FIG6_BASELINES, LiteFormBaseline, make_baseline
 from repro.core import LiteForm, generate_training_data
-from repro.core.parallel import POOL_KINDS, PoolSpec
 from repro.core.persistence import load_liteform, save_liteform
 from repro.formats import (
     BCSRFormat,
@@ -208,8 +205,6 @@ def _save_bandit(args, surface) -> None:
 def cmd_compose(args) -> int:
     A = _load_matrix(args.matrix)
     lf = _get_liteform(args)
-    if args.pool != "serial":
-        lf.pool = PoolSpec(workers=args.workers, kind=args.pool)
     with _maybe_trace(args):
         tracer = get_tracer()
         with tracer.span("compose", matrix=args.matrix):
@@ -587,6 +582,11 @@ def cmd_bench(args) -> int:
         write_snapshot,
     )
 
+    baseline_path = Path(args.baseline) if args.baseline else default_baseline_path()
+    if args.check and not args.update_baseline and not baseline_path.exists():
+        print(f"error: baseline {baseline_path} not found "
+              f"(run with --update-baseline first)", file=sys.stderr)
+        return 2
     snapshot = run_suite(include_serve=not args.no_serve)
     out_dir = Path(args.out) if args.out else Path(".")
     snap_path = write_snapshot(snapshot, out_dir / snapshot_filename(git_rev()))
@@ -598,16 +598,11 @@ def cmd_bench(args) -> int:
             print(f"{name:<{width}}  {m['value']:12.6g} {m['unit']:<3} [{m['kind']}]")
         print(f"snapshot: {snap_path}", file=sys.stderr)
 
-    baseline_path = Path(args.baseline) if args.baseline else default_baseline_path()
     if args.update_baseline:
         write_snapshot(snapshot, baseline_path)
         print(f"baseline updated: {baseline_path}", file=sys.stderr)
         return 0
     if args.check:
-        if not baseline_path.exists():
-            print(f"error: baseline {baseline_path} not found "
-                  f"(run with --update-baseline first)", file=sys.stderr)
-            return 2
         try:
             baseline = load_snapshot(baseline_path)
             report = compare_snapshots(baseline, snapshot)
@@ -636,11 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compose", help="compose a format with LiteForm")
     add_common(sp)
-    sp.add_argument("--pool", choices=POOL_KINDS, default="serial",
-                    help="fan the per-partition compose out over a worker "
-                         "pool (bit-identical to serial)")
-    sp.add_argument("--workers", type=int, default=4,
-                    help="worker count when --pool is not serial")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     add_trace(sp)
     sp.set_defaults(func=cmd_compose)

@@ -27,9 +27,7 @@ from repro.core.cost_model import (
 from repro.core.parallel import (
     FanoutResult,
     PartitionOutcome,
-    PoolSpec,
     compose_partitions,
-    lpt_makespan,
 )
 from repro.core.partition_model import PARTITION_CANDIDATES, PartitionPredictor
 from repro.core.pipeline import (
@@ -59,11 +57,9 @@ __all__ = [
     "FormatSelector",
     "PartitionPredictor",
     "PARTITION_CANDIDATES",
-    "PoolSpec",
     "FanoutResult",
     "PartitionOutcome",
     "compose_partitions",
-    "lpt_makespan",
     "LiteForm",
     "ComposePlan",
     "IncrementalState",

@@ -77,7 +77,7 @@ def tune_partition(
 
     Returns ``(result, width)`` where ``result`` is ``None`` and ``width``
     is 1 for a partition with no stored elements — the exact convention the
-    serial pipeline, the partition pool, and ``patch_rows`` all share, so
+    compose fan-out, the reference builds, and ``patch_rows`` all share, so
     every path computes identical widths and identical ``predicted_cost``
     accumulation inputs.
     """

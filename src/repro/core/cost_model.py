@@ -339,7 +339,7 @@ def partition_profile(
 ) -> PartitionCostProfile:
     """Cost profile of one partition of a :func:`split_csr` result.
 
-    The unit the partition pool and ``patch_rows`` rebuild independently —
+    The unit the compose fan-out and ``patch_rows`` rebuild independently —
     partition ``p``'s profile reads only column ``p`` of the cells arrays
     plus the shared parent ``indices``, never its siblings.
     """

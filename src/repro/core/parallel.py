@@ -1,4 +1,4 @@
-"""Partition-pool parallel compose (ROADMAP: "Parallel and incremental
+"""Per-partition compose fan-out (ROADMAP: "Parallel and incremental
 compose").
 
 :func:`repro.formats.cell.split_csr` carves a CSR matrix into column
@@ -6,35 +6,25 @@ partitions that never share state afterwards: each partition's cost
 profile, width search, and bucket build read only that partition's
 ``(counts, starts)`` cells plus the (immutable) parent ``indices``/``data``
 arrays.  That makes the per-partition stages of
-:meth:`repro.core.pipeline.LiteForm.compose_csr` embarrassingly parallel —
-the same shape of parallelism SparseTIR's composable kernels exploit on
-the device side, applied here to *construction*.
+:meth:`repro.core.pipeline.LiteForm.compose_csr` independent tasks — the
+same shape of parallelism SparseTIR's composable kernels exploit on the
+device side, applied here to *construction*.
 
-This module fans those stages out over a configurable pool:
-
-* :class:`PoolSpec` — ``kind`` in ``{"serial", "thread", "process"}`` plus
-  a worker count.  ``serial`` runs the identical task function inline and
-  is the reference the pooled paths are bit-compared against.
 * :func:`compose_partitions` — one task per partition (profile -> width
-  search -> bucket build), results re-assembled in partition order so the
-  float accumulation of ``predicted_cost`` is *bit-identical* to the
-  serial pipeline, returned as a :class:`FanoutResult`.
-* :func:`lpt_makespan` / :meth:`FanoutResult.modeled_speedup` — a
-  deterministic longest-processing-time schedule model over the measured
-  per-partition task times, used by the ``compose.parallel.*`` bench gate
-  (wall-clock thread speedups are hostage to the GIL and CI noise; the
-  critical-path model is reproducible and is what the regression baseline
-  pins).
-
-The task function is module-level and its process-pool payload is
-compacted (per-partition gathers of ``indices``/``data``) so it pickles
-without shipping the whole parent matrix to every worker.
+  search -> bucket build), run inline in partition order (which fixes the
+  float accumulation order of ``predicted_cost``), returned as a
+  :class:`FanoutResult` with each task's measured tune/build times.
+* :meth:`FanoutResult.modeled_speedup` — a deterministic
+  longest-processing-time schedule (:func:`repro.gpu.executor.schedule`)
+  over those task times, used by the ``compose.parallel.*`` bench gate.
+  The tasks run serially: a thread or process pool never beat the inline
+  loop on the bench input (the work holds the GIL for much of its time),
+  so the parallel speedup is modeled rather than measured.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,37 +33,7 @@ import scipy.sparse as sp
 from repro.core.bucket_search import BucketSearchResult, tune_partition
 from repro.core.cost_model import PartitionCostProfile
 from repro.formats.cell import CELLFormat, Partition, split_csr
-
-POOL_KINDS = ("serial", "thread", "process")
-
-
-@dataclass(frozen=True)
-class PoolSpec:
-    """How to fan compose work out over partitions.
-
-    ``workers`` is the pool size; ``kind`` selects inline execution
-    (``"serial"``), a :class:`~concurrent.futures.ThreadPoolExecutor`
-    (``"thread"`` — the default; the hot loops release the GIL inside
-    NumPy), or a :class:`~concurrent.futures.ProcessPoolExecutor`
-    (``"process"`` — pays a per-partition pickling cost, worthwhile only
-    for very large matrices).
-    """
-
-    workers: int = 4
-    kind: str = "thread"
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.kind not in POOL_KINDS:
-            raise ValueError(
-                f"kind must be one of {POOL_KINDS}, got {self.kind!r}"
-            )
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this spec actually fans out (vs the inline reference)."""
-        return self.kind != "serial" and self.workers > 1
+from repro.gpu.executor import schedule
 
 
 @dataclass
@@ -107,9 +67,9 @@ def _compose_partition(
 ) -> PartitionOutcome:
     """The per-partition unit of work: profile -> tune -> build.
 
-    Calls exactly the functions the serial pipeline calls, on exactly the
-    arrays it would read, so the produced :class:`Partition` and search
-    result are bit-identical regardless of which pool ran the task.
+    Calls exactly the functions a monolithic CELL build calls, on exactly
+    the arrays it would read, so the produced :class:`Partition` and search
+    result are bit-identical to building the partitions in one pass.
     """
     t0 = time.perf_counter()
     profile = PartitionCostProfile.from_cells(lengths, starts, indices)
@@ -132,42 +92,13 @@ def _compose_partition(
     )
 
 
-def _compose_partition_star(task: tuple) -> PartitionOutcome:
-    """Picklable adapter for executor ``map`` over argument tuples."""
-    return _compose_partition(*task)
-
-
-def _compact_cells(
-    lengths: np.ndarray,
-    starts: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather one partition's elements into dense arrays for pickling.
-
-    Returns ``(indices_p, data_p, starts_p)`` where row ``r``'s run lives
-    at ``starts_p[r] : starts_p[r] + lengths[r]`` — the same cell contract
-    as the zero-copy layout, so the task function is oblivious to which
-    representation it received.  The gather preserves within-row element
-    order, keeping the built buckets bit-identical.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    new_starts = np.concatenate([[0], np.cumsum(lengths)])[:-1]
-    if total == 0:
-        return indices[:0].copy(), data[:0].copy(), new_starts
-    within = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    src = np.repeat(np.asarray(starts, dtype=np.int64), lengths) + within
-    return indices[src], data[src], new_starts
-
-
 @dataclass
 class FanoutResult:
-    """Everything a caller needs to assemble a plan from pooled partitions.
+    """Everything a caller needs to assemble a plan from composed partitions.
 
     ``outcomes`` is ordered by partition index; derived quantities
-    (``predicted_cost``, ``widths``) therefore reproduce the serial
-    pipeline's accumulation order exactly.
+    (``predicted_cost``, ``widths``) therefore accumulate in partition
+    order.
     """
 
     A: sp.csr_matrix
@@ -189,7 +120,7 @@ class FanoutResult:
 
     @property
     def predicted_cost(self) -> float:
-        # Same left-to-right accumulation as the serial pipeline's
+        # Left-to-right over partitions, like
         # ``sum(r.cost for r in results if r)`` — bit-identical.
         return sum(o.result.cost for o in self.outcomes if o.result)
 
@@ -223,24 +154,7 @@ class FanoutResult:
         serial = sum(walls)
         if serial <= 0.0:
             return 1.0
-        return serial / lpt_makespan(walls, workers)
-
-
-def lpt_makespan(times: list[float], workers: int) -> float:
-    """Makespan of a longest-processing-time-first schedule.
-
-    Greedy LPT: sort tasks by descending duration, assign each to the
-    least-loaded worker.  A standard 4/3-approximation of the optimal
-    makespan — good enough to model what the pool can achieve, and fully
-    deterministic given the task times.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    loads = [0.0] * workers
-    for t in sorted(times, reverse=True):
-        i = loads.index(min(loads))
-        loads[i] += t
-    return max(loads) if loads else 0.0
+        return serial / schedule(walls, workers, lpt=True).makespan
 
 
 def compose_partitions(
@@ -249,19 +163,17 @@ def compose_partitions(
     J: int,
     *,
     block_multiple: int = 2,
-    pool: PoolSpec | None = None,
     cells: tuple[sp.csr_matrix, list[tuple[int, int]], np.ndarray, np.ndarray]
     | None = None,
     only: list[int] | None = None,
 ) -> FanoutResult:
-    """Tune + build every partition (or the subset ``only``) via ``pool``.
+    """Tune + build every partition (or the subset ``only``), in order.
 
     Pass a precomputed ``cells`` split to share it with the caller.  With
     ``only``, outcomes are returned for just those partition indices (used
     by :meth:`repro.core.pipeline.ComposePlan.patch_rows` to rebuild only
     the partitions a row update touched); otherwise all partitions run.
     """
-    pool = pool or PoolSpec(workers=1, kind="serial")
     if cells is None:
         cells = split_csr(A, num_partitions)
     A, bounds, counts, starts = cells
@@ -274,29 +186,11 @@ def compose_partitions(
     for p in targets:
         if not 0 <= p < num_partitions:
             raise ValueError(f"partition index {p} out of range [0, {num_partitions})")
-
-    tasks = []
-    for p in targets:
-        c0, c1 = bounds[p]
-        lengths_p, starts_p = counts[:, p], starts[:, p]
-        indices_p, data_p = A.indices, A.data
-        if pool.parallel and pool.kind == "process":
-            indices_p, data_p, starts_p = _compact_cells(
-                lengths_p, starts_p, indices_p, data_p
-            )
-        tasks.append(
-            (p, c0, c1, lengths_p, starts_p, indices_p, data_p,
-             A.shape[1], J, num_partitions, block_multiple)
+    outcomes = [
+        _compose_partition(
+            p, *bounds[p], counts[:, p], starts[:, p], A.indices, A.data,
+            A.shape[1], J, num_partitions, block_multiple,
         )
-
-    if pool.parallel and len(tasks) > 1:
-        n = min(pool.workers, len(tasks))
-        executor_cls = (
-            ProcessPoolExecutor if pool.kind == "process" else ThreadPoolExecutor
-        )
-        with executor_cls(max_workers=n) as ex:
-            outcomes = list(ex.map(_compose_partition_star, tasks))
-    else:
-        outcomes = [_compose_partition_star(t) for t in tasks]
-    # Executor.map preserves submission order, which is partition order.
+        for p in targets
+    ]
     return FanoutResult(A=A, bounds=bounds, counts=counts, outcomes=outcomes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.parallel import PoolSpec, compose_partitions
+from repro.core.parallel import compose_partitions
 from repro.core.partition_model import PartitionPredictor
 from repro.core.selector import FormatSelector
 from repro.core.training import TrainingData
@@ -85,13 +85,7 @@ class ComposePlan:
     predicted_cost: float | None = None
     incremental: IncrementalState | None = None
 
-    def patch_rows(
-        self,
-        A: sp.spmatrix,
-        changed_rows,
-        *,
-        pool: PoolSpec | None = None,
-    ) -> "ComposePlan":
+    def patch_rows(self, A: sp.spmatrix, changed_rows) -> "ComposePlan":
         """Incremental recompose: rebuild only the partitions ``changed_rows``
         touch and reuse every other partition's buckets unchanged.
 
@@ -143,7 +137,6 @@ class ComposePlan:
                 P,
                 state.J,
                 block_multiple=state.block_multiple,
-                pool=pool,
                 cells=cells,
                 only=[int(p) for p in affected],
             )
@@ -229,34 +222,26 @@ def compose_cell_plan(
     J: int,
     *,
     block_multiple: int = 2,
-    pool: PoolSpec | None = None,
 ) -> ComposePlan:
     """Stages 2b-3 of Figure 2 for an already-canonical CSR matrix at a
     fixed partition count: split, per-partition width search, bucket build.
 
-    This is the compose path both the serial pipeline and the partition
-    pool share — with ``pool`` unset (or ``kind="serial"``) the partitions
-    run inline in index order; with a parallel :class:`PoolSpec` they fan
-    out, producing a bit-identical plan (same buckets, same widths, same
-    ``predicted_cost`` float accumulation).  The returned plan carries the
-    :class:`IncrementalState` that :meth:`ComposePlan.patch_rows` consumes.
+    The partitions run in index order through
+    :func:`~repro.core.parallel.compose_partitions`.  The returned plan
+    carries the :class:`IncrementalState` that
+    :meth:`ComposePlan.patch_rows` consumes.
     The ``selection``/``partition`` overhead fields are zero — callers
     that ran those stages (``LiteForm.compose_csr``) fill them in.
     """
     tracer = get_tracer()
     t0 = time.perf_counter()
-    span_attrs = {"num_partitions": num_partitions}
-    if pool is not None and pool.parallel:
-        span_attrs["pool"] = pool.kind
-        span_attrs["workers"] = pool.workers
-    with tracer.span("tune_width", **span_attrs):
+    with tracer.span("tune_width", num_partitions=num_partitions):
         cells = split_csr(A, num_partitions)
         fan = compose_partitions(
             A,
             num_partitions,
             J,
             block_multiple=block_multiple,
-            pool=pool,
             cells=cells,
         )
         widths = fan.widths
@@ -309,14 +294,12 @@ class LiteForm:
         partition_model: PartitionPredictor | None = None,
         block_multiple: int = 2,
         bcsr_occupancy_threshold: float = 0.5,
-        pool: PoolSpec | None = None,
     ):
         self.selector = selector or FormatSelector()
         self.partition_model = partition_model or PartitionPredictor()
         self.device = SimulatedDevice()
         self.block_multiple = block_multiple
         self.bcsr_occupancy_threshold = bcsr_occupancy_threshold
-        self.pool = pool
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -406,7 +389,6 @@ class LiteForm:
             num_partitions,
             J,
             block_multiple=self.block_multiple,
-            pool=self.pool,
         )
         plan.overhead = OverheadBreakdown(
             t1 - t0, t2 - t1, plan.overhead.search_s, plan.overhead.build_s

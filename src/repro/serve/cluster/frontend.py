@@ -46,7 +46,7 @@ cluster benchmark asserts exactly this.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -408,14 +408,14 @@ class ClusterFrontend(ServingSurface):
 
         This is the cluster's trace ingress: with tracing on, a
         :class:`~repro.obs.TraceContext` is minted here (unless the
-        caller already attached one) and rides on the request through
-        routing, shard queueing, batching, serving, and any reroute — so
-        every span the request touches, on every lane, shares one trace
-        id.
+        caller already attached one) and rides on a copy of the request
+        through routing, shard queueing, batching, serving, and any
+        reroute — so every span the request touches, on every lane,
+        shares one trace id, and the caller's request is left as it was.
         """
         tracer = get_tracer()
         if request.ctx is None and tracer.enabled:
-            request.ctx = TraceContext.mint("req")
+            request = replace(request, ctx=TraceContext.mint("req"))
         with tracer.span("ingress", ctx=request.ctx, ticket=ticket) as span:
             if prepared is None:
                 A = SpMMServer._canonical(request.matrix)
@@ -446,7 +446,7 @@ class ClusterFrontend(ServingSurface):
 
         tracer = get_tracer()
         if graph.ctx is None and tracer.enabled:
-            graph.ctx = TraceContext.mint("graph")
+            graph = replace(graph, ctx=TraceContext.mint("graph"))
         with tracer.span(
             "ingress", ctx=graph.ctx, graph=graph.name or "anonymous"
         ) as span:

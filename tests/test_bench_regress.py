@@ -206,7 +206,11 @@ class TestCLIBenchGate:
         assert "PASS" in out
         assert any(p.name.startswith("BENCH_") for p in tmp_path.iterdir())
 
-    def test_check_without_baseline_errors(self, tmp_path, capsys):
+    def test_check_without_baseline_errors(self, tmp_path, capsys, monkeypatch):
+        def no_suite(**_):
+            raise AssertionError("the suite ran before the baseline check")
+
+        monkeypatch.setattr("repro.bench.regress.run_suite", no_suite)
         rc = main([
             "bench", "--no-serve",
             "--out", str(tmp_path),
@@ -215,16 +219,16 @@ class TestCLIBenchGate:
         assert rc == 2
         assert "baseline" in capsys.readouterr().err
 
-    def test_check_fails_on_tampered_baseline(self, tmp_path, capsys):
+    def test_check_fails_on_tampered_baseline(
+        self, tmp_path, capsys, monkeypatch, suite_snapshot
+    ):
         baseline = tmp_path / "baseline.json"
-        main([
-            "bench", "--no-serve",
-            "--out", str(tmp_path), "--baseline", str(baseline),
-            "--update-baseline",
-        ])
-        payload = json.loads(baseline.read_text())
+        payload = json.loads(json.dumps(suite_snapshot))
         payload["metrics"]["tune.evaluations"]["value"] += 1  # impossible count
-        baseline.write_text(json.dumps(payload))
+        write_snapshot(payload, baseline)
+        monkeypatch.setattr(
+            "repro.bench.regress.run_suite", lambda **_: suite_snapshot
+        )
         rc = main([
             "bench", "--no-serve",
             "--out", str(tmp_path), "--baseline", str(baseline), "--check",

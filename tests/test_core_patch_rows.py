@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LiteForm, generate_training_data
-from repro.core.parallel import PoolSpec
 from repro.core.pipeline import compose_cell_plan
 from repro.formats.cell import touched_partitions
 from repro.matrices import (
@@ -103,14 +102,6 @@ class TestDeterministicEdges:
         patched = plan.patch_rows(B, rows)
         assert 0 < len(patched.incremental.patched) < 8
         assert_plans_identical(patched, compose_cell_plan(B, 8, 128))
-
-    def test_patch_with_pool_is_identical(self):
-        A = self._base()
-        plan = compose_cell_plan(A, 4, 128)
-        rows, B = random_row_update(A, np.random.default_rng(2), num_rows=4)
-        serial = plan.patch_rows(B, rows)
-        pooled = plan.patch_rows(B, rows, pool=PoolSpec(workers=4))
-        assert_plans_identical(serial, pooled)
 
     def test_non_cell_plan_raises(self):
         coll = SuiteSparseLikeCollection(size=4, max_rows=2500, seed=13)

@@ -54,6 +54,20 @@ class TestBlockScheduler:
         approx = schedule(costs, 640, lpt=True)
         assert approx.makespan == pytest.approx(exact.makespan, rel=0.1)
 
+    @pytest.mark.parametrize(
+        "costs, slots, makespan",
+        [
+            pytest.param([3.0, 1.0, 2.0], 1, 6.0, id="single_worker_is_sum"),
+            pytest.param([1.0] * 4, 2, 2.0, id="balanced"),
+            pytest.param(
+                [10.0, 1.0, 1.0], 4, 10.0, id="dominant_task_is_critical_path"
+            ),
+        ],
+    )
+    def test_lpt_makespan(self, costs, slots, makespan):
+        r = schedule(np.array(costs), slots, lpt=True)
+        assert r.makespan == pytest.approx(makespan)
+
     def test_excess_property(self):
         r = schedule(np.array([10.0, 1.0, 1.0]), slots=2)
         assert r.excess == pytest.approx(r.makespan - r.mean_load)

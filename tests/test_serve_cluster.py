@@ -25,6 +25,7 @@ from repro.gpu import (
     SimulatedOOMError,
 )
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
+from repro.obs import tracing
 from repro.serve import (
     ClusterFrontend,
     FormatBandit,
@@ -34,7 +35,9 @@ from repro.serve import (
     Scheduler,
     SpMMServer,
     WindowedFrequencySketch,
+    WorkloadSpec,
     fingerprint_csr,
+    generate_workload,
 )
 
 
@@ -436,6 +439,21 @@ class TestObservability:
         fe.replay(_requests(_matrices(3), 9))
         text = fe.report()
         assert "shards" in text and "shard-0" in text
+
+    def test_traced_replays_leave_requests_untouched(self, liteform):
+        requests = generate_workload(
+            WorkloadSpec(num_requests=12, num_matrices=3, J_choices=(32,),
+                         max_rows=2_000, with_operands=False, seed=4)
+        )
+        trace_ids = []
+        for _ in range(2):
+            with tracing() as tracer:
+                ClusterFrontend(liteform, num_shards=2).replay(requests)
+            ingress = [s.trace_id for s in tracer.spans if s.name == "ingress"]
+            assert len(ingress) == len(set(ingress)) == len(requests)
+            trace_ids.append(set(ingress))
+        assert trace_ids[0].isdisjoint(trace_ids[1])
+        assert all(r.ctx is None for r in requests)
 
 
 class TestSketchIntegration:

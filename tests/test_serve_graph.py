@@ -16,6 +16,7 @@ from repro.core import LiteForm, generate_training_data
 from repro.kernels.sddmm import sddmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
+from repro.obs import tracing
 from repro.serve import (
     ClusterFrontend,
     GraphEngine,
@@ -439,6 +440,20 @@ class TestSchedulerAndCluster:
         snap = frontend.snapshot()
         assert snap["cluster"]["graphs"] == 2
         assert snap["cluster"]["plan_reuses"] >= 1
+
+    def test_traced_serve_graph_leaves_graph_untouched(self, liteform):
+        frontend = ClusterFrontend(liteform, num_shards=2, seed=3)
+        spec = GNNWorkloadSpec(layers=1, epochs=1, feature_dim=16,
+                               hidden_dim=16, seed=8)
+        (graph,) = generate_gnn_workload(spec)
+        trace_ids = []
+        for _ in range(2):
+            with tracing() as tracer:
+                frontend.serve_graph(graph)
+            (ingress,) = [s for s in tracer.spans if s.name == "ingress"]
+            trace_ids.append(ingress.trace_id)
+        assert trace_ids[0] != trace_ids[1]
+        assert graph.ctx is None
 
     def test_frontend_routes_same_anchor_to_one_shard(self, liteform):
         frontend = ClusterFrontend(liteform, num_shards=3, seed=3)

@@ -99,7 +99,7 @@ def _retired_options():
     yield LatencySeries, ("max_samples", "seed")
     yield WindowedFrequencySketch, ("window",)
     yield WorkloadSpec, ("J_per_matrix", "gnn_names", "arrival_process", "burst_size")
-    yield LiteForm, ("device",)
+    yield LiteForm, ("device", "pool")
     yield FormatSelector, ("model",)
     yield PartitionPredictor, ("model",)
     yield FormatBandit, ("decay", "prior_std_ms")
