@@ -33,7 +33,12 @@ from repro.serve.fingerprint import PlanKey, fingerprint_csr
 
 
 def _bucket_arrays(b):
-    return b.row_ind, b.slab.indptr, b.slab.indices, b.slab.data
+    return (b.row_ind, *b.entries())
+
+
+def _slab_arrays(part):
+    s = part.slab
+    return part.row_ind, s.indptr, s.indices, s.data
 
 
 def assert_formats_identical(fmt_a, fmt_b):
@@ -41,12 +46,17 @@ def assert_formats_identical(fmt_a, fmt_b):
     assert fmt_a.footprint_bytes == fmt_b.footprint_bytes
     assert len(fmt_a.partitions) == len(fmt_b.partitions)
     for pa, pb in zip(fmt_a.partitions, fmt_b.partitions):
+        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
+            assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)
         for ba, bb in zip(pa.buckets, pb.buckets):
             assert (ba.width, ba.block_rows, ba.has_folds) == (
                 bb.width, bb.block_rows, bb.has_folds
             )
-            assert ba.slab.shape == bb.slab.shape
+            assert (ba.lo, ba.hi, ba.num_output_rows) == (
+                bb.lo, bb.hi, bb.num_output_rows
+            )
             for xa, xb in zip(_bucket_arrays(ba), _bucket_arrays(bb)):
                 assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
 

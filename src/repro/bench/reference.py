@@ -1,19 +1,19 @@
-"""Reference (pre-vectorization) compose and kernel implementations.
+"""Reference (pre-vectorization) compose implementations.
 
-These are the scipy-slicing / per-bucket-matmul code paths that
-``CELLFormat.from_csr``, ``matrix_cost_profiles``, ``build_buckets`` and
-``CELLSpMM.execute`` used before the bulk-NumPy rewrite.  They are kept
-verbatim for two consumers:
+These are the scipy-slicing code paths that ``CELLFormat.from_csr``,
+``matrix_cost_profiles`` and ``build_buckets`` used before the bulk-NumPy
+rewrite.  They are kept verbatim for two consumers:
 
 * the equivalence tests, which assert the vectorized paths produce
-  **bit-identical** CELL structures, costs, and SpMM outputs; and
+  **bit-identical** CELL structures and costs; and
 * :mod:`repro.bench.regress`, whose ``compose.speedup_vs_reference``
   metric times the vectorized pipeline against this one — a
   machine-relative ratio that survives CI-runner speed differences.
 
-The CELL builder still fills padded ``col``/``val`` arrays
-(:class:`PaddedBucket`, the layout ``Bucket`` once stored) and strips the
-padding only at the end; the equivalence tests also check the padding
+The CELL builder still fills padded ``col``/``val`` arrays per bucket
+(:class:`PaddedBucket`, the layout buckets once stored), strips the padding
+only at the end and then stacks the buckets into the partition's
+fold-rank-ordered slab; the equivalence tests also check the padding
 formulas of :class:`~repro.formats.cell.Bucket` against those arrays.
 
 Do not "optimize" this module; its value is staying byte-for-byte
@@ -30,14 +30,12 @@ import scipy.sparse as sp
 from repro.core.cost_model import DEFAULT_ATOMIC_WEIGHT, bucket_cost
 from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, ceil_pow2_exponent
 from repro.formats.cell import (
-    Bucket,
     CELLFormat,
     Partition,
     _fold_chunks,
     partition_bounds,
 )
 from repro.formats.ell import PAD
-from repro.kernels.base import check_dense_operand
 
 
 # ----------------------------------------------------------------------
@@ -55,17 +53,47 @@ class PaddedBucket:
     has_folds: bool
     block_rows: int
 
-    def strip(self, num_cols: int) -> Bucket:
-        """The :class:`Bucket` of these arrays: pads stripped, entries in
-        stored order as a ``(num_rows, num_cols)`` CSR slab."""
+    def strip(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bucket without its pads: per-row entry counts, then the
+        columns and values of the entries in stored order."""
         mask = self.col != PAD
-        indptr = np.zeros(self.row_ind.size + 1, dtype=INDEX_DTYPE)
-        np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        slab = sp.csr_matrix(
-            (self.val[mask], self.col[mask], indptr),
-            shape=(self.row_ind.size, num_cols),
+        return mask.sum(axis=1), self.col[mask], self.val[mask]
+
+
+def _stack_partition(
+    index: int,
+    col_start: int,
+    col_end: int,
+    padded: list[PaddedBucket],
+    num_cols: int,
+    block_multiple: int,
+) -> Partition:
+    """Stack stripped buckets in bucket order, then move the rows into the
+    slab's fold-rank order (a chunk's rank is its position among its row's
+    neighbouring chunks)."""
+    if not padded:
+        rows = np.zeros(0, dtype=INDEX_DTYPE)
+        empty = sp.csr_matrix((0, num_cols), dtype=VALUE_DTYPE)
+        return Partition.from_slab(
+            index, col_start, col_end, empty, rows, rows, rows, block_multiple
         )
-        return Bucket(self.width, self.row_ind, slab, self.block_rows)
+    rows = np.concatenate([b.row_ind for b in padded])
+    exps = np.concatenate(
+        [np.full(b.row_ind.size, int(np.log2(b.width))) for b in padded]
+    )
+    lens, cols, vals = (np.concatenate(x) for x in zip(*(b.strip() for b in padded)))
+    indptr = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(lens, out=indptr[1:])
+    pos = np.arange(rows.size)
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    order = np.argsort(rank, kind="stable")
+    slab = sp.csr_matrix((vals, cols, indptr), shape=(rows.size, num_cols))[order]
+    return Partition.from_slab(
+        index, col_start, col_end, slab, rows[order], rank[order], exps[order],
+        block_multiple,
+    )
 
 
 def _reference_partition_buckets(
@@ -160,10 +188,9 @@ def reference_cell_from_csr(
     block_multiple: int = 2,
 ) -> CELLFormat:
     """:func:`reference_padded_partitions` with each bucket's padding
-    stripped at the end."""
-    K = A.shape[1]
+    stripped at the end and the buckets stacked into one slab."""
     partitions = [
-        Partition(index=p, col_start=c0, col_end=c1, buckets=[b.strip(K) for b in padded])
+        _stack_partition(p, c0, c1, padded, A.shape[1], block_multiple)
         for p, (c0, c1, padded) in enumerate(
             reference_padded_partitions(A, num_partitions, max_widths, block_multiple)
         )
@@ -336,29 +363,3 @@ def reference_compose_cell(
     return reference_cell_from_csr(
         A, num_partitions=num_partitions, max_widths=widths, block_multiple=block_multiple
     )
-
-
-# ----------------------------------------------------------------------
-# SpMM execution (old per-bucket COO->CSR slab construction)
-# ----------------------------------------------------------------------
-def reference_cell_execute(fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
-    """The pre-vectorization ``CELLSpMM.execute``."""
-    B = check_dense_operand(B, fmt.shape[1])
-    I, J = fmt.shape[0], B.shape[1]
-    C = np.zeros((I, J), dtype=VALUE_DTYPE)
-    for _, bucket in fmt.iter_buckets():
-        if not bucket.nnz:
-            continue
-        coo = bucket.slab.tocoo()
-        slab = sp.csr_matrix(
-            (coo.data, (coo.row, coo.col)),
-            shape=(bucket.num_rows, fmt.shape[1]),
-            dtype=VALUE_DTYPE,
-        )
-        partial = np.asarray(slab @ B)
-        row_ind = bucket.row_ind.astype(np.int64)
-        if fmt.needs_atomic(bucket):
-            np.add.at(C, row_ind, partial)
-        else:
-            C[row_ind] += partial
-    return C

@@ -214,9 +214,10 @@ def _format_checksum(formats: list[CELLFormat]) -> float:
             buckets += 1
             # each implied pad slot counts as column -1 and value 0
             pads = b.stored_elements - b.nnz
-            col_sum += int(b.slab.indices.astype(np.int64).sum()) - pads
+            _, indices, data = b.entries()
+            col_sum += int(indices.astype(np.int64).sum()) - pads
             row_sum += int(b.row_ind.astype(np.int64).sum()) + b.block_rows
-            val_sum += float(b.slab.data.astype(np.float64).sum())
+            val_sum += float(data.astype(np.float64).sum())
     return float(col_sum % (1 << 31)) + float(row_sum % (1 << 20)) + val_sum + buckets
 
 

@@ -75,16 +75,14 @@ def _compose_partition(
     profile = PartitionCostProfile.from_cells(lengths, starts, indices)
     result, width = tune_partition(profile, J, num_partitions)
     t1 = time.perf_counter()
-    buckets = CELLFormat._build_partition_buckets(
-        lengths, starts, indices, data, num_cols,
+    partition = CELLFormat._build_partition_buckets(
+        index, col_start, col_end, lengths, starts, indices, data, num_cols,
         max_width=width, block_multiple=block_multiple,
     )
     t2 = time.perf_counter()
     return PartitionOutcome(
         index=index,
-        partition=Partition(
-            index=index, col_start=col_start, col_end=col_end, buckets=buckets
-        ),
+        partition=partition,
         result=result,
         width=width,
         tune_s=t1 - t0,

@@ -18,10 +18,18 @@ width independent of the chosen cap, which is what lets both this builder
 and the cost model of :mod:`repro.core.cost_model` evaluate candidate widths
 incrementally.
 
-Storage: a bucket keeps its entries once, as a CSR slab of its rows.  The
-padding is implied, not stored: on the GPU every bucket row occupies
-``width`` column-index and value slots, and ``stored_elements`` /
-``footprint_bytes`` charge those slots by formula (``num_rows * width``).
+Storage: a partition keeps its entries once, as one CSR slab whose rows
+are bucket rows (chunks) in *fold-rank* order.  A chunk's rank is its
+position within its source row: rank 0 holds every row's first chunk,
+bucket by bucket in increasing width, then come all second chunks (in row
+order), then all third chunks, and so on.  Folds only land in the max
+bucket, so every bucket is a contiguous row range of the slab; only the max
+bucket's range is rank-major instead of row-major.  Each rank section
+writes an output row at most once, which is what lets SpMM scatter a
+partition's single product with one plain ``+=`` per rank.  The padding is
+implied, not stored: on the GPU every bucket row occupies ``width``
+column-index and value slots, and ``stored_elements`` / ``footprint_bytes``
+charge those slots by formula (``num_rows * width``).
 """
 
 from __future__ import annotations
@@ -40,56 +48,79 @@ from repro.formats.base import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Bucket:
     """One Ellpack sub-matrix: rows of similar length, padded to ``width``.
 
-    ``row_ind`` holds the *original* matrix row of each bucket row; folded
-    rows appear multiple times, as neighbours (Figure 4).  ``slab`` holds
-    the entries as a ``(num_rows, num_cols)`` CSR matrix: row ``r`` is
-    bucket row ``r``'s entries, global column ids in stored order.  The
-    padding to ``width`` is implied, not stored; its cost is charged by
-    formula (``stored_elements``, ``footprint_bytes``).  The slab is what
-    the CELL kernels count wave traffic on, multiply and sample through.
+    A bucket stores no entries of its own.  It is the row range ``lo:hi``
+    of its partition's slab, and ``part_slab``/``part_rows`` are that slab
+    and its output-row array, shared with the partition.  The range lists
+    the bucket's ``num_output_rows`` first chunks, then (max bucket only)
+    the later chunks of its folded rows in rank order.  :attr:`row_ind` and
+    :meth:`entries` give the rows in bucket order, where a folded row's
+    chunks are neighbours (Figure 4).  The padding to ``width`` is implied,
+    not stored; its cost is charged by formula (``stored_elements``,
+    ``footprint_bytes``).
     """
 
     width: int
-    row_ind: np.ndarray  # (R,) int32, non-decreasing
-    slab: sp.csr_matrix  # (R, num_cols) float32
+    lo: int
+    hi: int
+    num_output_rows: int  # I^(2): distinct output rows, one first chunk each
     block_rows: int  # rows per block (level 3)
+    part_slab: sp.csr_matrix = field(repr=False)
+    part_rows: np.ndarray = field(repr=False)  # (R,) int32
 
     def __post_init__(self) -> None:
         if self.width < 1 or (self.width & (self.width - 1)):
             raise ValueError(f"bucket width must be a power of two, got {self.width}")
-        if self.slab.shape[0] != self.row_ind.size:
-            raise ValueError("slab must have one row per row_ind entry")
-        if np.any(self.row_ind[1:] < self.row_ind[:-1]):
-            raise ValueError("row_ind must be non-decreasing")
+        if not 0 <= self.lo <= self.hi <= self.part_rows.size:
+            raise ValueError("bucket rows must be a range of the partition slab")
+        if self.part_slab.shape[0] != self.part_rows.size:
+            raise ValueError("part_slab must have one row per part_rows entry")
+        if not 0 <= self.num_output_rows <= self.num_rows:
+            raise ValueError("num_output_rows must not exceed num_rows")
         if self.block_rows < 1:
             raise ValueError("block_rows must be >= 1")
 
     @property
     def num_rows(self) -> int:
         """I^(1): bucket rows, folded rows counted once per chunk."""
-        return int(self.row_ind.size)
+        return self.hi - self.lo
 
-    @cached_property
-    def num_output_rows(self) -> int:
-        """I^(2): distinct output rows of C this bucket contributes to.
-
-        ``row_ind`` is non-decreasing, so every fold is a repeated
-        neighbour."""
-        r = self.row_ind
-        return self.num_rows - int(np.count_nonzero(r[1:] == r[:-1]))
-
-    @cached_property
+    @property
     def has_folds(self) -> bool:
         """Whether some output row spans several bucket rows (Section 5.3)."""
         return self.num_output_rows < self.num_rows
 
     @property
+    def row_ind(self) -> np.ndarray:
+        """The *original* matrix row of each bucket row, in bucket order
+        (non-decreasing; a folded row repeats once per chunk)."""
+        rows = self.part_rows[self.lo : self.hi]
+        return np.sort(rows) if self.has_folds else rows
+
+    def entries(
+        self, ordered: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, data)`` of the bucket rows in bucket order,
+        ``indptr`` from 0 and global column ids in stored order.  Views of
+        the slab, except for a max bucket with folds, whose rows are
+        gathered out of rank order -- unless ``ordered`` is false, for
+        readers that do not depend on the row order."""
+        slab = self.part_slab
+        if ordered and self.has_folds:
+            rows = self.part_rows[self.lo : self.hi]
+            sub = slab[self.lo + np.argsort(rows, kind="stable")]
+            return sub.indptr, sub.indices, sub.data
+        a, b = slab.indptr[self.lo], slab.indptr[self.hi]
+        indptr = slab.indptr[self.lo : self.hi + 1] - a
+        return indptr, slab.indices[a:b], slab.data[a:b]
+
+    @property
     def nnz(self) -> int:
-        return int(self.slab.nnz)
+        indptr = self.part_slab.indptr
+        return int(indptr[self.hi] - indptr[self.lo])
 
     @property
     def stored_elements(self) -> int:
@@ -99,7 +130,9 @@ class Bucket:
     @cached_property
     def unique_cols(self) -> int:
         """|set(Ind[i, w])|: distinct B rows this bucket reads (Eq. 5-7)."""
-        return int(np.unique(self.slab.indices).size)
+        slab = self.part_slab
+        cols = slab.indices[slab.indptr[self.lo] : slab.indptr[self.hi]]
+        return int(np.unique(cols).size)
 
     @property
     def num_blocks(self) -> int:
@@ -114,19 +147,67 @@ class Bucket:
 
     @property
     def footprint_bytes(self) -> int:
-        """Device bytes of ``row_ind`` plus the padded int32 column and
-        float32 value arrays the GPU kernel streams."""
-        return self.row_ind.nbytes + 8 * self.stored_elements
+        """Device bytes of the bucket's ``row_ind`` plus the padded int32
+        column and float32 value arrays the GPU kernel streams."""
+        return self.num_rows * self.part_rows.itemsize + 8 * self.stored_elements
 
 
 @dataclass
 class Partition:
-    """One column partition: a list of buckets ordered by increasing width."""
+    """One column partition: its slab and the buckets indexing it.
+
+    ``slab`` is the ``(R, num_cols)`` CSR matrix of the partition's bucket
+    rows in fold-rank order (module docstring), ``row_ind`` the output row
+    of each slab row, and ``ranks`` the bounds of the rank sections: slab
+    rows ``ranks[k]:ranks[k + 1]`` are the chunks of rank ``k``, in
+    increasing output row.  ``buckets`` are ordered by increasing width.
+    """
 
     index: int
     col_start: int
     col_end: int
-    buckets: list[Bucket] = field(default_factory=list)
+    slab: sp.csr_matrix
+    row_ind: np.ndarray  # (R,) int32
+    ranks: tuple[int, ...]
+    buckets: list[Bucket]
+
+    @classmethod
+    def from_slab(
+        cls,
+        index: int,
+        col_start: int,
+        col_end: int,
+        slab: sp.csr_matrix,
+        row_ind: np.ndarray,
+        chunk_rank: np.ndarray,
+        chunk_exp: np.ndarray,
+        block_multiple: int,
+    ) -> "Partition":
+        """Index a slab whose rows are already in fold-rank order:
+        ``chunk_rank``/``chunk_exp`` give each row's rank and bucket
+        exponent, sorted by rank, then exponent, then output row."""
+        if row_ind.size == 0:
+            return cls(index, col_start, col_end, slab, row_ind, (0,), [])
+        num_ranks = int(chunk_rank[-1]) + 1
+        ranks = tuple(np.searchsorted(chunk_rank, np.arange(num_ranks + 1)).tolist())
+        max_exp = int(chunk_exp[: ranks[1]].max())
+        cuts = np.searchsorted(chunk_exp[: ranks[1]], np.arange(max_exp + 2)).tolist()
+        block_nnz = block_multiple << max_exp
+        buckets = [
+            Bucket(
+                width=1 << e,
+                lo=cuts[e],
+                # the max bucket also holds every later-rank chunk
+                hi=cuts[e + 1] if e < max_exp else row_ind.size,
+                num_output_rows=cuts[e + 1] - cuts[e],
+                block_rows=max(1, block_nnz >> e),
+                part_slab=slab,
+                part_rows=row_ind,
+            )
+            for e in range(max_exp + 1)
+            if cuts[e + 1] > cuts[e]
+        ]
+        return cls(index, col_start, col_end, slab, row_ind, ranks, buckets)
 
     @property
     def num_cols(self) -> int:
@@ -138,7 +219,7 @@ class Partition:
 
     @property
     def nnz(self) -> int:
-        return sum(b.nnz for b in self.buckets)
+        return int(self.slab.nnz)
 
 
 def partition_bounds(num_cols: int, num_partitions: int) -> list[tuple[int, int]]:
@@ -323,9 +404,11 @@ class CELLFormat(SparseFormat):
                 f"cells was split into {len(bounds)} partitions, "
                 f"expected {num_partitions}"
             )
-        partitions: list[Partition] = []
-        for p, (c0, c1) in enumerate(bounds):
-            buckets = cls._build_partition_buckets(
+        partitions = [
+            cls._build_partition_buckets(
+                p,
+                c0,
+                c1,
                 counts[:, p],
                 starts[:, p],
                 A.indices,
@@ -334,13 +417,15 @@ class CELLFormat(SparseFormat):
                 max_width=width_caps[p],
                 block_multiple=block_multiple,
             )
-            partitions.append(
-                Partition(index=p, col_start=c0, col_end=c1, buckets=buckets)
-            )
+            for p, (c0, c1) in enumerate(bounds)
+        ]
         return cls((I, K), partitions, int(A.nnz))
 
     @staticmethod
     def _build_partition_buckets(
+        index: int,
+        col_start: int,
+        col_end: int,
         lengths: np.ndarray,
         starts: np.ndarray,
         indices: np.ndarray,
@@ -348,56 +433,44 @@ class CELLFormat(SparseFormat):
         num_cols: int,
         max_width: int | None,
         block_multiple: int,
-    ) -> list[Bucket]:
-        """Build one partition's buckets by gathering straight from the
-        parent CSR arrays: ``lengths[r]`` elements of row ``r`` live at
+    ) -> Partition:
+        """Build one partition by gathering straight from the parent CSR
+        arrays: ``lengths[r]`` elements of row ``r`` live at
         ``indices[starts[r]:starts[r] + lengths[r]]`` (already global
-        column ids), so no per-partition matrix is ever materialized.
-        Each bucket's chunks are gathered, in order, into its slab.
+        column ids), so no per-partition matrix is ever materialized.  All
+        chunks are gathered, in fold-rank order, into the one slab.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         chunk_row, chunk_off, chunk_len, chunk_exp = _fold_chunks(lengths, max_width)
-        if chunk_row.size == 0:
-            return []
-        max_exp = int(chunk_exp.max())
-        partition_max_width = 1 << max_exp
-        block_nnz = block_multiple * partition_max_width
-        order = np.argsort(chunk_exp, kind="stable")
-        chunk_row = chunk_row[order]
-        chunk_off = chunk_off[order]
-        chunk_len = chunk_len[order]
-        chunk_exp = chunk_exp[order]
-        buckets: list[Bucket] = []
-        boundaries = np.searchsorted(chunk_exp, np.arange(max_exp + 2))
-        starts = np.asarray(starts, dtype=np.int64)
-        for e in range(max_exp + 1):
-            lo, hi = boundaries[e], boundaries[e + 1]
-            if lo == hi:
-                continue
-            width = 1 << e
-            rows = chunk_row[lo:hi]
-            lens = chunk_len[lo:hi]
-            indptr = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
-            np.cumsum(lens, out=indptr[1:])
-            within = np.arange(int(indptr[-1])) - np.repeat(indptr[:-1], lens)
-            src = np.repeat(starts[rows] + chunk_off[lo:hi], lens) + within
-            slab = sp.csr_matrix(
-                (
-                    data[src].astype(VALUE_DTYPE, copy=False),
-                    indices[src].astype(INDEX_DTYPE, copy=False),
-                    indptr,
-                ),
-                shape=(rows.size, num_cols),
-            )
-            buckets.append(
-                Bucket(
-                    width=width,
-                    row_ind=rows.astype(INDEX_DTYPE),
-                    slab=slab,
-                    block_rows=max(1, block_nnz // width),
-                )
-            )
-        return buckets
+        max_exp = int(chunk_exp.max()) if chunk_row.size else 0
+        # A folded row's chunks sit ``2**max_exp`` elements apart.
+        chunk_rank = chunk_off >> max_exp
+        order = np.argsort(chunk_rank * (max_exp + 1) + chunk_exp, kind="stable")
+        rows = chunk_row[order]
+        lens = chunk_len[order]
+        indptr = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+        np.cumsum(lens, out=indptr[1:])
+        within = np.arange(int(indptr[-1])) - np.repeat(indptr[:-1], lens)
+        first = np.asarray(starts, dtype=np.int64)[rows] + chunk_off[order]
+        src = np.repeat(first, lens) + within
+        slab = sp.csr_matrix(
+            (
+                data[src].astype(VALUE_DTYPE, copy=False),
+                indices[src].astype(INDEX_DTYPE, copy=False),
+                indptr,
+            ),
+            shape=(rows.size, num_cols),
+        )
+        return Partition.from_slab(
+            index,
+            col_start,
+            col_end,
+            slab,
+            rows.astype(INDEX_DTYPE),
+            chunk_rank[order],
+            chunk_exp[order],
+            block_multiple,
+        )
 
     # ------------------------------------------------------------------
     # Structure queries
@@ -430,9 +503,8 @@ class CELLFormat(SparseFormat):
     # SparseFormat interface
     # ------------------------------------------------------------------
     def to_csr(self) -> sp.csr_matrix:
-        slabs = [(b.row_ind, b.slab) for _, b in self.iter_buckets()]
-        if not slabs:
-            return sp.csr_matrix(self.shape, dtype=VALUE_DTYPE)
+        # A row's chunks keep their order in the rank-ordered slab.
+        slabs = [(p.row_ind, p.slab) for p in self.partitions]
         rows = np.concatenate([np.repeat(r, np.diff(s.indptr)) for r, s in slabs])
         cols = np.concatenate([s.indices for _, s in slabs])
         vals = np.concatenate([s.data for _, s in slabs])

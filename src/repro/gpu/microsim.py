@@ -224,7 +224,7 @@ def cell_traces(fmt: CELLFormat, J: int) -> list[BlockTrace]:
     traces: list[BlockTrace] = []
     for _, bucket in fmt.iter_buckets():
         R, W = bucket.num_rows, bucket.width
-        indptr, indices = bucket.slab.indptr, bucket.slab.indices
+        indptr, indices, _ = bucket.entries()
         for b0 in range(0, R, bucket.block_rows):
             b1 = min(b0 + bucket.block_rows, R)
             n_rows = b1 - b0

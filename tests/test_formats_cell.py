@@ -146,7 +146,7 @@ class TestCELLConstruction:
         A = matrix_suite["uniform"]
         f = CELLFormat.from_csr(A, num_partitions=3)
         for part, bucket in f.iter_buckets():
-            cols = bucket.slab.indices
+            _, cols, _ = bucket.entries()
             assert cols.min() >= part.col_start
             assert cols.max() < part.col_end
 
@@ -196,13 +196,13 @@ class TestBucketQueries:
         f = CELLFormat.from_csr(A, num_partitions=1)
         K = A.shape[1]
         for _, bucket in f.iter_buckets():
-            slab = bucket.slab
-            unique, refs = wave_unique_refs(slab.indptr, slab.indices, bucket.num_rows, K)
+            indptr, indices, _ = bucket.entries()
+            unique, refs = wave_unique_refs(indptr, indices, bucket.num_rows, K)
             assert refs.sum() == bucket.nnz
             assert unique.sum() == bucket.unique_cols
             # finer waves can only see more (or equal) compulsory fetches
             u2, r2 = wave_unique_refs(
-                slab.indptr, slab.indices, max(1, bucket.num_rows // 4), K
+                indptr, indices, max(1, bucket.num_rows // 4), K
             )
             assert r2.sum() == bucket.nnz
             assert u2.sum() >= unique.sum()
@@ -213,10 +213,13 @@ class TestBucketQueries:
         from repro.formats.cell import Bucket
 
         slab = sp.csr_matrix((3, 5), dtype=np.float32)
+        rows = np.array([0, 1, 1], dtype=np.int32)
         with pytest.raises(ValueError, match="one row per"):
-            Bucket(2, np.array([0, 1], dtype=np.int32), slab, 1)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            Bucket(2, np.array([0, 2, 1], dtype=np.int32), slab, 1)
+            Bucket(2, 0, 2, 2, 1, slab, rows[:2])
+        with pytest.raises(ValueError, match="range of the partition slab"):
+            Bucket(2, 1, 4, 3, 1, slab, rows)
+        with pytest.raises(ValueError, match="num_output_rows"):
+            Bucket(2, 0, 2, 3, 1, slab, rows)
 
     def test_num_output_rows(self, matrix_suite):
         A = matrix_suite["dense_rows"]

@@ -1,6 +1,7 @@
 """The vectorized CELL compose/kernel paths are bit-identical to the
-pre-vectorization loop implementations kept in :mod:`repro.bench.reference`,
-plus edge cases of the bulk partition split and the folding rule."""
+pre-vectorization loop implementations kept in :mod:`repro.bench.reference`
+and to the per-bucket execute oracle below, plus edge cases of the bulk
+partition split and the folding rule."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.reference import (
     reference_build_buckets,
-    reference_cell_execute,
     reference_compose_cell,
     reference_matrix_cost_profiles,
     reference_padded_partitions,
 )
 from repro.core.bucket_search import build_buckets, exhaustive_width_search
 from repro.core.cost_model import matrix_cost_profiles
-from repro.formats.base import as_csr
+from repro.core.pipeline import compose_cell_plan
+from repro.formats.base import VALUE_DTYPE, as_csr
 from repro.formats.cell import CELLFormat, partition_bounds, partition_cells, split_csr
 from repro.formats.ell import PAD
+from repro.kernels.base import check_dense_operand
 from repro.kernels.cell_spmm import CELLSpMM
+from repro.kernels.sddmm import CELLSDDMM
+from repro.matrices import random_row_update
 from repro.matrices.collection import SuiteSparseLikeCollection
 
 SUITE_J = 128
@@ -42,8 +46,41 @@ def tuned_compose(A, P, J=SUITE_J):
     return CELLFormat.from_csr(A, num_partitions=P, max_widths=widths, cells=cells)
 
 
+def reference_cell_execute(fmt, B):
+    """The per-bucket ``CELLSpMM.execute`` the partition slab replaced: one
+    product and one scatter per bucket, rows in bucket order, folded
+    buckets accumulated with ``np.add.at``."""
+    B = check_dense_operand(B, fmt.shape[1])
+    I, J = fmt.shape[0], B.shape[1]
+    C = np.zeros((I, J), dtype=VALUE_DTYPE)
+    for _, bucket in fmt.iter_buckets():
+        if not bucket.nnz:
+            continue
+        indptr, indices, data = bucket.entries()
+        coo = sp.csr_matrix(
+            (data, indices, indptr), shape=(bucket.num_rows, fmt.shape[1])
+        ).tocoo()
+        slab = sp.csr_matrix(
+            (coo.data, (coo.row, coo.col)),
+            shape=(bucket.num_rows, fmt.shape[1]),
+            dtype=VALUE_DTYPE,
+        )
+        partial = np.asarray(slab @ B)
+        row_ind = bucket.row_ind.astype(np.int64)
+        if fmt.needs_atomic(bucket):
+            np.add.at(C, row_ind, partial)
+        else:
+            C[row_ind] += partial
+    return C
+
+
 def _bucket_arrays(b):
-    return b.row_ind, b.slab.indptr, b.slab.indices, b.slab.data
+    return (b.row_ind, *b.entries())
+
+
+def _slab_arrays(part):
+    s = part.slab
+    return part.row_ind, s.indptr, s.indices, s.data
 
 
 def assert_formats_identical(a, b):
@@ -52,12 +89,17 @@ def assert_formats_identical(a, b):
     assert len(a.partitions) == len(b.partitions)
     for pa, pb in zip(a.partitions, b.partitions):
         assert (pa.col_start, pa.col_end) == (pb.col_start, pb.col_end)
+        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
+            assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)
         for ba, bb in zip(pa.buckets, pb.buckets):
             assert (ba.width, ba.block_rows, ba.has_folds) == (
                 bb.width, bb.block_rows, bb.has_folds
             )
-            assert ba.slab.shape == bb.slab.shape
+            assert (ba.lo, ba.hi, ba.num_output_rows) == (
+                bb.lo, bb.hi, bb.num_output_rows
+            )
             for xa, xb in zip(_bucket_arrays(ba), _bucket_arrays(bb)):
                 assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
 
@@ -149,19 +191,93 @@ class TestBitIdentity:
         for A in collection:
             fmt = tuned_compose(A, P)
             B = rng.standard_normal((A.shape[1], 16)).astype(np.float32)
-            assert np.array_equal(reference_cell_execute(fmt, B), kernel.execute(fmt, B))
+            assert (
+                reference_cell_execute(fmt, B).tobytes()
+                == kernel.execute(fmt, B).tobytes()
+            )
 
     def test_execute_reads_the_stored_slab(self, collection):
         fmt = tuned_compose(collection[0], 1)
-        _, bucket = next(fmt.iter_buckets())
-        slab = bucket.slab  # built with the format, before any plan()
+        part = fmt.partitions[0]
+        slab = part.slab  # built with the format, before any plan()
+        assert all(b.part_slab is slab for b in part.buckets)
         kernel = CELLSpMM()
         B = np.ones((fmt.shape[1], 4), dtype=np.float32)
         C1 = kernel.execute(fmt, B)
         kernel.plan(fmt, 4)
         C2 = kernel.execute(fmt, B)
-        assert bucket.slab is slab
-        assert np.array_equal(C1, C2)
+        assert part.slab is slab
+        assert C1.tobytes() == C2.tobytes()
+
+
+@pytest.fixture(scope="module")
+def signed_zero():
+    """Generator matrices with every 7th stored value set to -0.0."""
+    mats = [
+        e.matrix.copy()
+        for e in SuiteSparseLikeCollection(size=4, max_rows=2500, seed=21)
+    ]
+    for A in mats:
+        A.data[::7] = -0.0
+    return mats
+
+
+class TestSlabExecuteSweep:
+    """Execute over the rank-ordered slab is byte-equal (``-0.0`` signs
+    included) to the per-bucket oracle across partitions, width caps that
+    force folds, and dense widths."""
+
+    @pytest.mark.parametrize("P", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", [None, 4, 8])
+    def test_execute_byte_equal_to_per_bucket_oracle(self, signed_zero, P, cap):
+        kernel = CELLSpMM()
+        rng = np.random.default_rng(P * 10 + (cap or 0))
+        folds = 0
+        for A in signed_zero:
+            fmt = CELLFormat.from_csr(A, num_partitions=P, max_widths=cap)
+            folds += sum(b.has_folds for _, b in fmt.iter_buckets())
+            for J in (1, 16):
+                B = rng.standard_normal((A.shape[1], J)).astype(np.float32)
+                B[::3] = -0.0
+                assert (
+                    kernel.execute(fmt, B).tobytes()
+                    == reference_cell_execute(fmt, B).tobytes()
+                )
+        assert cap is None or folds > 0
+
+    def test_patched_plan_executes_like_a_fresh_compose(self, signed_zero):
+        kernel = CELLSpMM()
+        rng = np.random.default_rng(5)
+        A = signed_zero[1]
+        plan = compose_cell_plan(A, 3, 32)
+        B = rng.standard_normal((A.shape[1], 16)).astype(np.float32)
+        for _ in range(3):
+            changed, A = random_row_update(A, rng, num_rows=6)
+            plan = plan.patch_rows(A, changed)
+            fresh = compose_cell_plan(A, 3, 32)
+            assert (
+                kernel.execute(plan.fmt, B).tobytes()
+                == kernel.execute(fresh.fmt, B).tobytes()
+            )
+
+    @pytest.mark.parametrize("cap", [None, 4])
+    def test_sddmm_matches_per_bucket_computation(self, signed_zero, cap):
+        rng = np.random.default_rng(9)
+        A = signed_zero[0]
+        fmt = CELLFormat.from_csr(A, num_partitions=3, max_widths=cap)
+        U = rng.standard_normal((A.shape[0], 8)).astype(np.float32)
+        V = rng.standard_normal((A.shape[1], 8)).astype(np.float32)
+        got = CELLSDDMM().execute(fmt, (U, V)).tocoo()
+        expected = {}
+        for _, bucket in fmt.iter_buckets():
+            indptr, indices, data = bucket.entries()
+            rows = np.repeat(bucket.row_ind.astype(np.int64), np.diff(indptr))
+            dots = np.einsum("ij,ij->i", U[rows], V[indices], dtype=np.float32)
+            for r, c, v in zip(rows, indices, data * dots):
+                expected[int(r), int(c)] = v.tobytes()
+        assert len(expected) == got.nnz == A.nnz
+        for r, c, v in zip(got.row, got.col, got.data):
+            assert expected[int(r), int(c)] == v.tobytes()
 
 
 class TestPartitionCellsEdgeCases:
@@ -296,6 +412,7 @@ class TestPaddingByFormula:
                 assert b.unique_cols == np.unique(r.col[real]).size
                 assert b.num_output_rows == np.unique(r.row_ind).size
                 assert b.has_folds == r.has_folds
-                assert np.array_equal(np.diff(b.slab.indptr), real.sum(axis=1))
-                for x, y in ((b.slab.indices, r.col[real]), (b.slab.data, r.val[real])):
+                indptr, indices, data = b.entries()
+                assert np.array_equal(np.diff(indptr), real.sum(axis=1))
+                for x, y in ((indices, r.col[real]), (data, r.val[real])):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
