@@ -19,16 +19,11 @@ from repro.bench.regress import (
     snapshot_filename,
     write_snapshot,
 )
-from repro.bench.reporting import (
-    BenchTable,
-    geomean,
-    normalized_speedups,
-)
+from repro.bench.reporting import BenchTable, geomean
 
 __all__ = [
     "BenchTable",
     "geomean",
-    "normalized_speedups",
     "BENCH_J_VALUES",
     "COLLECTION_SIZE",
     "TRAIN_SIZE",

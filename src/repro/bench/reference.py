@@ -29,18 +29,51 @@ import scipy.sparse as sp
 
 from repro.core.cost_model import DEFAULT_ATOMIC_WEIGHT, bucket_cost
 from repro.formats.base import INDEX_DTYPE, VALUE_DTYPE, ceil_pow2_exponent
-from repro.formats.cell import (
-    CELLFormat,
-    Partition,
-    _fold_chunks,
-    partition_bounds,
-)
+from repro.formats.cell import CELLFormat, Partition, partition_bounds
 from repro.formats.ell import PAD
 
 
 # ----------------------------------------------------------------------
 # CELL construction (old per-partition scipy CSC slicing, padded arrays)
 # ----------------------------------------------------------------------
+def _fold_chunks(
+    lengths: np.ndarray, max_width: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split row lengths into bucket chunks under the folding rule.
+
+    Returns per-chunk arrays ``(row, offset, length, exponent)``, rows in
+    ascending order, where ``offset`` is the chunk's element offset inside
+    its source row and ``exponent`` gives the destination bucket width
+    ``2**exponent``.
+    """
+    rows = np.nonzero(lengths > 0)[0]
+    l = lengths[rows].astype(np.int64)
+    if rows.size == 0:
+        z = np.zeros(0, dtype=np.int64)
+        return z, z, z, z
+    natural_exp = ceil_pow2_exponent(l)
+    if max_width is None:
+        max_exp = int(natural_exp.max())
+        max_width = 1 << max_exp
+    else:
+        if max_width < 1 or (max_width & (max_width - 1)):
+            raise ValueError(f"max_width must be a power of two, got {max_width}")
+        max_exp = int(np.log2(max_width))
+    W = max_width
+    n_chunks = np.where(l <= W, 1, -(-l // W))
+    total = int(n_chunks.sum())
+    chunk_row = np.repeat(rows, n_chunks)
+    first = np.cumsum(n_chunks) - n_chunks
+    pos = np.arange(total) - np.repeat(first, n_chunks)
+    l_rep = np.repeat(l, n_chunks)
+    # Chunks of a folded row all go to the max bucket; the last chunk holds
+    # the remainder and is padded to W.
+    chunk_len = np.minimum(l_rep - pos * W, W)
+    chunk_off = pos * W
+    exp_rep = np.repeat(np.minimum(natural_exp, max_exp), n_chunks)
+    return chunk_row, chunk_off, chunk_len, exp_rep
+
+
 @dataclass
 class PaddedBucket:
     """A bucket as the padded builder stores it: ``col``/``val`` of shape

@@ -46,9 +46,10 @@ from repro.bench.reference import reference_compose_cell
 from repro.bench.reporting import geomean
 from repro.core.bucket_search import build_buckets
 from repro.core.cost_model import matrix_cost_profiles
+from repro.core.parallel import compose_partitions
 from repro.core.pipeline import LiteForm, compose_cell_plan
 from repro.core.training import generate_training_data
-from repro.formats.cell import CELLFormat, split_csr
+from repro.formats.cell import CELLFormat
 from repro.gpu.device import SimulatedDevice
 from repro.kernels.cell_spmm import CELLSpMM
 from repro.matrices.collection import SuiteSparseLikeCollection
@@ -182,17 +183,7 @@ def snapshot_filename(rev: str) -> str:
 
 def _tuned_compose(A, num_partitions: int, J: int = SUITE_J) -> CELLFormat:
     """Tune the per-partition width caps (Algorithm 3) and build CELL."""
-    cells = split_csr(A, num_partitions)
-    profiles = matrix_cost_profiles(A, num_partitions, cells=cells)
-    widths = [
-        1 << build_buckets(p, J, num_partitions=num_partitions).max_exp
-        if p.num_nonempty_rows
-        else 1
-        for p in profiles
-    ]
-    return CELLFormat.from_csr(
-        A, num_partitions=num_partitions, max_widths=widths, cells=cells
-    )
+    return compose_partitions(A, num_partitions, J).to_format()
 
 
 def _suite_entries():
@@ -323,7 +314,6 @@ def _wall_jobs(entries, A0, stream) -> dict[str, Job]:
     kernel benchmarks.  A compose job and its reference, and the patch and
     full jobs, sit next to each other, so each round's ratio compares two
     back-to-back runs."""
-    from repro.core.parallel import compose_partitions
 
     def compose(P):
         mats = _fresh_matrices(entries)
@@ -513,7 +503,6 @@ def _bench_parallel(entries, samples: dict[str, Sample]) -> Iterator[Metric]:
     scheduled LPT onto 4 workers), not a measured thread speedup —
     wall-clock parallel efficiency on an oversubscribed CI runner is
     noise, while the model is as deterministic as the wall-time band."""
-    from repro.core.parallel import compose_partitions
     from repro.gpu.executor import schedule
 
     # De-jitter the model input: a single descheduled partition task can

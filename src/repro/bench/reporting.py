@@ -16,17 +16,6 @@ def geomean(values) -> float:
     return float(np.exp(np.mean(np.log(arr))))
 
 
-def normalized_speedups(times: dict[str, float], reference: str) -> dict[str, float]:
-    """time(reference) / time(system) per system; inf times -> 0 speedup."""
-    if reference not in times:
-        raise KeyError(f"reference {reference!r} missing from results")
-    ref = times[reference]
-    out = {}
-    for name, t in times.items():
-        out[name] = 0.0 if not np.isfinite(t) else ref / t
-    return out
-
-
 @dataclass
 class BenchTable:
     """Accumulates rows and prints an aligned table in the bench output.

@@ -11,8 +11,7 @@ contains the optimum.
 Widths are powers of two, so the search runs over exponents; the paper's
 ``GetAllCost(buckets)`` corresponds to :meth:`PartitionCostProfile.all_costs`,
 which evaluates every candidate cap from one precomputed histogram, and
-``TuneWidth(buckets, w)`` to the probes over that array (the scalar
-:meth:`PartitionCostProfile.cost` remains as the per-candidate reference).
+``TuneWidth(buckets, w)`` to the probes over that array.
 """
 
 from __future__ import annotations

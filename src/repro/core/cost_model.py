@@ -12,26 +12,28 @@ the atomic weight ``Atomic = I1 / I2`` folded in.
 
 Evaluating the cost of a *candidate maximum bucket width* must be cheap —
 Algorithm 3 probes O(log W) candidates — so :class:`PartitionCostProfile`
-precomputes, per partition, everything needed to answer ``cost(max_exp)``
-in O(#long rows):
+precomputes, per partition, everything needed to answer ``GetAllCost``
+(the cost of every candidate cap) in one vectorized pass:
 
 * rows below the cap sit in their natural buckets regardless of the cap
   (a consequence of the folding rule, see :mod:`repro.formats.cell`), so
   their per-bucket ``I1``/``U`` are computed once;
 * the cap's bucket always holds *all* rows with natural exponent >= cap,
   whose union column count is a suffix statistic, precomputed for every
-  possible cap in one O(nnz log nnz) pass.
+  possible cap in one pass.
+
+The profile reads the partition's rows through a
+:class:`repro.formats.cell.RowGroups` -- the same grouping the CELL
+builder stores -- and :meth:`PartitionCostProfile.cost` is a single entry
+of :meth:`PartitionCostProfile.all_costs`, so there is one cost path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.base import ceil_pow2_exponent
-from repro.formats.cell import split_csr
+from repro.formats.cell import RowGroups, split_csr
 
 
 #: Calibrated atomic weight: the device's read-modify-write amplification
@@ -67,13 +69,6 @@ def bucket_cost(
     return 2.0 * I1 * W + float(unique_cols) * J + out_weight * float(I1) * J + zero_cost
 
 
-@dataclass(frozen=True)
-class _NaturalBucket:
-    exponent: int
-    num_rows: int
-    unique_cols: int
-
-
 class PartitionCostProfile:
     """Per-partition precomputation for O(1)-ish candidate-cost queries.
 
@@ -87,35 +82,21 @@ class PartitionCostProfile:
 
     @classmethod
     def from_cells(
-        cls, lengths: np.ndarray, starts: np.ndarray, indices: np.ndarray
+        cls, groups: RowGroups, starts: np.ndarray, indices: np.ndarray
     ) -> "PartitionCostProfile":
-        """Build from per-row ``(length, start)`` cells into a shared
-        ``indices`` array — the zero-copy layout of
-        :func:`repro.formats.cell.partition_cells`."""
+        """Build from a partition's row grouping plus per-row ``starts``
+        into a shared ``indices`` array — the zero-copy layout of
+        :func:`repro.formats.cell.partition_cells`.  The profile keeps no
+        reference to ``groups``, which the caller hands on to the builder."""
         self = cls()
         starts = np.asarray(starts, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        rows = np.nonzero(lengths > 0)[0]
-        self.num_nonempty_rows = int(rows.size)
+        rows_s, l_s, exps_s = groups.rows, groups.lengths, groups.exps
+        self.num_nonempty_rows = int(rows_s.size)
         self._all_costs_cache: dict[tuple, np.ndarray] = {}
-        if rows.size == 0:
-            self.natural_max_exp = 0
-            self._naturals: dict[int, _NaturalBucket] = {}
-            self._nat_rows = np.zeros(1, dtype=np.int64)
-            self._nat_unique = np.zeros(1, dtype=np.int64)
-            self._suffix_unique = np.zeros(1, dtype=np.int64)
-            self._suffix_rows = np.zeros(1, dtype=np.int64)
-            self._lengths_desc = np.zeros(0, dtype=np.int64)
-            return self
-        l = lengths[rows]
-        exps = ceil_pow2_exponent(l)
-        self.natural_max_exp = int(exps.max())
-        E = self.natural_max_exp
+        self.natural_max_exp = E = groups.max_exp
 
         # --- group stored elements by their row's exponent --------------
-        order = np.argsort(exps, kind="stable")
-        rows_s, l_s = rows[order], l[order]
-        bounds = np.searchsorted(exps[order], np.arange(E + 2))
+        bounds = np.searchsorted(exps_s, np.arange(E + 2))
         row_starts = starts[rows_s]
         within = np.arange(int(l_s.sum())) - np.repeat(np.cumsum(l_s) - l_s, l_s)
         flat_cols = indices[np.repeat(row_starts, l_s) + within].astype(np.int64)
@@ -124,11 +105,9 @@ class PartitionCostProfile:
         # --- natural buckets + per-column max exponent via stamping -----
         span = int(flat_cols.max()) + 1 if flat_cols.size else 1
         stamp = np.full(span, -1, dtype=np.int64)
-        nat_rows = np.zeros(E + 1, dtype=np.int64)
         nat_unique = np.zeros(E + 1, dtype=np.int64)
         for e in range(E + 1):
             lo, hi = elem_bounds[e], elem_bounds[e + 1]
-            nat_rows[e] = bounds[e + 1] - bounds[e]
             if lo == hi:
                 continue
             # Ascending e: the stamp ends up holding each column's max
@@ -136,15 +115,8 @@ class PartitionCostProfile:
             # distinct-column count in O(span) without a sort.
             stamp[flat_cols[lo:hi]] = e
             nat_unique[e] = int(np.count_nonzero(stamp == e))
-        self._nat_rows = nat_rows
+        self._nat_rows = np.diff(bounds)
         self._nat_unique = nat_unique
-        self._naturals = {
-            e: _NaturalBucket(
-                exponent=e, num_rows=int(nat_rows[e]), unique_cols=int(nat_unique[e])
-            )
-            for e in range(E + 1)
-            if nat_rows[e]
-        }
 
         # --- suffix statistics for the cap bucket -----------------------
         # A column is referenced by "rows with exponent >= m" exactly when
@@ -154,11 +126,8 @@ class PartitionCostProfile:
         suffix_unique = np.zeros(E + 2, dtype=np.int64)
         suffix_unique[: E + 1] = np.cumsum(colmax_hist[::-1])[::-1]
         self._suffix_unique = suffix_unique
-        row_hist = np.bincount(exps, minlength=E + 1)
-        suffix_rows = np.zeros(E + 2, dtype=np.int64)
-        suffix_rows[: E + 1] = np.cumsum(row_hist[::-1])[::-1]
-        self._suffix_rows = suffix_rows
-        self._lengths_desc = l[order[::-1]]
+        self._suffix_rows = rows_s.size - bounds
+        self._lengths_desc = l_s[::-1].copy()
         return self
 
     def cap_bucket_rows(self, max_exp: int) -> int:
@@ -191,47 +160,13 @@ class PartitionCostProfile:
         atomic_weight: float = DEFAULT_ATOMIC_WEIGHT,
         legacy_eq7: bool = False,
     ) -> float:
-        """Total cost of this partition under the given width cap.
-
-        By default uses the atomic-aware Eq. 6 form (the cap bucket's
-        folded rows, and every bucket when ``num_partitions > 1``, pay the
-        calibrated atomic weight plus zero-initialization).  Pass
-        ``legacy_eq7=True`` for the paper's simplified Eq. 7 — kept for the
-        cost-model ablation benchmark.
-        """
+        """Total cost of this partition under the given width cap: the
+        ``max_exp`` entry of :meth:`all_costs` (caps beyond the natural
+        maximum cost what the natural maximum costs)."""
         if max_exp < 0:
             raise ValueError(f"max_exp must be >= 0, got {max_exp}")
-        if self.num_nonempty_rows == 0:
-            return 0.0
-        max_exp = min(max_exp, self.natural_max_exp)
-        multi = num_partitions > 1 and not legacy_eq7
-        total = 0.0
-        for e, nb in self._naturals.items():
-            if e >= max_exp:
-                continue  # absorbed by the cap bucket
-            total += bucket_cost(
-                nb.num_rows,
-                1 << e,
-                nb.unique_cols,
-                J,
-                atomic=multi,
-                atomic_weight=atomic_weight,
-                zero_rows=nb.num_rows if multi else 0,
-            )
-        I1 = self.cap_bucket_rows(max_exp)
-        if I1:
-            folded = max_exp < self.natural_max_exp
-            atomic = (folded or multi) and not legacy_eq7
-            total += bucket_cost(
-                I1,
-                1 << min(max_exp, self.natural_max_exp),
-                self.cap_bucket_unique(max_exp),
-                J,
-                atomic=atomic,
-                atomic_weight=atomic_weight,
-                zero_rows=self.cap_bucket_output_rows(max_exp) if atomic else 0,
-            )
-        return total
+        costs = self.all_costs(J, num_partitions, atomic_weight, legacy_eq7)
+        return float(costs[min(max_exp, self.natural_max_exp)])
 
     def all_costs(
         self,
@@ -242,13 +177,17 @@ class PartitionCostProfile:
     ) -> np.ndarray:
         """``GetAllCost``: the cost of **every** candidate cap at once.
 
-        Returns an array ``c`` with ``c[m] == self.cost(m, J, ...)``
-        bit-for-bit, for ``m = 0..natural_max_exp``, computed from the
-        precomputed histograms in one vectorized pass (a prefix cumsum over
-        the natural buckets plus a 2-D ceil-division for the cap bucket's
-        folded row counts).  ``TuneWidth``/the exhaustive sweep read from
-        this instead of probing the scalar ``cost`` per candidate.  Results
-        are cached per ``(J, num_partitions, atomic_weight, legacy_eq7)``.
+        Returns an array ``c`` with ``c[m]`` the cost of cap ``2**m`` for
+        ``m = 0..natural_max_exp``.  By default uses the atomic-aware Eq. 6
+        form (the cap bucket's folded rows, and every bucket when
+        ``num_partitions > 1``, pay the calibrated atomic weight plus
+        zero-initialization); ``legacy_eq7=True`` gives the paper's
+        simplified Eq. 7, kept for the cost-model ablation benchmark.  One
+        vectorized pass over the precomputed histograms: a prefix cumsum
+        over the natural buckets plus a 2-D ceil-division for the cap
+        bucket's folded row counts.  ``TuneWidth``/the exhaustive sweep
+        read from this array.  Results are cached per
+        ``(J, num_partitions, atomic_weight, legacy_eq7)``.
         """
         if J < 1:
             raise ValueError(f"J must be >= 1, got {J}")
@@ -257,10 +196,6 @@ class PartitionCostProfile:
         if cached is not None:
             return cached
         E = self.natural_max_exp
-        if self.num_nonempty_rows == 0:
-            out = np.zeros(E + 1)
-            self._all_costs_cache[key] = out
-            return out
         multi = num_partitions > 1 and not legacy_eq7
         e = np.arange(E + 1)
         W = (1 << e).astype(np.float64)
@@ -268,11 +203,11 @@ class PartitionCostProfile:
         U = self._nat_unique.astype(np.float64)
         out_weight = atomic_weight if multi else 1.0
         zero_cost = I1 * float(J) if multi else np.zeros(E + 1)
-        # Same operation order as bucket_cost so the sums stay bit-identical.
+        # Same operation order as bucket_cost, and the cumsum below the same
+        # ascending-e accumulation, as the scalar loop of the reference
+        # profile (repro.bench.reference), so the costs stay bit-identical.
         nat = 2.0 * I1 * W + U * float(J) + out_weight * I1 * float(J) + zero_cost
         nat[self._nat_rows == 0] = 0.0
-        # cost(m) sums natural buckets below the cap in ascending-e order;
-        # cumsum reproduces that exact float accumulation sequence.
         prefix = np.concatenate([[0.0], np.cumsum(nat)])
         # Cap bucket at each m: rows with exponent >= m fold at width 2^m.
         n_rows = self._suffix_rows[: E + 1]
@@ -295,13 +230,12 @@ class PartitionCostProfile:
 
     def bucket_summary(self, max_exp: int) -> list[tuple[int, int, int]]:
         """(width, I1, unique) per bucket under the given cap — for tests."""
-        if self.num_nonempty_rows == 0:
-            return []
         max_exp = min(max_exp, self.natural_max_exp)
-        out = []
-        for e, nb in sorted(self._naturals.items()):
-            if e < max_exp:
-                out.append((1 << e, nb.num_rows, nb.unique_cols))
+        out = [
+            (1 << e, int(self._nat_rows[e]), int(self._nat_unique[e]))
+            for e in range(max_exp)
+            if self._nat_rows[e]
+        ]
         I1 = self.cap_bucket_rows(max_exp)
         if I1:
             out.append((1 << max_exp, I1, self.cap_bucket_unique(max_exp)))
@@ -346,7 +280,9 @@ def partition_profile(
     A, bounds, counts, starts = cells
     if not 0 <= p < len(bounds):
         raise ValueError(f"partition index {p} out of range [0, {len(bounds)})")
-    return PartitionCostProfile.from_cells(counts[:, p], starts[:, p], A.indices)
+    return PartitionCostProfile.from_cells(
+        RowGroups.from_lengths(counts[:, p]), starts[:, p], A.indices
+    )
 
 
 def total_cost(profiles: list[PartitionCostProfile], max_exps: list[int], J: int) -> float:

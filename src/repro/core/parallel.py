@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from repro.core.bucket_search import BucketSearchResult, tune_partition
 from repro.core.cost_model import PartitionCostProfile
-from repro.formats.cell import CELLFormat, Partition, split_csr
+from repro.formats.cell import CELLFormat, Partition, RowGroups, split_csr
 from repro.gpu.executor import schedule
 
 
@@ -65,18 +65,20 @@ def _compose_partition(
     num_partitions: int,
     block_multiple: int,
 ) -> PartitionOutcome:
-    """The per-partition unit of work: profile -> tune -> build.
+    """The per-partition unit of work: group -> profile -> tune -> build.
 
     Calls exactly the functions a monolithic CELL build calls, on exactly
     the arrays it would read, so the produced :class:`Partition` and search
-    result are bit-identical to building the partitions in one pass.
+    result are bit-identical to building the partitions in one pass.  The
+    partition's rows are grouped once; profile and builder share it.
     """
     t0 = time.perf_counter()
-    profile = PartitionCostProfile.from_cells(lengths, starts, indices)
+    groups = RowGroups.from_lengths(lengths)
+    profile = PartitionCostProfile.from_cells(groups, starts, indices)
     result, width = tune_partition(profile, J, num_partitions)
     t1 = time.perf_counter()
     partition = CELLFormat._build_partition_buckets(
-        index, col_start, col_end, lengths, starts, indices, data, num_cols,
+        index, col_start, col_end, groups, starts, indices, data, num_cols,
         max_width=width, block_multiple=block_multiple,
     )
     t2 = time.perf_counter()

@@ -16,7 +16,8 @@ Keeping all folded chunks in the max bucket — rather than scattering
 remainders into smaller buckets — makes the bucket population below the max
 width independent of the chosen cap, which is what lets both this builder
 and the cost model of :mod:`repro.core.cost_model` evaluate candidate widths
-incrementally.
+incrementally.  Both read a partition's rows through one :class:`RowGroups`,
+the only place the bucketing rule is applied.
 
 Storage: a partition keeps its entries once, as one CSR slab whose rows
 are bucket rows (chunks) in *fold-rank* order.  A chunk's rank is its
@@ -313,42 +314,35 @@ def touched_partitions(
     return np.nonzero(mask.any(axis=0))[0].astype(np.int64)
 
 
-def _fold_chunks(
-    lengths: np.ndarray, max_width: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split row lengths into bucket chunks under the folding rule.
+@dataclass(frozen=True)
+class RowGroups:
+    """A partition's non-empty rows grouped by natural bucket: ``rows``
+    ordered by exponent, then row, with their ``lengths`` and natural
+    ``exps`` (row ``r`` belongs in bucket ``2**exps`` with
+    ``2**(exps-1) < lengths <= 2**exps``, Section 4).
 
-    Returns per-chunk arrays ``(row, offset, length, exponent)``, rows in
-    ascending order, where ``offset`` is the chunk's element offset inside
-    its source row and ``exponent`` gives the destination bucket width
-    ``2**exponent``.
+    The one bucketing of a partition: the cost profile sizes candidate caps
+    from it and the builder folds and stores the rows from it.
     """
-    rows = np.nonzero(lengths > 0)[0]
-    l = lengths[rows].astype(np.int64)
-    if rows.size == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, z, z
-    natural_exp = ceil_pow2_exponent(l)
-    if max_width is None:
-        max_exp = int(natural_exp.max())
-        max_width = 1 << max_exp
-    else:
-        if max_width < 1 or (max_width & (max_width - 1)):
-            raise ValueError(f"max_width must be a power of two, got {max_width}")
-        max_exp = int(np.log2(max_width))
-    W = max_width
-    n_chunks = np.where(l <= W, 1, -(-l // W))
-    total = int(n_chunks.sum())
-    chunk_row = np.repeat(rows, n_chunks)
-    first = np.cumsum(n_chunks) - n_chunks
-    pos = np.arange(total) - np.repeat(first, n_chunks)
-    l_rep = np.repeat(l, n_chunks)
-    # Chunks of a folded row all go to the max bucket; the last chunk holds
-    # the remainder and is padded to W.
-    chunk_len = np.minimum(l_rep - pos * W, W)
-    chunk_off = pos * W
-    exp_rep = np.repeat(np.minimum(natural_exp, max_exp), n_chunks)
-    return chunk_row, chunk_off, chunk_len, exp_rep
+
+    rows: np.ndarray
+    lengths: np.ndarray
+    exps: np.ndarray
+
+    @classmethod
+    def from_lengths(cls, lengths: np.ndarray) -> "RowGroups":
+        """Group the rows of one partition's per-row element counts."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        rows = np.nonzero(lengths > 0)[0]
+        l = lengths[rows]
+        exps = ceil_pow2_exponent(l)
+        order = np.argsort(exps, kind="stable")
+        return cls(rows[order], l[order], exps[order])
+
+    @property
+    def max_exp(self) -> int:
+        """The natural maximum exponent (0 for an empty partition)."""
+        return int(self.exps[-1]) if self.exps.size else 0
 
 
 class CELLFormat(SparseFormat):
@@ -409,7 +403,7 @@ class CELLFormat(SparseFormat):
                 p,
                 c0,
                 c1,
-                counts[:, p],
+                RowGroups.from_lengths(counts[:, p]),
                 starts[:, p],
                 A.indices,
                 A.data,
@@ -426,7 +420,7 @@ class CELLFormat(SparseFormat):
         index: int,
         col_start: int,
         col_end: int,
-        lengths: np.ndarray,
+        groups: RowGroups,
         starts: np.ndarray,
         indices: np.ndarray,
         data: np.ndarray,
@@ -435,23 +429,39 @@ class CELLFormat(SparseFormat):
         block_multiple: int,
     ) -> Partition:
         """Build one partition by gathering straight from the parent CSR
-        arrays: ``lengths[r]`` elements of row ``r`` live at
-        ``indices[starts[r]:starts[r] + lengths[r]]`` (already global
-        column ids), so no per-partition matrix is ever materialized.  All
-        chunks are gathered, in fold-rank order, into the one slab.
+        arrays: the ``l`` elements of a grouped row ``r`` of length ``l``
+        live at ``indices[starts[r]:starts[r] + l]`` (already global column
+        ids), so no per-partition matrix is ever materialized.  All chunks
+        are gathered, in fold-rank order, into the one slab.
         """
-        lengths = np.asarray(lengths, dtype=np.int64)
-        chunk_row, chunk_off, chunk_len, chunk_exp = _fold_chunks(lengths, max_width)
-        max_exp = int(chunk_exp.max()) if chunk_row.size else 0
-        # A folded row's chunks sit ``2**max_exp`` elements apart.
-        chunk_rank = chunk_off >> max_exp
-        order = np.argsort(chunk_rank * (max_exp + 1) + chunk_exp, kind="stable")
-        rows = chunk_row[order]
-        lens = chunk_len[order]
-        indptr = np.zeros(rows.size + 1, dtype=INDEX_DTYPE)
+        max_exp = groups.max_exp
+        if max_width is not None:
+            if max_width < 1 or (max_width & (max_width - 1)):
+                raise ValueError(f"max_width must be a power of two, got {max_width}")
+            max_exp = min(max_exp, int(max_width).bit_length() - 1)
+        # First chunks keep the grouping's order, except that the rows at
+        # or above the cap all land in the max bucket, in row order.
+        cut = int(np.searchsorted(groups.exps, max_exp))
+        tail = cut + np.argsort(groups.rows[cut:], kind="stable")
+        first_chunks = np.concatenate([np.arange(cut), tail])
+        rows = groups.rows[first_chunks]
+        lengths = groups.lengths[first_chunks]
+        exps = np.minimum(groups.exps[first_chunks], max_exp)
+        # A row longer than the cap W folds into ceil(l / W) chunks of W
+        # elements (the last padded); a chunk's rank is its index in its row.
+        W = 1 << max_exp
+        n_chunks = -(-lengths // W)
+        rank = np.arange(int(n_chunks.sum())) - np.repeat(
+            np.cumsum(n_chunks) - n_chunks, n_chunks
+        )
+        order = np.argsort(rank, kind="stable")
+        rank = rank[order]
+        chunk_row = np.repeat(rows, n_chunks)[order]
+        lens = np.minimum(np.repeat(lengths, n_chunks)[order] - rank * W, W)
+        indptr = np.zeros(chunk_row.size + 1, dtype=INDEX_DTYPE)
         np.cumsum(lens, out=indptr[1:])
         within = np.arange(int(indptr[-1])) - np.repeat(indptr[:-1], lens)
-        first = np.asarray(starts, dtype=np.int64)[rows] + chunk_off[order]
+        first = np.asarray(starts, dtype=np.int64)[chunk_row] + rank * W
         src = np.repeat(first, lens) + within
         slab = sp.csr_matrix(
             (
@@ -459,16 +469,16 @@ class CELLFormat(SparseFormat):
                 indices[src].astype(INDEX_DTYPE, copy=False),
                 indptr,
             ),
-            shape=(rows.size, num_cols),
+            shape=(chunk_row.size, num_cols),
         )
         return Partition.from_slab(
             index,
             col_start,
             col_end,
             slab,
-            rows.astype(INDEX_DTYPE),
-            chunk_rank[order],
-            chunk_exp[order],
+            chunk_row.astype(INDEX_DTYPE),
+            rank,
+            np.repeat(exps, n_chunks)[order],
             block_multiple,
         )
 

@@ -140,11 +140,11 @@ class CELLSpMM(SpMMKernel):
             # most once, so plain ``+=`` is exact, and a folded row sums its
             # chunks in chunk order -- the atomicAdd path of the plan.
             if untouched:
-                # Rows are still zero: adding 0.0 and assigning gives the
-                # bytes of ``+=`` (a -0.0 turns into 0.0) without reading C.
+                # Rows are still zero, so assigning gives the bytes of
+                # ``+=`` without reading C: scipy's product starts each sum
+                # at +0.0 and so never yields a -0.0 that ``+=`` would flip.
                 lo, hi = next(passes)
-                first = np.add(partial[lo:hi], 0.0, out=partial[lo:hi])
-                C[rows[lo:hi]] = first
+                C[rows[lo:hi]] = partial[lo:hi]
                 untouched = False
             for lo, hi in passes:
                 C[rows[lo:hi]] += partial[lo:hi]

@@ -190,7 +190,12 @@ class TestComparison:
 
 
 class TestCLIBenchGate:
-    def test_update_then_check_passes(self, tmp_path, capsys):
+    def test_update_then_check_passes(
+        self, tmp_path, capsys, monkeypatch, suite_snapshot
+    ):
+        monkeypatch.setattr(
+            "repro.bench.regress.run_suite", lambda **_: suite_snapshot
+        )
         baseline = tmp_path / "baseline.json"
         assert main([
             "bench", "--no-serve",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import BenchTable, geomean, normalized_speedups, scaled_device
+from repro.bench import BenchTable, geomean, scaled_device
 from repro.gpu.device import V100
 
 
@@ -19,21 +19,6 @@ class TestGeomean:
 
     def test_single(self):
         assert geomean([7.0]) == pytest.approx(7.0)
-
-
-class TestNormalizedSpeedups:
-    def test_reference_is_one(self):
-        s = normalized_speedups({"a": 2.0, "b": 1.0}, reference="a")
-        assert s["a"] == 1.0
-        assert s["b"] == 2.0
-
-    def test_inf_time_becomes_zero(self):
-        s = normalized_speedups({"a": 1.0, "oom": float("inf")}, reference="a")
-        assert s["oom"] == 0.0
-
-    def test_missing_reference(self):
-        with pytest.raises(KeyError):
-            normalized_speedups({"a": 1.0}, reference="z")
 
 
 class TestBenchTable:

@@ -8,6 +8,7 @@ from repro.core import matrix_cost_profiles, total_cost
 from repro.core.cost_model import DEFAULT_ATOMIC_WEIGHT, PartitionCostProfile, bucket_cost
 from repro.formats import CELLFormat
 from repro.formats.base import as_csr
+from repro.formats.cell import RowGroups
 from repro.matrices import power_law_graph
 import scipy.sparse as sp
 
@@ -64,7 +65,9 @@ class TestProfileMatchesFormat:
 
     def test_empty_partition(self):
         prof = PartitionCostProfile.from_cells(
-            np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)
+            RowGroups.from_lengths(np.zeros(4, dtype=np.int64)),
+            np.zeros(4, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
         )
         assert prof.cost(3, 32) == 0.0
         assert prof.num_nonempty_rows == 0

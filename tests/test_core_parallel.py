@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.parallel import FanoutResult, compose_partitions
 from repro.core.pipeline import compose_cell_plan
-from repro.formats.cell import split_csr
+from repro.formats.cell import RowGroups, split_csr
 from repro.matrices import mixture_matrix, uniform_random_matrix
 
 
@@ -61,6 +61,23 @@ class TestBitIdentity:
                 _bucket_arrays(ref.partition.buckets[0]),
             ):
                 assert np.array_equal(xa, xb)
+
+
+class TestSharedGrouping:
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_rows_grouped_once_per_partition(self, monkeypatch, P):
+        """Profile and builder share one row grouping per partition."""
+        calls = []
+        from_lengths = RowGroups.from_lengths.__func__
+
+        def counting(cls, lengths):
+            calls.append(len(lengths))
+            return from_lengths(cls, lengths)
+
+        monkeypatch.setattr(RowGroups, "from_lengths", classmethod(counting))
+        A = mixture_matrix(300, avg_degree=8.0, seed=4)
+        compose_cell_plan(A, P, 128)
+        assert len(calls) == P
 
 
 class TestValidationAndCompaction:

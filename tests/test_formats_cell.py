@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.reference import _fold_chunks
 from repro.formats import CELLFormat
 from repro.formats.base import as_csr, ceil_pow2_exponent
-from repro.formats.cell import _fold_chunks, partition_bounds
+from repro.formats.cell import partition_bounds
 from repro.kernels.base import wave_unique_refs
 from repro.matrices import power_law_graph, with_dense_rows
 
