@@ -17,10 +17,10 @@ import pytest
 from repro.bench import BenchTable, geomean
 from repro.core import (
     build_buckets,
+    compose_partitions,
     exhaustive_width_search,
     matrix_cost_profiles,
 )
-from repro.core.training import compose_cell_for_partitions
 from repro.formats import CELLFormat
 from repro.kernels import CELLSpMM
 from repro.matrices import (
@@ -52,9 +52,7 @@ def test_ablation_folding(benchmark, skewed_matrices, device):
         rows = []
         kernel = CELLSpMM()
         for name, A in skewed_matrices.items():
-            prof = matrix_cost_profiles(A, 1)[0]
-            capped_exp = build_buckets(prof, J).max_exp
-            folded = CELLFormat.from_csr(A, num_partitions=1, max_widths=1 << capped_exp)
+            folded = compose_partitions(A, 1, J).to_format()
             natural = CELLFormat.from_csr(A, num_partitions=1)  # no folding occurs
             t_folded = kernel.measure(folded, J, device).time_s
             t_natural = kernel.measure(natural, J, device).time_s
@@ -87,7 +85,7 @@ def test_ablation_per_partition_widths(benchmark, device):
 
     def run():
         kernel = CELLSpMM()
-        per_partition = compose_cell_for_partitions(A, 2, J)
+        per_partition = compose_partitions(A, 2, J).to_format()
         uniform_width = max(per_partition.max_widths)
         uniform = CELLFormat.from_csr(A, num_partitions=2, max_widths=uniform_width)
         t_cell = kernel.measure(per_partition, J, device).time_s

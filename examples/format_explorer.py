@@ -12,7 +12,7 @@ Run:  python examples/format_explorer.py
 
 import numpy as np
 
-from repro.core import build_buckets, matrix_cost_profiles
+from repro.core import compose_partitions
 from repro.formats import (
     BCSRFormat,
     BlockedELLFormat,
@@ -75,11 +75,9 @@ def main() -> None:
         for w in widths:
             fmt = CELLFormat.from_csr(A, num_partitions=P, max_widths=w)
             row.append(f"{kernel.measure(fmt, J, device).time_ms:8.3f}")
-        profiles = matrix_cost_profiles(A, P)
-        chosen = [1 << build_buckets(p, J, num_partitions=P).max_exp for p in profiles]
-        fmt = CELLFormat.from_csr(A, num_partitions=P, max_widths=chosen)
-        alg3 = kernel.measure(fmt, J, device).time_ms
-        row.append(f"{alg3:8.3f} (widths={chosen})")
+        fan = compose_partitions(A, P, J)
+        alg3 = kernel.measure(fan.to_format(), J, device).time_ms
+        row.append(f"{alg3:8.3f} (widths={fan.widths})")
         print(f"{P:10d} " + " ".join(row))
     print("\nAlgorithm 3 lands on (or near) the best column of each row —")
     print("without ever executing a kernel.")

@@ -34,18 +34,18 @@ class SparseTIRBaseline(BaselineSystem):
 
     name = "sparsetir"
 
+    #: Simulated TVM build+load time per candidate schedule.
+    compile_s = 1.0
+    #: Timing repetitions per candidate during the search.
+    runs_per_candidate = 10
+
     def __init__(
         self,
         partition_candidates: tuple[int, ...] = PARTITION_CANDIDATES,
-        compile_s: float = 1.0,
-        runs_per_candidate: int = 10,
         max_width_cap: int = 512,
         format_cache: dict | None = None,
     ):
         self.partition_candidates = partition_candidates
-        #: Simulated TVM build+load time per candidate schedule.
-        self.compile_s = compile_s
-        self.runs_per_candidate = runs_per_candidate
         self.max_width_cap = max_width_cap
         #: Optional (id(A), P, W) -> CELLFormat cache; hyb structures do not
         #: depend on J, so sweeps over dense widths can reuse them.

@@ -21,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.baselines.base import BaselineSystem, PreparedInput
-from repro.core.bucket_search import build_buckets
-from repro.core.cost_model import matrix_cost_profiles
+from repro.core.parallel import compose_partitions
 from repro.formats.base import SparseFormat, VALUE_DTYPE, ceil_pow2
 from repro.formats.cell import CELLFormat
 from repro.formats.csr import CSRFormat
@@ -113,20 +112,14 @@ class STileBaseline(BaselineSystem):
 
     name = "stile"
 
-    def __init__(
-        self,
-        panel_rows: int = 4096,
-        micro_samples: int = 8,
-        micro_setup_s: float = 0.5,
-        micro_runs: int = 10,
-    ):
-        if panel_rows < 1:
-            raise ValueError(f"panel_rows must be >= 1, got {panel_rows}")
-        self.panel_rows = panel_rows
-        self.micro_samples = micro_samples
-        #: Simulated compile/setup per microbenchmark (kernel build + load).
-        self.micro_setup_s = micro_setup_s
-        self.micro_runs = micro_runs
+    #: Rows per panel.
+    panel_rows = 4096
+    #: Panels microbenchmarked per prepare.
+    micro_samples = 8
+    #: Simulated compile/setup per microbenchmark (kernel build + load).
+    micro_setup_s = 0.5
+    #: Timing repetitions per microbenchmark.
+    micro_runs = 10
 
     @staticmethod
     def _panel_cost_ell(lengths: np.ndarray, J: int) -> float:
@@ -169,11 +162,7 @@ class STileBaseline(BaselineSystem):
             if use_ell:
                 # STile picks the tile shape per region with its cost model;
                 # reuse the width search on the panel.
-                prof = matrix_cost_profiles(sub, 1)[0]
-                width = 1 << build_buckets(prof, J).max_exp
-                fmt: SparseFormat = CELLFormat.from_csr(
-                    sub, num_partitions=1, max_widths=width
-                )
+                fmt: SparseFormat = compose_partitions(sub, 1, J).to_format()
             else:
                 fmt = CSRFormat.from_csr(sub)
             panels.append(_Panel(kind="ell" if use_ell else "csr", row_start=start, fmt=fmt))

@@ -21,8 +21,6 @@ from repro.core.cost_model import (
     PartitionCostProfile,
     bucket_cost,
     matrix_cost_profiles,
-    partition_profile,
-    total_cost,
 )
 from repro.core.parallel import (
     FanoutResult,
@@ -46,10 +44,8 @@ from repro.core.training import (
 
 __all__ = [
     "bucket_cost",
-    "total_cost",
     "PartitionCostProfile",
     "matrix_cost_profiles",
-    "partition_profile",
     "build_buckets",
     "exhaustive_width_search",
     "tune_partition",

@@ -243,50 +243,21 @@ class PartitionCostProfile:
 
 
 def matrix_cost_profiles(
-    A: sp.csr_matrix,
-    num_partitions: int,
-    cells: tuple[sp.csr_matrix, list[tuple[int, int]], np.ndarray, np.ndarray]
-    | None = None,
+    A: sp.csr_matrix, num_partitions: int
 ) -> list[PartitionCostProfile]:
     """Build one cost profile per column partition of ``A``.
 
     All partitions are carved out of the parent CSR arrays in one
     :func:`repro.formats.cell.split_csr` pass — the profiles gather
     straight from ``A.indices`` instead of materializing
-    ``csc[:, c0:c1].tocsr()`` slices per partition.  Pass a precomputed
-    ``cells`` split to share it with :meth:`CELLFormat.from_csr`.
+    ``csc[:, c0:c1].tocsr()`` slices per partition.  Compose does not call
+    this: :func:`repro.core.parallel.compose_partitions` profiles each
+    partition from the grouping it hands on to the builder.
     """
-    if cells is None:
-        cells = split_csr(A, num_partitions)
-    bounds = cells[1]
-    if len(bounds) != num_partitions:
-        raise ValueError(
-            f"cells was split into {len(bounds)} partitions, "
-            f"expected {num_partitions}"
+    A, _bounds, counts, starts = split_csr(A, num_partitions)
+    return [
+        PartitionCostProfile.from_cells(
+            RowGroups.from_lengths(counts[:, p]), starts[:, p], A.indices
         )
-    return [partition_profile(cells, p) for p in range(len(bounds))]
-
-
-def partition_profile(
-    cells: tuple[sp.csr_matrix, list[tuple[int, int]], np.ndarray, np.ndarray],
-    p: int,
-) -> PartitionCostProfile:
-    """Cost profile of one partition of a :func:`split_csr` result.
-
-    The unit the compose fan-out and ``patch_rows`` rebuild independently —
-    partition ``p``'s profile reads only column ``p`` of the cells arrays
-    plus the shared parent ``indices``, never its siblings.
-    """
-    A, bounds, counts, starts = cells
-    if not 0 <= p < len(bounds):
-        raise ValueError(f"partition index {p} out of range [0, {len(bounds)})")
-    return PartitionCostProfile.from_cells(
-        RowGroups.from_lengths(counts[:, p]), starts[:, p], A.indices
-    )
-
-
-def total_cost(profiles: list[PartitionCostProfile], max_exps: list[int], J: int) -> float:
-    """Eq. 7 summed over all partitions with per-partition caps."""
-    if len(profiles) != len(max_exps):
-        raise ValueError("profiles and max_exps must align")
-    return float(sum(p.cost(m, J) for p, m in zip(profiles, max_exps)))
+        for p in range(num_partitions)
+    ]

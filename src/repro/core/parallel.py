@@ -96,9 +96,9 @@ def _compose_partition(
 class FanoutResult:
     """Everything a caller needs to assemble a plan from composed partitions.
 
-    ``outcomes`` is ordered by partition index; derived quantities
-    (``predicted_cost``, ``widths``) therefore accumulate in partition
-    order.
+    ``outcomes`` is ordered by partition index, and so are the derived
+    ``widths`` and ``costs`` (a plan's ``predicted_cost`` sums ``costs``
+    in that order).
     """
 
     A: sp.csr_matrix
@@ -117,12 +117,6 @@ class FanoutResult:
     @property
     def costs(self) -> list[float | None]:
         return [o.result.cost if o.result else None for o in self.outcomes]
-
-    @property
-    def predicted_cost(self) -> float:
-        # Left-to-right over partitions, like
-        # ``sum(r.cost for r in results if r)`` — bit-identical.
-        return sum(o.result.cost for o in self.outcomes if o.result)
 
     @property
     def task_walls(self) -> list[float]:

@@ -154,32 +154,51 @@ class ComposePlan:
                     costs.append(state.costs[p])
             fmt = CELLFormat(self.fmt.shape, partitions, int(A.nnz))
         elapsed = time.perf_counter() - t0
-        # Same left-to-right accumulation as a full compose.
-        predicted = sum(c for c in costs if c is not None)
         tune_frac = fan.tune_fraction if affected.size else 0.5
-        plan = ComposePlan(
-            use_cell=True,
-            fmt=fmt,
-            kernel=self.kernel,
-            num_partitions=P,
-            max_widths=widths,
-            overhead=OverheadBreakdown(
-                0.0, 0.0, elapsed * tune_frac, elapsed * (1.0 - tune_frac)
-            ),
-            predicted_cost=predicted,
-            incremental=IncrementalState(
-                J=state.J,
-                num_partitions=P,
-                block_multiple=state.block_multiple,
-                bounds=bounds,
-                counts=counts.astype(np.int32),
-                widths=widths,
-                costs=costs,
-                patched=tuple(int(p) for p in affected),
-            ),
+        plan = _cell_plan(
+            fmt, self.kernel, state.J, state.block_multiple, bounds, counts,
+            widths, costs, elapsed * tune_frac, elapsed * (1.0 - tune_frac),
+            patched=tuple(int(p) for p in affected),
         )
         _record_compose(plan)
         return plan
+
+
+def _cell_plan(
+    fmt: CELLFormat,
+    kernel: SpMMKernel,
+    J: int,
+    block_multiple: int,
+    bounds: list[tuple[int, int]],
+    counts: np.ndarray,
+    widths: list[int],
+    costs: list[float | None],
+    search_s: float,
+    build_s: float,
+    patched: tuple[int, ...] = (),
+) -> ComposePlan:
+    """The CELL plan a full compose or a ``patch_rows`` returns, with the
+    :class:`IncrementalState` the next ``patch_rows`` reads."""
+    return ComposePlan(
+        use_cell=True,
+        fmt=fmt,
+        kernel=kernel,
+        num_partitions=len(bounds),
+        max_widths=widths,
+        overhead=OverheadBreakdown(0.0, 0.0, search_s, build_s),
+        # Left-to-right over partitions, so a patch sums like a full compose.
+        predicted_cost=sum(c for c in costs if c is not None),
+        incremental=IncrementalState(
+            J=J,
+            num_partitions=len(bounds),
+            block_multiple=block_multiple,
+            bounds=bounds,
+            counts=counts.astype(np.int32),
+            widths=list(widths),
+            costs=costs,
+            patched=patched,
+        ),
+    )
 
 
 def _blockwise_occupancy(A: sp.csr_matrix, block: int = 8) -> float:
@@ -244,8 +263,6 @@ def compose_cell_plan(
             block_multiple=block_multiple,
             cells=cells,
         )
-        widths = fan.widths
-        predicted = fan.predicted_cost
     t1 = time.perf_counter()
     with tracer.span("build", format="CELL"):
         fmt = fan.to_format()
@@ -255,25 +272,9 @@ def compose_cell_plan(
     # tune/build split so the Fig. 8-9 accounting keeps its meaning.
     frac = fan.tune_fraction
     fused = t1 - t0
-    search_s = fused * frac
-    build_s = fused * (1.0 - frac) + (t2 - t1)
-    return ComposePlan(
-        use_cell=True,
-        fmt=fmt,
-        kernel=CELLSpMM(),
-        num_partitions=num_partitions,
-        max_widths=widths,
-        overhead=OverheadBreakdown(0.0, 0.0, search_s, build_s),
-        predicted_cost=predicted,
-        incremental=IncrementalState(
-            J=J,
-            num_partitions=num_partitions,
-            block_multiple=block_multiple,
-            bounds=fan.bounds,
-            counts=fan.counts.astype(np.int32),
-            widths=list(widths),
-            costs=fan.costs,
-        ),
+    return _cell_plan(
+        fmt, CELLSpMM(), J, block_multiple, fan.bounds, fan.counts, fan.widths,
+        fan.costs, fused * frac, fused * (1.0 - frac) + (t2 - t1),
     )
 
 

@@ -2,7 +2,9 @@
 
 For every matrix in a collection, SpMM is simulated with the fixed formats
 (CSR under the cuSPARSE-style kernel, BCSR under the blockwise kernel) and
-with CELL composed by the cost model for every candidate partition count.
+with CELL composed by the cost model for every candidate partition count
+(:func:`repro.core.parallel.compose_partitions`, the fan-out serving
+composes through, so the labels time the plans serving would build).
 The recorded execution times produce:
 
 * the format-selection label — TRUE when CELL's best time beats *both*
@@ -19,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.bucket_search import build_buckets
-from repro.core.cost_model import matrix_cost_profiles
+from repro.core.parallel import compose_partitions
 from repro.core.partition_model import PARTITION_CANDIDATES
 from repro.core.selector import CELL_ADVANTAGE_THRESHOLD
 from repro.formats.bcsr import BCSRFormat
-from repro.formats.cell import CELLFormat
+from repro.formats.cell import split_csr
 from repro.formats.csr import CSRFormat
 from repro.gpu.device import SimulatedDevice, SimulatedOOMError
 from repro.kernels.bcsr_spmm import BCSRSpMM
@@ -121,27 +121,6 @@ def serving_format_sample(
     )
 
 
-def compose_cell_for_partitions(
-    A: sp.csr_matrix,
-    num_partitions: int,
-    J: int,
-    block_multiple: int = 2,
-    profiles=None,
-) -> CELLFormat:
-    """Cost-model-driven CELL composition for a fixed partition count."""
-    if profiles is None:
-        profiles = matrix_cost_profiles(A, num_partitions)
-    widths = [
-        (1 << build_buckets(p, J, num_partitions=num_partitions).max_exp)
-        if p.num_nonempty_rows
-        else 1
-        for p in profiles
-    ]
-    return CELLFormat.from_csr(
-        A, num_partitions=num_partitions, max_widths=widths, block_multiple=block_multiple
-    )
-
-
 def generate_training_data(
     entries,
     device: SimulatedDevice | None = None,
@@ -170,7 +149,20 @@ def generate_training_data(
         csr = CSRFormat.from_csr(A)
         bcsr = BCSRFormat.from_csr(A, block_shape=(8, 8))
         candidates = [p for p in partition_candidates if p <= A.shape[1]]
-        profile_cache = {p: matrix_cost_profiles(A, p) for p in candidates}
+        times_by_J: dict[int, dict[int, float]] = {J: {} for J in J_values}
+        for p in candidates:
+            # One split per partition count, shared by every J and freed
+            # before the next count's (the split holds (rows, p) arrays).
+            cells = split_csr(A, p)
+            for J in J_values:
+                fmt = compose_partitions(
+                    A, p, J, block_multiple=block_multiple, cells=cells
+                ).to_format()
+                try:
+                    times_by_J[J][p] = cell_kernel.measure(fmt, J, device).time_s
+                except SimulatedOOMError:
+                    times_by_J[J][p] = float("inf")
+            del cells
 
         fixed_by_J: list[float] = []
         cell_by_J: list[float] = []
@@ -181,15 +173,7 @@ def generate_training_data(
             except SimulatedOOMError:
                 t_bcsr = float("inf")
             fixed = min(t_csr, t_bcsr)
-            times: dict[int, float] = {}
-            for p in candidates:
-                fmt = compose_cell_for_partitions(
-                    A, p, J, block_multiple=block_multiple, profiles=profile_cache[p]
-                )
-                try:
-                    times[p] = cell_kernel.measure(fmt, J, device).time_s
-                except SimulatedOOMError:
-                    times[p] = float("inf")
+            times = times_by_J[J]
             best_p = min(times, key=times.get)
             data.partition_samples.append(
                 PartitionSample(

@@ -276,9 +276,8 @@ def split_csr(
     canonical form (the bulk split relies on column-sorted rows; the CSC
     round trip reproduces exactly the ordering the old per-partition
     ``csc[:, c0:c1].tocsr()`` slices induced).  The tuple can be handed to
-    both :func:`repro.core.cost_model.matrix_cost_profiles` and
-    :meth:`CELLFormat.from_csr` via ``cells=`` so tune and build share one
-    split instead of each recomputing it.
+    :func:`repro.core.parallel.compose_partitions` via ``cells=`` so a
+    caller that composes one split several times splits it once.
     """
     bounds = partition_bounds(A.shape[1], num_partitions)
     if num_partitions > 1 and not A.has_canonical_format:
@@ -375,11 +374,7 @@ class CELLFormat(SparseFormat):
         num_partitions: int = 1,
         max_widths: int | list[int | None] | None = None,
         block_multiple: int = 2,
-        cells: tuple[sp.csr_matrix, list[tuple[int, int]], np.ndarray, np.ndarray]
-        | None = None,
     ) -> "CELLFormat":
-        if block_multiple < 1 or (block_multiple & (block_multiple - 1)):
-            raise ValueError(f"block_multiple must be a power of two, got {block_multiple}")
         I, K = A.shape
         if max_widths is None or isinstance(max_widths, (int, np.integer)):
             width_caps: list[int | None] = [max_widths] * num_partitions  # type: ignore[list-item]
@@ -390,14 +385,7 @@ class CELLFormat(SparseFormat):
                     f"max_widths has {len(width_caps)} entries for "
                     f"{num_partitions} partitions"
                 )
-        if cells is None:
-            cells = split_csr(A, num_partitions)
-        A, bounds, counts, starts = cells
-        if len(bounds) != num_partitions:
-            raise ValueError(
-                f"cells was split into {len(bounds)} partitions, "
-                f"expected {num_partitions}"
-            )
+        A, bounds, counts, starts = split_csr(A, num_partitions)
         partitions = [
             cls._build_partition_buckets(
                 p,
@@ -434,6 +422,8 @@ class CELLFormat(SparseFormat):
         ids), so no per-partition matrix is ever materialized.  All chunks
         are gathered, in fold-rank order, into the one slab.
         """
+        if block_multiple < 1 or (block_multiple & (block_multiple - 1)):
+            raise ValueError(f"block_multiple must be a power of two, got {block_multiple}")
         max_exp = groups.max_exp
         if max_width is not None:
             if max_width < 1 or (max_width & (max_width - 1)):

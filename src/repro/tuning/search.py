@@ -66,17 +66,13 @@ class TuningResult:
 class BaseTuner(abc.ABC):
     """Shared measurement plumbing for the search strategies."""
 
-    def __init__(
-        self,
-        device: SimulatedDevice | None = None,
-        compile_s: float = 1.0,
-        runs_per_candidate: int = 10,
-    ):
-        if runs_per_candidate < 1:
-            raise ValueError("runs_per_candidate must be >= 1")
+    #: Simulated build+load time per candidate.
+    compile_s = 1.0
+    #: Timing repetitions per candidate.
+    runs_per_candidate = 10
+
+    def __init__(self, device: SimulatedDevice | None = None):
         self.device = device or SimulatedDevice()
-        self.compile_s = compile_s
-        self.runs_per_candidate = runs_per_candidate
         self._kernel = CELLSpMM(fused=False)
 
     def _measure(self, A: sp.csr_matrix, cand: tuple[int, int], J: int) -> float:
@@ -139,12 +135,12 @@ class RandomSearchTuner(BaseTuner):
 class HillClimbTuner(BaseTuner):
     """Greedy neighbourhood descent: double/halve P or W while improving."""
 
-    def __init__(self, start: tuple[int, int] = (1, 32), max_steps: int = 16, **kwargs):
+    #: Descent steps before the search stops.
+    max_steps = 16
+
+    def __init__(self, start: tuple[int, int] = (1, 32), **kwargs):
         super().__init__(**kwargs)
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         self.start = start
-        self.max_steps = max_steps
 
     def _candidates(self, A, J, result):
         space = set(cell_candidate_space(A))

@@ -73,9 +73,11 @@ class TestTuners:
         assert prep.config["candidates"] == len(bl.candidate_space(A))
         assert prep.config["num_partitions"] >= 1
 
-    def test_sparsetir_overhead_counts_trials(self, workload, device):
+    def test_sparsetir_overhead_counts_trials(self, workload, device, monkeypatch):
         A, B, _ = workload
-        bl = SparseTIRBaseline(compile_s=1.0, runs_per_candidate=10)
+        monkeypatch.setattr(SparseTIRBaseline, "compile_s", 1.0)
+        monkeypatch.setattr(SparseTIRBaseline, "runs_per_candidate", 10)
+        bl = SparseTIRBaseline()
         prep = bl.prepare(A, 32, device)
         # at least compile_s per candidate
         assert prep.construction_overhead_s >= prep.config["candidates"] * 1.0
@@ -93,23 +95,27 @@ class TestTuners:
         ).time_s
         assert tuned <= naive * 1.001
 
-    def test_stile_panels_cover_matrix(self, workload, device):
+    def test_stile_panels_cover_matrix(self, workload, device, monkeypatch):
         A, _, _ = workload
-        prep = STileBaseline(panel_rows=256).prepare(A, 32, device)
+        monkeypatch.setattr(STileBaseline, "panel_rows", 256)
+        prep = STileBaseline().prepare(A, 32, device)
         total_rows = sum(p.fmt.shape[0] for p in prep.fmt.panels)
         assert total_rows == A.shape[0]
         assert prep.config["panels"] == -(-A.shape[0] // 256)
 
-    def test_stile_microbenchmark_overhead(self, workload, device):
+    def test_stile_microbenchmark_overhead(self, workload, device, monkeypatch):
         A, _, _ = workload
-        cheap = STileBaseline(micro_samples=1, micro_setup_s=0.1, panel_rows=128)
-        rich = STileBaseline(micro_samples=8, micro_setup_s=0.1, panel_rows=128)
-        t_cheap = cheap.prepare(A, 32, device).construction_overhead_s
-        t_rich = rich.prepare(A, 32, device).construction_overhead_s
+        monkeypatch.setattr(STileBaseline, "micro_setup_s", 0.1)
+        monkeypatch.setattr(STileBaseline, "panel_rows", 128)
+        monkeypatch.setattr(STileBaseline, "micro_samples", 1)
+        t_cheap = STileBaseline().prepare(A, 32, device).construction_overhead_s
+        monkeypatch.setattr(STileBaseline, "micro_samples", 8)
+        t_rich = STileBaseline().prepare(A, 32, device).construction_overhead_s
         assert t_rich > t_cheap
 
     def test_stile_invalid_panel_rows(self):
-        with pytest.raises(ValueError):
+        # The panel height is a class constant, not a constructor option.
+        with pytest.raises(TypeError):
             STileBaseline(panel_rows=0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import matrix_cost_profiles, total_cost
+from repro.core import matrix_cost_profiles
 from repro.core.cost_model import DEFAULT_ATOMIC_WEIGHT, PartitionCostProfile, bucket_cost
 from repro.formats import CELLFormat
 from repro.formats.base import as_csr
@@ -96,19 +96,6 @@ class TestCostProperties:
         prof = matrix_cost_profiles(A, 2)[0]
         e = min(3, prof.natural_max_exp)
         assert prof.cost(e, 64, num_partitions=2) > prof.cost(e, 64, num_partitions=1)
-
-    def test_total_cost_sums_partitions(self, matrix_suite):
-        A = matrix_suite["uniform"]
-        profiles = matrix_cost_profiles(A, 3)
-        exps = [min(2, p.natural_max_exp) for p in profiles]
-        assert total_cost(profiles, exps, 32) == pytest.approx(
-            sum(p.cost(e, 32) for p, e in zip(profiles, exps))
-        )
-
-    def test_total_cost_alignment_check(self, matrix_suite):
-        profiles = matrix_cost_profiles(matrix_suite["uniform"], 2)
-        with pytest.raises(ValueError):
-            total_cost(profiles, [1], 32)
 
 
 class TestCapBucketStatistics:

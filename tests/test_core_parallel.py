@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core import cost_model, parallel, training
 from repro.core.parallel import FanoutResult, compose_partitions
-from repro.core.pipeline import compose_cell_plan
-from repro.formats.cell import RowGroups, split_csr
-from repro.matrices import mixture_matrix, uniform_random_matrix
+from repro.core.pipeline import LiteForm, compose_cell_plan
+from repro.formats import cell
+from repro.formats.cell import CELLFormat, RowGroups, split_csr
+from repro.matrices import SuiteSparseLikeCollection, mixture_matrix, uniform_random_matrix
 
 
 def _bucket_arrays(b):
@@ -45,7 +47,7 @@ class TestBitIdentity:
         plan = compose_cell_plan(A, 2, 128)
         fan = compose_partitions(A, 2, 128)
         assert plan.max_widths == fan.widths
-        assert plan.predicted_cost == fan.predicted_cost
+        assert plan.predicted_cost == sum(c for c in fan.costs if c is not None)
         _assert_identical(plan.fmt, fan.to_format())
 
     def test_only_subset_matches_full(self):
@@ -63,21 +65,47 @@ class TestBitIdentity:
                 assert np.array_equal(xa, xb)
 
 
+def _count_groupings(monkeypatch) -> list:
+    calls = []
+    from_lengths = RowGroups.from_lengths.__func__
+
+    def counting(cls, lengths):
+        calls.append(len(lengths))
+        return from_lengths(cls, lengths)
+
+    monkeypatch.setattr(RowGroups, "from_lengths", classmethod(counting))
+    return calls
+
+
 class TestSharedGrouping:
     @pytest.mark.parametrize("P", [1, 3])
     def test_rows_grouped_once_per_partition(self, monkeypatch, P):
         """Profile and builder share one row grouping per partition."""
-        calls = []
-        from_lengths = RowGroups.from_lengths.__func__
-
-        def counting(cls, lengths):
-            calls.append(len(lengths))
-            return from_lengths(cls, lengths)
-
-        monkeypatch.setattr(RowGroups, "from_lengths", classmethod(counting))
+        calls = _count_groupings(monkeypatch)
         A = mixture_matrix(300, avg_degree=8.0, seed=4)
         compose_cell_plan(A, P, 128)
         assert len(calls) == P
+
+    def test_training_splits_once_per_partition_count(self, monkeypatch):
+        """Training splits each matrix once per candidate partition count
+        and composes every J through ``compose_partitions``."""
+        groupings = _count_groupings(monkeypatch)
+        splits = []
+
+        def counting_split(A, P):
+            splits.append(P)
+            return split_csr(A, P)
+
+        for mod in (cell, cost_model, parallel, training):
+            if hasattr(mod, "split_csr"):
+                monkeypatch.setattr(mod, "split_csr", counting_split)
+        coll = SuiteSparseLikeCollection(size=2, max_rows=2000, seed=1)
+        assert all(e.matrix.shape[1] >= 32 and e.matrix.nnz for e in coll)
+        training.generate_training_data(coll, J_values=(32, 128))
+        # 2 matrices x 6 partition counts (1..32); each J composes
+        # 1 + 2 + ... + 32 = 63 partitions per matrix.
+        assert len(splits) == 12
+        assert len(groupings) == 2 * 2 * 63
 
 
 class TestValidationAndCompaction:
@@ -87,6 +115,21 @@ class TestValidationAndCompaction:
             compose_partitions(A, 2, 32, only=[2])
         with pytest.raises(ValueError):
             compose_partitions(A, 2, 32, only=[-1])
+
+    @pytest.mark.parametrize(
+        "compose",
+        [
+            lambda A: CELLFormat.from_csr(A, 2, block_multiple=3),
+            lambda A: compose_partitions(A, 2, 32, block_multiple=3),
+            lambda A: compose_cell_plan(A, 2, 32, block_multiple=3),
+            lambda A: LiteForm(block_multiple=3).compose(A, 32, force_cell=True),
+        ],
+        ids=["from_csr", "compose_partitions", "compose_cell_plan", "LiteForm"],
+    )
+    def test_block_multiple_must_be_power_of_two(self, compose):
+        A = uniform_random_matrix(100, 80, 0.05, seed=1)
+        with pytest.raises(ValueError, match="block_multiple"):
+            compose(A)
 
     def test_mismatched_cells_raises(self):
         A = uniform_random_matrix(100, 80, 0.05, seed=1)

@@ -5,12 +5,12 @@ import pytest
 
 from repro.core import (
     build_buckets,
+    compose_partitions,
     exhaustive_width_search,
     generate_training_data,
     matrix_cost_profiles,
 )
 from repro.core.partition_model import PARTITION_CANDIDATES
-from repro.core.training import compose_cell_for_partitions
 from repro.matrices import (
     SuiteSparseLikeCollection,
     mixture_matrix,
@@ -66,7 +66,7 @@ class TestBucketSearch:
 class TestComposeCell:
     def test_widths_respect_partitions(self):
         A = mixture_matrix(800, seed=4)
-        fmt = compose_cell_for_partitions(A, 4, J=64)
+        fmt = compose_partitions(A, 4, 64).to_format()
         assert fmt.num_partitions == 4
         diff = fmt.to_csr() - A
         assert diff.nnz == 0 or abs(diff).max() < 1e-5
@@ -80,7 +80,7 @@ class TestComposeCell:
         left = sp.random(400, 200, density=0.2, random_state=1)
         right = sp.random(400, 200, density=0.002, random_state=2)
         A = as_csr(sp.hstack([left, right]).tocsr().astype(np.float32))
-        fmt = compose_cell_for_partitions(A, 2, J=64)
+        fmt = compose_partitions(A, 2, 64).to_format()
         assert fmt.max_widths[0] != fmt.max_widths[1]
 
 

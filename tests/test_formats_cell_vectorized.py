@@ -16,6 +16,7 @@ from repro.bench.reference import (
 )
 from repro.core.bucket_search import build_buckets, exhaustive_width_search
 from repro.core.cost_model import matrix_cost_profiles
+from repro.core.parallel import compose_partitions
 from repro.core.pipeline import compose_cell_plan
 from repro.formats.base import VALUE_DTYPE, as_csr
 from repro.formats.cell import CELLFormat, partition_bounds, partition_cells, split_csr
@@ -35,15 +36,7 @@ def collection():
 
 
 def tuned_compose(A, P, J=SUITE_J):
-    cells = split_csr(A, P)
-    profiles = matrix_cost_profiles(A, P, cells=cells)
-    widths = [
-        1 << build_buckets(p, J, num_partitions=P).max_exp
-        if p.num_nonempty_rows
-        else 1
-        for p in profiles
-    ]
-    return CELLFormat.from_csr(A, num_partitions=P, max_widths=widths, cells=cells)
+    return compose_partitions(A, P, J).to_format()
 
 
 def reference_cell_execute(fmt, B):
@@ -329,9 +322,7 @@ class TestPartitionCellsEdgeCases:
         A = matrix_suite["power_law"]
         cells = split_csr(A, 2)
         with pytest.raises(ValueError, match="partitions"):
-            CELLFormat.from_csr(A, num_partitions=3, cells=cells)
-        with pytest.raises(ValueError, match="partitions"):
-            matrix_cost_profiles(A, 3, cells=cells)
+            compose_partitions(A, 3, SUITE_J, cells=cells)
 
 
 @st.composite

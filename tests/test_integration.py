@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import LiteFormBaseline, make_baseline
-from repro.core import LiteForm, generate_training_data
-from repro.core.training import compose_cell_for_partitions
+from repro.core import LiteForm, compose_partitions, generate_training_data
 from repro.formats import CELLFormat, CSRFormat
 from repro.gpu import SimulatedDevice
 from repro.kernels import CELLSpMM, RowSplitCSRSpMM, spmm_reference
@@ -89,13 +88,13 @@ class TestEndToEnd:
         assert m.time_s < times["cusparse"] * 1.2
 
     def test_partition_composition_roundtrip_large(self, dense_operand):
-        """compose_cell_for_partitions stays exact on a larger matrix with
+        """compose_partitions stays exact on a larger matrix with
         every candidate partition count."""
         A = power_law_graph(3000, 15, seed=8)
         B = dense_operand(A.shape[1], 16)
         ref = spmm_reference(A, B)
         for P in (1, 4, 16):
-            fmt = compose_cell_for_partitions(A, P, 16)
+            fmt = compose_partitions(A, P, 16).to_format()
             C = CELLSpMM().execute(fmt, B)
             np.testing.assert_allclose(C, ref, rtol=1e-4, atol=1e-4)
 

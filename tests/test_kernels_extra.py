@@ -139,7 +139,7 @@ class TestLocalityEffects:
 
 
 class TestHybridPanels:
-    def test_mixed_panel_kinds(self, device):
+    def test_mixed_panel_kinds(self, device, monkeypatch):
         """A matrix with a dense-row region and a uniform region should
         produce both panel kinds."""
         import scipy.sparse as sp
@@ -155,14 +155,18 @@ class TestHybridPanels:
             [bottom, sp.csr_matrix((1024, 2048 - bottom.shape[1]), dtype=np.float32)]
         ))
         A = as_csr(sp.vstack([top, bottom]).tocsr())
-        prep = STileBaseline(panel_rows=1024, micro_samples=1).prepare(A, 64, device)
+        monkeypatch.setattr(STileBaseline, "panel_rows", 1024)
+        monkeypatch.setattr(STileBaseline, "micro_samples", 1)
+        prep = STileBaseline().prepare(A, 64, device)
         kinds = {p.kind for p in prep.fmt.panels}
         assert len(prep.fmt.panels) == 2
         assert kinds <= {"ell", "csr"}
 
-    def test_hybrid_format_roundtrip(self, device):
+    def test_hybrid_format_roundtrip(self, device, monkeypatch):
         A = power_law_graph(1000, 8, seed=8)
-        prep = STileBaseline(panel_rows=256, micro_samples=1).prepare(A, 32, device)
+        monkeypatch.setattr(STileBaseline, "panel_rows", 256)
+        monkeypatch.setattr(STileBaseline, "micro_samples", 1)
+        prep = STileBaseline().prepare(A, 32, device)
         assert isinstance(prep.fmt, HybridPanelFormat)
         diff = prep.fmt.to_csr() - A
         assert diff.nnz == 0 or abs(diff).max() < 1e-5
