@@ -37,8 +37,11 @@ def _bucket_arrays(b):
 
 
 def _slab_arrays(part):
-    s = part.slab
-    return part.row_ind, s.indptr, s.indices, s.data
+    s, c = part.slab, part.combine
+    return (
+        part.order, part.tail_rows, part.fold_rows,
+        s.indptr, s.indices, s.data, c.indptr, c.indices, c.data,
+    )
 
 
 def assert_formats_identical(fmt_a, fmt_b):
@@ -46,7 +49,7 @@ def assert_formats_identical(fmt_a, fmt_b):
     assert fmt_a.footprint_bytes == fmt_b.footprint_bytes
     assert len(fmt_a.partitions) == len(fmt_b.partitions)
     for pa, pb in zip(fmt_a.partitions, fmt_b.partitions):
-        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        assert (pa.slab.shape, pa.combine.shape) == (pb.slab.shape, pb.combine.shape)
         for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)

@@ -13,7 +13,7 @@ rewrite.  They are kept verbatim for two consumers:
 The CELL builder still fills padded ``col``/``val`` arrays per bucket
 (:class:`PaddedBucket`, the layout buckets once stored), strips the padding
 only at the end and then stacks the buckets into the partition's
-fold-rank-ordered slab; the equivalence tests also check the padding
+output-ordered slab; the equivalence tests also check the padding
 formulas of :class:`~repro.formats.cell.Bucket` against those arrays.
 
 Do not "optimize" this module; its value is staying byte-for-byte
@@ -98,15 +98,17 @@ def _stack_partition(
     col_start: int,
     col_end: int,
     padded: list[PaddedBucket],
+    num_rows: int,
     num_cols: int,
     block_multiple: int,
 ) -> Partition:
     """Stack stripped buckets in bucket order, then move the rows into the
-    slab's fold-rank order (a chunk's rank is its position among its row's
-    neighbouring chunks)."""
+    slab's output order: every row's first chunk at its output row (an
+    empty row where it has none), then the later chunks by rank (a chunk's
+    rank is its position among its row's neighbouring chunks)."""
     if not padded:
         rows = np.zeros(0, dtype=INDEX_DTYPE)
-        empty = sp.csr_matrix((0, num_cols), dtype=VALUE_DTYPE)
+        empty = sp.csr_matrix((num_rows, num_cols), dtype=VALUE_DTYPE)
         return Partition.from_slab(
             index, col_start, col_end, empty, rows, rows, rows, block_multiple
         )
@@ -121,11 +123,23 @@ def _stack_partition(
     first = np.ones(rows.size, dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
     rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    order = np.argsort(rank, kind="stable")
-    slab = sp.csr_matrix((vals, cols, indptr), shape=(rows.size, num_cols))[order]
+    heads = np.nonzero(rank == 0)[0]
+    tails = np.nonzero(rank > 0)[0]
+    tails = tails[np.argsort(rank[tails], kind="stable")]
+    # stacked row ``rows.size`` is an appended empty row
+    pick = np.full(num_rows + tails.size, rows.size)
+    pick[rows[heads]] = heads
+    pick[num_rows:] = tails
+    stacked = sp.vstack(
+        [
+            sp.csr_matrix((vals, cols, indptr), shape=(rows.size, num_cols)),
+            sp.csr_matrix((1, num_cols), dtype=VALUE_DTYPE),
+        ],
+        format="csr",
+    )
     return Partition.from_slab(
-        index, col_start, col_end, slab, rows[order], rank[order], exps[order],
-        block_multiple,
+        index, col_start, col_end, stacked[pick], rows[heads], exps[heads],
+        rows[tails], block_multiple,
     )
 
 
@@ -223,7 +237,7 @@ def reference_cell_from_csr(
     """:func:`reference_padded_partitions` with each bucket's padding
     stripped at the end and the buckets stacked into one slab."""
     partitions = [
-        _stack_partition(p, c0, c1, padded, A.shape[1], block_multiple)
+        _stack_partition(p, c0, c1, padded, *A.shape, block_multiple)
         for p, (c0, c1, padded) in enumerate(
             reference_padded_partitions(A, num_partitions, max_widths, block_multiple)
         )

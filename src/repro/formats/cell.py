@@ -20,17 +20,20 @@ incrementally.  Both read a partition's rows through one :class:`RowGroups`,
 the only place the bucketing rule is applied.
 
 Storage: a partition keeps its entries once, as one CSR slab whose rows
-are bucket rows (chunks) in *fold-rank* order.  A chunk's rank is its
-position within its source row: rank 0 holds every row's first chunk,
-bucket by bucket in increasing width, then come all second chunks (in row
-order), then all third chunks, and so on.  Folds only land in the max
-bucket, so every bucket is a contiguous row range of the slab; only the max
-bucket's range is rank-major instead of row-major.  Each rank section
-writes an output row at most once, which is what lets SpMM scatter a
-partition's single product with one plain ``+=`` per rank.  The padding is
-implied, not stored: on the GPU every bucket row occupies ``width``
-column-index and value slots, and ``stored_elements`` / ``footprint_bytes``
-charge those slots by formula (``num_rows * width``).
+are bucket rows (chunks) in *output order*.  Slab rows ``0..I-1`` hold the
+first chunk of every output row in row order (an empty row where the
+partition has no entries), so the partition's product lands in ``C``'s row
+order.  The rows after them hold the later chunks of folded rows, the
+*tail*, in rank order: a chunk's rank is its position within its source
+row, and the tail lists all second chunks (in row order), then all third
+chunks, and so on.  Buckets store no rows of their own: a bucket is a range
+of the partition's ``order`` array, which lists the first-chunk rows in
+bucket order, and the max bucket also owns the tail.  A folded row is
+summed by one 0/1 CSR product, ``combine``, over its running value and its
+tail chunks in rank order -- the atomicAdd order of Algorithm 2.  The
+padding is implied, not stored: on the GPU every bucket row occupies
+``width`` column-index and value slots, and ``stored_elements`` /
+``footprint_bytes`` charge those slots by formula (``num_rows * width``).
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from repro.formats.base import (
 class Bucket:
     """One Ellpack sub-matrix: rows of similar length, padded to ``width``.
 
-    A bucket stores no entries of its own.  It is the row range ``lo:hi``
-    of its partition's slab, and ``part_slab``/``part_rows`` are that slab
-    and its output-row array, shared with the partition.  The range lists
-    the bucket's ``num_output_rows`` first chunks, then (max bucket only)
-    the later chunks of its folded rows in rank order.  :attr:`row_ind` and
+    A bucket stores no entries of its own.  Its first chunks are the rows
+    ``part_order[lo:hi]`` of its partition's slab ``part_slab`` (slab row
+    ``r`` is output row ``r``'s first chunk), and ``tail_rows`` are the
+    output rows of the partition's tail chunks, the slab's last rows -- all
+    of them for the max bucket, none for the others.  :attr:`row_ind` and
     :meth:`entries` give the rows in bucket order, where a folded row's
     chunks are neighbours (Figure 4).  The padding to ``width`` is implied,
     not stored; its cost is charged by formula (``stored_elements``,
@@ -67,61 +70,66 @@ class Bucket:
     width: int
     lo: int
     hi: int
-    num_output_rows: int  # I^(2): distinct output rows, one first chunk each
     block_rows: int  # rows per block (level 3)
     part_slab: sp.csr_matrix = field(repr=False)
-    part_rows: np.ndarray = field(repr=False)  # (R,) int32
+    part_order: np.ndarray = field(repr=False)  # (N,) int32
+    tail_rows: np.ndarray = field(repr=False)  # (T,) int32, or (0,)
 
     def __post_init__(self) -> None:
         if self.width < 1 or (self.width & (self.width - 1)):
             raise ValueError(f"bucket width must be a power of two, got {self.width}")
-        if not 0 <= self.lo <= self.hi <= self.part_rows.size:
-            raise ValueError("bucket rows must be a range of the partition slab")
-        if self.part_slab.shape[0] != self.part_rows.size:
-            raise ValueError("part_slab must have one row per part_rows entry")
-        if not 0 <= self.num_output_rows <= self.num_rows:
-            raise ValueError("num_output_rows must not exceed num_rows")
+        if not 0 <= self.lo <= self.hi <= self.part_order.size:
+            raise ValueError("bucket rows must be a range of the partition order")
+        if self.part_slab.shape[0] < self.part_order.size + self.tail_rows.size:
+            raise ValueError("part_slab must have one row per first chunk and tail chunk")
         if self.block_rows < 1:
             raise ValueError("block_rows must be >= 1")
 
     @property
+    def num_output_rows(self) -> int:
+        """I^(2): distinct output rows, one first chunk each."""
+        return self.hi - self.lo
+
+    @property
     def num_rows(self) -> int:
         """I^(1): bucket rows, folded rows counted once per chunk."""
-        return self.hi - self.lo
+        return self.hi - self.lo + self.tail_rows.size
 
     @property
     def has_folds(self) -> bool:
         """Whether some output row spans several bucket rows (Section 5.3)."""
-        return self.num_output_rows < self.num_rows
+        return self.tail_rows.size > 0
 
     @property
     def row_ind(self) -> np.ndarray:
         """The *original* matrix row of each bucket row, in bucket order
         (non-decreasing; a folded row repeats once per chunk)."""
-        rows = self.part_rows[self.lo : self.hi]
-        return np.sort(rows) if self.has_folds else rows
+        rows = self.part_order[self.lo : self.hi]
+        return np.sort(np.concatenate((rows, self.tail_rows))) if self.has_folds else rows
 
-    def entries(
-        self, ordered: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(indptr, indices, data)`` of the bucket rows in bucket order,
-        ``indptr`` from 0 and global column ids in stored order.  Views of
-        the slab, except for a max bucket with folds, whose rows are
-        gathered out of rank order -- unless ``ordered`` is false, for
-        readers that do not depend on the row order."""
-        slab = self.part_slab
-        if ordered and self.has_folds:
-            rows = self.part_rows[self.lo : self.hi]
-            sub = slab[self.lo + np.argsort(rows, kind="stable")]
-            return sub.indptr, sub.indices, sub.data
-        a, b = slab.indptr[self.lo], slab.indptr[self.hi]
-        indptr = slab.indptr[self.lo : self.hi + 1] - a
-        return indptr, slab.indices[a:b], slab.data[a:b]
+        ``indptr`` from 0 and global column ids in stored order, gathered
+        out of the slab by one index gather.  The first chunks are in row
+        order and each row's tail chunks in rank order, so a stable sort by
+        output row interleaves them."""
+        indptr = self.part_slab.indptr
+        rows = self.part_order[self.lo : self.hi]
+        if self.has_folds:
+            R, T = indptr.size - 1, self.tail_rows.size
+            by_row = np.argsort(np.concatenate((rows, self.tail_rows)), kind="stable")
+            rows = np.concatenate((rows, np.arange(R - T, R, dtype=rows.dtype)))[by_row]
+        starts = indptr[rows]
+        lens = indptr[rows + 1] - starts
+        out = np.zeros(rows.size + 1, dtype=indptr.dtype)
+        np.cumsum(lens, out=out[1:])
+        src = np.repeat(starts - out[:-1], lens)
+        src += np.arange(out[-1], dtype=src.dtype)
+        return out, self.part_slab.indices[src], self.part_slab.data[src]
 
     @property
     def nnz(self) -> int:
-        indptr = self.part_slab.indptr
-        return int(indptr[self.hi] - indptr[self.lo])
+        return int(self.entries()[0][-1])
 
     @property
     def stored_elements(self) -> int:
@@ -131,9 +139,7 @@ class Bucket:
     @cached_property
     def unique_cols(self) -> int:
         """|set(Ind[i, w])|: distinct B rows this bucket reads (Eq. 5-7)."""
-        slab = self.part_slab
-        cols = slab.indices[slab.indptr[self.lo] : slab.indptr[self.hi]]
-        return int(np.unique(cols).size)
+        return int(np.unique(self.entries()[1]).size)
 
     @property
     def num_blocks(self) -> int:
@@ -150,26 +156,36 @@ class Bucket:
     def footprint_bytes(self) -> int:
         """Device bytes of the bucket's ``row_ind`` plus the padded int32
         column and float32 value arrays the GPU kernel streams."""
-        return self.num_rows * self.part_rows.itemsize + 8 * self.stored_elements
+        return self.num_rows * self.part_order.itemsize + 8 * self.stored_elements
+
+
+#: The ``combine`` of every partition without folded rows (never written).
+_NO_FOLDS = sp.csr_matrix((0, 0), dtype=VALUE_DTYPE)
 
 
 @dataclass
 class Partition:
     """One column partition: its slab and the buckets indexing it.
 
-    ``slab`` is the ``(R, num_cols)`` CSR matrix of the partition's bucket
-    rows in fold-rank order (module docstring), ``row_ind`` the output row
-    of each slab row, and ``ranks`` the bounds of the rank sections: slab
-    rows ``ranks[k]:ranks[k + 1]`` are the chunks of rank ``k``, in
-    increasing output row.  ``buckets`` are ordered by increasing width.
+    ``slab`` is the ``(I + T, num_cols)`` CSR matrix of the module
+    docstring: the first chunk of each of the ``I`` output rows in row
+    order, then the ``T`` tail chunks in rank order.  ``order`` lists the
+    output rows that have a first chunk here, in bucket order, and
+    ``tail_rows`` the output row of each tail chunk.  ``fold_rows`` are the
+    rows with tail chunks, in row order, and ``combine`` the ``(F, F + T)``
+    0/1 CSR whose row ``j`` lists ``j``, then ``F +`` the tail indices of
+    ``fold_rows[j]`` in rank order.  ``buckets`` are ordered by increasing
+    width.
     """
 
     index: int
     col_start: int
     col_end: int
     slab: sp.csr_matrix
-    row_ind: np.ndarray  # (R,) int32
-    ranks: tuple[int, ...]
+    order: np.ndarray  # (N,) int32
+    tail_rows: np.ndarray  # (T,) int32
+    fold_rows: np.ndarray  # (F,) int32
+    combine: sp.csr_matrix
     buckets: list[Bucket]
 
     @classmethod
@@ -179,40 +195,57 @@ class Partition:
         col_start: int,
         col_end: int,
         slab: sp.csr_matrix,
-        row_ind: np.ndarray,
-        chunk_rank: np.ndarray,
-        chunk_exp: np.ndarray,
+        order: np.ndarray,
+        order_exp: np.ndarray,
+        tail_rows: np.ndarray,
         block_multiple: int,
     ) -> "Partition":
-        """Index a slab whose rows are already in fold-rank order:
-        ``chunk_rank``/``chunk_exp`` give each row's rank and bucket
-        exponent, sorted by rank, then exponent, then output row."""
-        if row_ind.size == 0:
-            return cls(index, col_start, col_end, slab, row_ind, (0,), [])
-        num_ranks = int(chunk_rank[-1]) + 1
-        ranks = tuple(np.searchsorted(chunk_rank, np.arange(num_ranks + 1)).tolist())
-        max_exp = int(chunk_exp[: ranks[1]].max())
-        cuts = np.searchsorted(chunk_exp[: ranks[1]], np.arange(max_exp + 2)).tolist()
-        block_nnz = block_multiple << max_exp
+        """Index a slab already in output order: ``order`` lists the rows
+        with a first chunk in bucket order and ``order_exp`` their
+        (non-decreasing) bucket exponents; ``tail_rows`` are sorted by
+        rank, then output row."""
+        fold_rows, combine = tail_rows, _NO_FOLDS
+        if tail_rows.size:
+            # combine row j: j, then F + the tails of fold row j in rank
+            # order (the tail is in rank order; a stable sort by row keeps it)
+            fold_rows, counts = np.unique(tail_rows, return_counts=True)
+            F, T = fold_rows.size, tail_rows.size
+            indptr = np.zeros(F + 1, dtype=INDEX_DTYPE)
+            np.cumsum(counts + 1, out=indptr[1:])
+            tails = F + np.argsort(tail_rows, kind="stable").astype(INDEX_DTYPE)
+            cols = np.insert(tails, indptr[:-1] - np.arange(F), np.arange(F, dtype=INDEX_DTYPE))
+            combine = sp.csr_matrix(
+                (np.ones(F + T, dtype=VALUE_DTYPE), cols, indptr), shape=(F, F + T)
+            )
+        max_exp = int(order_exp[-1]) if order.size else -1  # -1: no buckets
+        cuts = np.searchsorted(order_exp, np.arange(max_exp + 2)).tolist()
         buckets = [
             Bucket(
                 width=1 << e,
                 lo=cuts[e],
-                # the max bucket also holds every later-rank chunk
-                hi=cuts[e + 1] if e < max_exp else row_ind.size,
-                num_output_rows=cuts[e + 1] - cuts[e],
-                block_rows=max(1, block_nnz >> e),
+                hi=cuts[e + 1],
+                block_rows=max(1, (block_multiple << max_exp) >> e),
                 part_slab=slab,
-                part_rows=row_ind,
+                part_order=order,
+                # the max bucket also owns every tail chunk
+                tail_rows=tail_rows if e == max_exp else tail_rows[:0],
             )
             for e in range(max_exp + 1)
             if cuts[e + 1] > cuts[e]
         ]
-        return cls(index, col_start, col_end, slab, row_ind, ranks, buckets)
+        return cls(
+            index, col_start, col_end, slab, order, tail_rows, fold_rows, combine, buckets
+        )
 
     @property
     def num_cols(self) -> int:
         return self.col_end - self.col_start
+
+    @property
+    def row_ind(self) -> np.ndarray:
+        """The output row of each slab row."""
+        I = self.slab.shape[0] - self.tail_rows.size
+        return np.concatenate((np.arange(I, dtype=self.tail_rows.dtype), self.tail_rows))
 
     @property
     def max_width(self) -> int:
@@ -420,7 +453,7 @@ class CELLFormat(SparseFormat):
         arrays: the ``l`` elements of a grouped row ``r`` of length ``l``
         live at ``indices[starts[r]:starts[r] + l]`` (already global column
         ids), so no per-partition matrix is ever materialized.  All chunks
-        are gathered, in fold-rank order, into the one slab.
+        are gathered, in output order (module docstring), into the one slab.
         """
         if block_multiple < 1 or (block_multiple & (block_multiple - 1)):
             raise ValueError(f"block_multiple must be a power of two, got {block_multiple}")
@@ -436,39 +469,40 @@ class CELLFormat(SparseFormat):
         first_chunks = np.concatenate([np.arange(cut), tail])
         rows = groups.rows[first_chunks]
         lengths = groups.lengths[first_chunks]
-        exps = np.minimum(groups.exps[first_chunks], max_exp)
         # A row longer than the cap W folds into ceil(l / W) chunks of W
         # elements (the last padded); a chunk's rank is its index in its row.
+        # Only rows in the (row-ordered) max bucket fold, so sorting the
+        # later chunks stably by rank leaves each rank in row order.
         W = 1 << max_exp
-        n_chunks = -(-lengths // W)
-        rank = np.arange(int(n_chunks.sum())) - np.repeat(
-            np.cumsum(n_chunks) - n_chunks, n_chunks
-        )
-        order = np.argsort(rank, kind="stable")
-        rank = rank[order]
-        chunk_row = np.repeat(rows, n_chunks)[order]
-        lens = np.minimum(np.repeat(lengths, n_chunks)[order] - rank * W, W)
-        indptr = np.zeros(chunk_row.size + 1, dtype=INDEX_DTYPE)
+        later = -(-lengths // W) - 1
+        rank = 1 + np.arange(int(later.sum())) - np.repeat(np.cumsum(later) - later, later)
+        by_rank = np.argsort(rank, kind="stable")
+        rank = rank[by_rank]
+        tail_rows = np.repeat(rows, later)[by_rank]
+        starts = np.asarray(starts, dtype=np.int64)
+        lens = np.zeros(starts.size + tail_rows.size, dtype=np.int64)
+        lens[rows] = np.minimum(lengths, W)
+        lens[starts.size :] = np.minimum(np.repeat(lengths, later)[by_rank] - rank * W, W)
+        indptr = np.zeros(lens.size + 1, dtype=INDEX_DTYPE)
         np.cumsum(lens, out=indptr[1:])
-        within = np.arange(int(indptr[-1])) - np.repeat(indptr[:-1], lens)
-        first = np.asarray(starts, dtype=np.int64)[chunk_row] + rank * W
-        src = np.repeat(first, lens) + within
+        first = np.concatenate((starts, starts[tail_rows] + rank * W))
+        src = np.repeat(first - indptr[:-1], lens) + np.arange(int(indptr[-1]))
         slab = sp.csr_matrix(
             (
                 data[src].astype(VALUE_DTYPE, copy=False),
                 indices[src].astype(INDEX_DTYPE, copy=False),
                 indptr,
             ),
-            shape=(chunk_row.size, num_cols),
+            shape=(lens.size, num_cols),
         )
         return Partition.from_slab(
             index,
             col_start,
             col_end,
             slab,
-            chunk_row.astype(INDEX_DTYPE),
-            rank,
-            np.repeat(exps, n_chunks)[order],
+            rows.astype(INDEX_DTYPE),
+            np.minimum(groups.exps[first_chunks], max_exp),
+            tail_rows.astype(INDEX_DTYPE),
             block_multiple,
         )
 
@@ -503,7 +537,7 @@ class CELLFormat(SparseFormat):
     # SparseFormat interface
     # ------------------------------------------------------------------
     def to_csr(self) -> sp.csr_matrix:
-        # A row's chunks keep their order in the rank-ordered slab.
+        # A row's first chunk precedes its tail chunks, which are in rank order.
         slabs = [(p.row_ind, p.slab) for p in self.partitions]
         rows = np.concatenate([np.repeat(r, np.diff(s.indptr)) for r, s in slabs])
         cols = np.concatenate([s.indices for _, s in slabs])

@@ -71,14 +71,21 @@ def wave_unique_refs(
     else:
         base = np.arange(0, n_waves * num_cols, num_cols, dtype=np.int64)
         keys = np.repeat(base, refs) + indices
-    if n_waves * num_cols <= STAMP_CELLS_PER_NNZ * indices.size:
-        marks = np.zeros(n_waves * num_cols, dtype=bool)
+    return distinct_per_group(keys, n_waves, num_cols), refs
+
+
+def distinct_per_group(keys: np.ndarray, n_groups: int, num_cols: int) -> np.ndarray:
+    """Distinct columns per group, from ``keys = group * num_cols + column``:
+    counted on a dense marker stamp, or by a sort when the stamp would
+    exceed ``STAMP_CELLS_PER_NNZ`` cells per key."""
+    if n_groups * num_cols <= STAMP_CELLS_PER_NNZ * keys.size:
+        marks = np.zeros(n_groups * num_cols, dtype=bool)
         marks[keys] = True
-        unique = np.count_nonzero(marks.reshape(n_waves, num_cols), axis=1)
+        unique = np.count_nonzero(marks.reshape(n_groups, num_cols), axis=1)
     else:
         uniq = np.unique(keys) // np.int64(num_cols)
-        unique = np.bincount(uniq.astype(np.int64), minlength=n_waves)
-    return unique.astype(np.int64), refs
+        unique = np.bincount(uniq.astype(np.int64), minlength=n_groups)
+    return unique.astype(np.int64)
 
 
 def operand_footprint(format_bytes: float, K: int, I: int, J: int) -> float:

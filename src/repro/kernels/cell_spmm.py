@@ -7,25 +7,37 @@ from dataclasses import replace
 import numpy as np
 
 from repro.formats.base import VALUE_DTYPE
-from repro.formats.cell import Bucket, CELLFormat
+from repro.formats.cell import Bucket, CELLFormat, Partition
 from repro.gpu.memory import coalesced_bytes
 from repro.gpu.stats import KernelStats
 from repro.kernels.base import (
     WAVE_BLOCKS,
     SpMMKernel,
     check_dense_operand,
+    distinct_per_group,
     operand_footprint,
     wave_unique_refs,
 )
 
 
-def bucket_wave_refs(bucket: Bucket, num_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`wave_unique_refs` over a bucket's rows in bucket order, one
-    wave per ``WAVE_BLOCKS`` co-resident blocks.  A bucket that fits one
-    wave is read in slab order: its counts do not depend on row order."""
-    rows_per_wave = bucket.block_rows * WAVE_BLOCKS
-    indptr, indices, _ = bucket.entries(ordered=bucket.num_rows > rows_per_wave)
-    return wave_unique_refs(indptr, indices, rows_per_wave, num_cols)
+def partition_wave_refs(part: Partition, num_cols: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`wave_unique_refs` of each bucket of ``part`` over its rows in
+    bucket order, one wave per ``WAVE_BLOCKS`` co-resident blocks.  The
+    counts of a bucket that fits one wave do not depend on row order, so
+    they are taken for all buckets at once in one pass over the slab."""
+    buckets = part.buckets
+    group = np.zeros(part.slab.shape[0], dtype=np.intp)  # each slab row's bucket
+    group[part.order] = np.repeat(np.arange(len(buckets)), [b.hi - b.lo for b in buckets])
+    group[group.size - part.tail_rows.size :] = len(buckets) - 1
+    entry_group = np.repeat(group, np.diff(part.slab.indptr))
+    refs = np.bincount(entry_group, minlength=len(buckets))
+    unique = distinct_per_group(entry_group * num_cols + part.slab.indices, len(buckets), num_cols)
+    return [
+        (unique[k : k + 1], refs[k : k + 1])
+        if b.num_rows <= b.block_rows * WAVE_BLOCKS
+        else wave_unique_refs(*b.entries()[:2], b.block_rows * WAVE_BLOCKS, num_cols)
+        for k, b in enumerate(buckets)
+    ]
 
 
 class CELLSpMM(SpMMKernel):
@@ -51,16 +63,18 @@ class CELLSpMM(SpMMKernel):
         J: int,
         partition_cols: int,
         footprint: float,
+        unique: np.ndarray,
+        refs: np.ndarray,
     ) -> KernelStats:
         """One bucket's launch; ``footprint`` is the whole plan's operand
-        footprint, computed once per plan."""
+        footprint, computed once per plan, and ``unique``/``refs`` the
+        bucket's :func:`partition_wave_refs`."""
         R, W = bucket.num_rows, bucket.width
         stored = bucket.stored_elements
         atomic = fmt.needs_atomic(bucket)
         out_words = float(R * J)
         # Column partitioning bounds the B working set to the partition's
         # columns — the data-locality mechanism of Section 4.
-        unique, refs = bucket_wave_refs(bucket, fmt.shape[1])
         b_bytes = self.CACHE.b_traffic_bytes(
             unique_per_wave=unique,
             refs_per_wave=refs,
@@ -93,8 +107,9 @@ class CELLSpMM(SpMMKernel):
         I, K = fmt.shape
         footprint = operand_footprint(fmt.footprint_bytes, K, I, J)
         per_bucket = [
-            self._bucket_stats(fmt, bucket, J, part.num_cols, footprint)
-            for part, bucket in fmt.iter_buckets()
+            self._bucket_stats(fmt, bucket, J, part.num_cols, footprint, *wave)
+            for part in fmt.partitions
+            for bucket, wave in zip(part.buckets, partition_wave_refs(part, K))
         ]
         if not per_bucket:
             return KernelStats(
@@ -127,25 +142,24 @@ class CELLSpMM(SpMMKernel):
 
     def execute(self, fmt: CELLFormat, B: np.ndarray) -> np.ndarray:
         B = check_dense_operand(B, fmt.shape[1])
-        I, J = fmt.shape[0], B.shape[1]
-        C = np.zeros((I, J), dtype=VALUE_DTYPE)
-        untouched = True  # no pass has written C yet
+        I = fmt.shape[0]
+        C = None
         for part in fmt.partitions:
             if not part.slab.nnz:
                 continue
-            passes = zip(part.ranks, part.ranks[1:])
+            # The slab's first I rows are in C's row order: the product's
+            # head is C itself for the first partition, a dense add after.
             partial = np.asarray(part.slab @ B)
-            rows = part.row_ind.astype(np.intp)
-            # One pass per fold rank.  A pass writes each output row at
-            # most once, so plain ``+=`` is exact, and a folded row sums its
-            # chunks in chunk order -- the atomicAdd path of the plan.
-            if untouched:
-                # Rows are still zero, so assigning gives the bytes of
-                # ``+=`` without reading C: scipy's product starts each sum
-                # at +0.0 and so never yields a -0.0 that ``+=`` would flip.
-                lo, hi = next(passes)
-                C[rows[lo:hi]] = partial[lo:hi]
-                untouched = False
-            for lo, hi in passes:
-                C[rows[lo:hi]] += partial[lo:hi]
+            if C is None:
+                C = partial[:I]
+            else:
+                C += partial[:I]
+            if part.fold_rows.size:
+                # One product sums each folded row's running value and its
+                # tail chunks in rank order: scipy starts each sum at +0.0
+                # and adds in stored order, so this is the atomicAdd path's
+                # ((C + head) + t1) + t2 ... bit for bit.
+                C[part.fold_rows] = part.combine @ np.vstack((C[part.fold_rows], partial[I:]))
+        if C is None:
+            return np.zeros((I, B.shape[1]), dtype=VALUE_DTYPE)
         return C

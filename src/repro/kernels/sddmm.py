@@ -29,7 +29,7 @@ from repro.kernels.base import (
     SpMMKernel,
     wave_unique_refs,
 )
-from repro.kernels.cell_spmm import bucket_wave_refs
+from repro.kernels.cell_spmm import partition_wave_refs
 
 #: Row-chunk size for the vectorized execution path (bounds temporaries).
 _CHUNK_NNZ = 1 << 18
@@ -131,27 +131,27 @@ class CELLSDDMM(_SDDMMKernel):
         I, Jc = fmt.shape
         footprint = fmt.footprint_bytes + (I + Jc) * K * 4
         per_bucket = []
-        for part, bucket in fmt.iter_buckets():
-            R, W = bucket.num_rows, bucket.width
-            stored = bucket.stored_elements
-            unique, refs = bucket_wave_refs(bucket, Jc)
-            v_bytes = self.CACHE.b_traffic_bytes(unique, refs, K, part.num_cols)
-            n_blocks = bucket.num_blocks
-            costs = np.full(n_blocks, 2.0 * bucket.block_nnz * K)
-            per_bucket.append(
-                KernelStats(
-                    coalesced_load_bytes=coalesced_bytes(R + 2 * stored + R * K) + v_bytes,
-                    coalesced_store_bytes=coalesced_bytes(stored),
-                    flops=2.0 * stored * K,
-                    block_costs=costs,
-                    lane_utilization=1.0,
-                    bandwidth_efficiency=1.15,
-                    lpt_dispatch=True,
-                    num_launches=1,
-                    footprint_bytes=footprint,
-                    label=f"{self.name}[w={W}]",
+        for part in fmt.partitions:
+            for bucket, (unique, refs) in zip(part.buckets, partition_wave_refs(part, Jc)):
+                R, W = bucket.num_rows, bucket.width
+                stored = bucket.stored_elements
+                v_bytes = self.CACHE.b_traffic_bytes(unique, refs, K, part.num_cols)
+                n_blocks = bucket.num_blocks
+                costs = np.full(n_blocks, 2.0 * bucket.block_nnz * K)
+                per_bucket.append(
+                    KernelStats(
+                        coalesced_load_bytes=coalesced_bytes(R + 2 * stored + R * K) + v_bytes,
+                        coalesced_store_bytes=coalesced_bytes(stored),
+                        flops=2.0 * stored * K,
+                        block_costs=costs,
+                        lane_utilization=1.0,
+                        bandwidth_efficiency=1.15,
+                        lpt_dispatch=True,
+                        num_launches=1,
+                        footprint_bytes=footprint,
+                        label=f"{self.name}[w={W}]",
+                    )
                 )
-            )
         if not per_bucket:
             return KernelStats(num_launches=1, label=self.name)
         return replace(KernelStats.merge(per_bucket), num_launches=1, label=self.name)
@@ -166,6 +166,7 @@ class CELLSDDMM(_SDDMMKernel):
             slab = part.slab
             if not slab.nnz:
                 continue
+            # first chunks in row order, then the tail chunks
             rows = np.repeat(part.row_ind.astype(np.int64), np.diff(slab.indptr))
             cols = slab.indices.astype(np.int64)
             vals = slab.data

@@ -16,8 +16,11 @@ def _bucket_arrays(b):
 
 
 def _slab_arrays(part):
-    s = part.slab
-    return part.row_ind, s.indptr, s.indices, s.data
+    s, c = part.slab, part.combine
+    return (
+        part.order, part.tail_rows, part.fold_rows,
+        s.indptr, s.indices, s.data, c.indptr, c.indices, c.data,
+    )
 
 
 def _assert_identical(fmt_a, fmt_b):
@@ -26,7 +29,7 @@ def _assert_identical(fmt_a, fmt_b):
     assert len(fmt_a.partitions) == len(fmt_b.partitions)
     for pa, pb in zip(fmt_a.partitions, fmt_b.partitions):
         assert (pa.col_start, pa.col_end) == (pb.col_start, pb.col_end)
-        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        assert (pa.slab.shape, pa.combine.shape) == (pb.slab.shape, pb.combine.shape)
         for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)

@@ -29,8 +29,11 @@ def _bucket_arrays(b):
 
 
 def _slab_arrays(part):
-    s = part.slab
-    return part.row_ind, s.indptr, s.indices, s.data
+    s, c = part.slab, part.combine
+    return (
+        part.order, part.tail_rows, part.fold_rows,
+        s.indptr, s.indices, s.data, c.indptr, c.indices, c.data,
+    )
 
 
 def assert_plans_identical(patched, full):
@@ -42,7 +45,7 @@ def assert_plans_identical(patched, full):
     assert fa.shape == fb.shape
     assert fa.footprint_bytes == fb.footprint_bytes
     for pa, pb in zip(fa.partitions, fb.partitions):
-        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        assert (pa.slab.shape, pa.combine.shape) == (pb.slab.shape, pb.combine.shape)
         for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)

@@ -213,14 +213,15 @@ class TestBucketQueries:
 
         from repro.formats.cell import Bucket
 
-        slab = sp.csr_matrix((3, 5), dtype=np.float32)
-        rows = np.array([0, 1, 1], dtype=np.int32)
+        slab = sp.csr_matrix((4, 5), dtype=np.float32)
+        order = np.array([0, 1, 2], dtype=np.int32)
+        tail = np.array([1], dtype=np.int32)
         with pytest.raises(ValueError, match="one row per"):
-            Bucket(2, 0, 2, 2, 1, slab, rows[:2])
-        with pytest.raises(ValueError, match="range of the partition slab"):
-            Bucket(2, 1, 4, 3, 1, slab, rows)
-        with pytest.raises(ValueError, match="num_output_rows"):
-            Bucket(2, 0, 2, 3, 1, slab, rows)
+            Bucket(2, 0, 2, 1, slab[:3], order, tail)
+        with pytest.raises(ValueError, match="range of the partition order"):
+            Bucket(2, 1, 4, 1, slab, order, tail)
+        with pytest.raises(ValueError, match="block_rows"):
+            Bucket(2, 0, 2, 0, slab, order, tail)
 
     def test_num_output_rows(self, matrix_suite):
         A = matrix_suite["dense_rows"]

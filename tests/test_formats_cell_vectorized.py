@@ -72,8 +72,11 @@ def _bucket_arrays(b):
 
 
 def _slab_arrays(part):
-    s = part.slab
-    return part.row_ind, s.indptr, s.indices, s.data
+    s, c = part.slab, part.combine
+    return (
+        part.order, part.tail_rows, part.fold_rows,
+        s.indptr, s.indices, s.data, c.indptr, c.indices, c.data,
+    )
 
 
 def assert_formats_identical(a, b):
@@ -82,7 +85,7 @@ def assert_formats_identical(a, b):
     assert len(a.partitions) == len(b.partitions)
     for pa, pb in zip(a.partitions, b.partitions):
         assert (pa.col_start, pa.col_end) == (pb.col_start, pb.col_end)
-        assert pa.ranks == pb.ranks and pa.slab.shape == pb.slab.shape
+        assert (pa.slab.shape, pa.combine.shape) == (pb.slab.shape, pb.combine.shape)
         for xa, xb in zip(_slab_arrays(pa), _slab_arrays(pb)):
             assert xa.dtype == xb.dtype and np.array_equal(xa, xb)
         assert len(pa.buckets) == len(pb.buckets)
@@ -261,6 +264,70 @@ class TestSlabExecuteSweep:
         assert len(expected) == got.nnz == A.nnz
         for r, c, v in zip(got.row, got.col, got.data):
             assert expected[int(r), int(c)] == v.tobytes()
+
+
+
+def _spread_values(rng, shape):
+    """Values over eight decades, so float32 sums depend on their order."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)).astype(
+        np.float32
+    )
+
+
+class TestFoldFixupOrder:
+    """Hand-built formats whose folded rows meet the sums of earlier
+    partitions: execute's one fix-up per partition must add
+    ``((C_prev + head) + t1) + t2 ...``, the per-bucket oracle's order,
+    byte for byte."""
+
+    def _assert_byte_equal(self, fmt, seed):
+        rng = np.random.default_rng(seed)
+        for J in (1, 8):
+            B = _spread_values(rng, (fmt.shape[1], J))
+            got = CELLSpMM().execute(fmt, B)
+            assert got.dtype == VALUE_DTYPE and got.shape == (fmt.shape[0], J)
+            assert got.tobytes() == reference_cell_execute(fmt, B).tobytes()
+
+    def test_row_folds_in_partition_1_and_has_entries_in_partition_0(self):
+        rng = np.random.default_rng(0)
+        dense = np.zeros((5, 16), dtype=np.float32)
+        dense[2, :3] = _spread_values(rng, 3)
+        dense[2, 8:15] = _spread_values(rng, 7)  # 4 chunks at width 2
+        dense[[0, 4], 9:11] = _spread_values(rng, (2, 2))
+        fmt = CELLFormat.from_csr(as_csr(dense), num_partitions=2, max_widths=[None, 2])
+        p0, p1 = fmt.partitions
+        assert 2 in p0.order and p0.fold_rows.size == 0
+        assert p1.fold_rows.tolist() == [2] and p1.tail_rows.tolist() == [2, 2, 2]
+        self._assert_byte_equal(fmt, 1)
+
+    def test_row_folds_in_two_partitions(self):
+        rng = np.random.default_rng(2)
+        dense = np.zeros((6, 16), dtype=np.float32)
+        dense[1, 1:6] = _spread_values(rng, 5)
+        dense[1, 8:14] = _spread_values(rng, 6)
+        dense[4, :7] = _spread_values(rng, 7)
+        dense[[0, 3, 5], 8] = _spread_values(rng, 3)
+        fmt = CELLFormat.from_csr(as_csr(dense), num_partitions=2, max_widths=2)
+        p0, p1 = fmt.partitions
+        assert p0.fold_rows.tolist() == [1, 4] and p1.fold_rows.tolist() == [1]
+        self._assert_byte_equal(fmt, 3)
+
+    def test_partition_with_no_entries(self):
+        # Partition 0 is empty, so partition 1's product starts C, and
+        # partition 2 folds a row that partition 1 also writes.
+        rng = np.random.default_rng(4)
+        dense = np.zeros((4, 12), dtype=np.float32)
+        dense[:, 4:6] = _spread_values(rng, (4, 2))
+        dense[3, 8:12] = _spread_values(rng, 4)
+        fmt = CELLFormat.from_csr(as_csr(dense), num_partitions=3, max_widths=1)
+        assert fmt.partitions[0].nnz == 0 and fmt.partitions[0].buckets == []
+        assert fmt.partitions[2].fold_rows.tolist() == [3]
+        self._assert_byte_equal(fmt, 5)
+
+    def test_all_empty_format(self):
+        fmt = CELLFormat.from_csr(sp.csr_matrix((4, 6), dtype=np.float32), num_partitions=2)
+        assert all(p.nnz == 0 for p in fmt.partitions)
+        self._assert_byte_equal(fmt, 6)
 
 
 class TestPartitionCellsEdgeCases:

@@ -13,6 +13,7 @@ from repro.kernels import (
     SputnikSpMM,
     TacoSpMM,
 )
+from repro.kernels.cell_spmm import partition_wave_refs
 from repro.matrices import make_gnn_standin, power_law_graph
 
 
@@ -113,8 +114,9 @@ class TestCELLStats:
         A = matrix_suite["power_law"]
         fmt = CELLFormat.from_csr(A, num_partitions=1)
         k = CELLSpMM()
-        for part, bucket in fmt.iter_buckets():
-            st = k._bucket_stats(fmt, bucket, 32, part.num_cols, footprint=0.0)
+        part = fmt.partitions[0]
+        for bucket, wave in zip(part.buckets, partition_wave_refs(part, A.shape[1])):
+            st = k._bucket_stats(fmt, bucket, 32, part.num_cols, 0.0, *wave)
             if st.block_costs.size > 1:
                 assert np.allclose(st.block_costs[:-1], st.block_costs[0])
 

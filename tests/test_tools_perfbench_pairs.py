@@ -53,26 +53,29 @@ def checkouts(tmp_path):
 def test_pairs_alternate_and_ratios_are_change_over_parent(checkouts, capsys):
     root, parent, change = checkouts
     code = perfbench_pairs.main(
-        [str(parent), str(change), "--workload", "zipf-hot", "--pairs", "3",
-         "--seconds", "2", "--seed", "7", "--json"]
+        [str(parent), str(change), "--workload", "zipf-hot", "--workload", "gnn-fleet",
+         "--pairs", "3", "--seconds", "2", "--seed", "7", "--json"]
     )
     assert code == 0
-    summary = json.loads(capsys.readouterr().out)
+    summaries = json.loads(capsys.readouterr().out)
+    assert list(summaries) == ["zipf-hot", "gnn-fleet"]
     log = (root / "order.log").read_text().splitlines()
     assert [line.split()[0] for line in log] == [
         "parent", "change", "change", "parent", "parent", "change"
-    ]
-    assert all(
-        line.split()[1:] == ["--workload", "zipf-hot", "--seed", "7", "--seconds", "2",
-                             "--trace", "0"]
-        for line in log
-    )
-    cpu = summary["metrics"]["cpu_ms_per_req"]
-    assert cpu["ratios"] == [0.75, 0.75, 0.75] and cpu["median_ratio"] == 0.75
-    assert cpu["parent"] == [2.0] * 3 and cpu["change"] == [1.5] * 3
-    assert summary["metrics"]["requests_per_s"]["median_ratio"] == 1.25
-    assert summary["operations"]["parent"]["failed"] == [0, 0, 0]
-    assert summary["operations"]["change"]["failed"] == [1, 1, 1]
+    ] * 2
+    for i, workload in enumerate(summaries):
+        assert all(
+            line.split()[1:] == ["--workload", workload, "--seed", "7", "--seconds", "2",
+                                 "--trace", "0"]
+            for line in log[6 * i : 6 * (i + 1)]
+        )
+        summary = summaries[workload]
+        cpu = summary["metrics"]["cpu_ms_per_req"]
+        assert cpu["ratios"] == [0.75, 0.75, 0.75] and cpu["median_ratio"] == 0.75
+        assert cpu["parent"] == [2.0] * 3 and cpu["change"] == [1.5] * 3
+        assert summary["metrics"]["requests_per_s"]["median_ratio"] == 1.25
+        assert summary["operations"]["parent"]["failed"] == [0, 0, 0]
+        assert summary["operations"]["change"]["failed"] == [1, 1, 1]
 
 
 def test_table_names_every_metric_and_failed_counts(checkouts, capsys):
@@ -80,6 +83,7 @@ def test_table_names_every_metric_and_failed_counts(checkouts, capsys):
     perfbench_pairs.main([str(parent), str(change), "--workload", "cold-compose",
                           "--pairs", "2", "--seconds", "1"])
     out = capsys.readouterr().out
+    assert out.startswith("== cold-compose ==\n")
     assert "cpu_ms_per_req (ms): median change/parent 0.750" in out
     assert "requests_per_s (1/s): median change/parent 1.250" in out
     assert "pair 2: parent 2  change 1.5  ratio 0.750" in out

@@ -1,18 +1,19 @@
 #!/usr/bin/env python
 """Paired perfbench runs of two checkouts: per-pair change/parent ratios.
 
-Runs each checkout's own ``perfbench/run.py`` on one workload, alternating
-which checkout goes first from pair to pair so neither side always runs on
-a warmer or cooler machine, and prints, for every metric the runs report,
-the parent and change values of each pair, their change/parent ratio and
-the median ratio, plus each side's failed operation count:
+Runs each checkout's own ``perfbench/run.py`` on each given workload,
+alternating which checkout goes first from pair to pair so neither side
+always runs on a warmer or cooler machine, and prints one table per
+workload: for every metric the runs report, the parent and change values of
+each pair, their change/parent ratio and the median ratio, plus each side's
+failed operation count:
 
     python tools/perfbench_pairs.py ../parent . --workload zipf-hot \\
-        --pairs 5 --seconds 10
+        --workload cold-compose --pairs 5 --seconds 10
 
 Every run gets the same ``--seed`` and ``--trace 0``, so the metrics are
 the end-to-end ones.  ``--json`` prints the same numbers as one JSON
-object instead of a table.
+object keyed by workload instead of the tables.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument(
+        "--workload", action="append", required=True, help="repeat for several workloads"
+    )
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
@@ -107,10 +110,14 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    summary = summarize(
-        run_pairs(args.parent, args.change, args.workload, args.pairs, args.seconds, args.seed)
-    )
-    print(json.dumps(summary) if args.json else format_table(summary))
+    summaries = {
+        w: summarize(run_pairs(args.parent, args.change, w, args.pairs, args.seconds, args.seed))
+        for w in dict.fromkeys(args.workload)
+    }
+    if args.json:
+        print(json.dumps(summaries))
+    else:
+        print("\n\n".join(f"== {w} ==\n{format_table(s)}" for w, s in summaries.items()))
     return 0
 
 
