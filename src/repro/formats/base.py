@@ -101,8 +101,8 @@ class SparseFormat(abc.ABC):
     def kernel_memo(self) -> dict:
         """``(kernel, J) -> PackedStats`` filled by
         :meth:`repro.kernels.base.SpMMKernel.stats`.  It lives and dies
-        with the format, so it grows only with the widths a resident plan
-        is launched at."""
+        with the format (and its re-valued copies), so it grows only with
+        the widths a resident plan is launched at."""
         return {}
 
     @property

@@ -34,6 +34,12 @@ tail chunks in rank order -- the atomicAdd order of Algorithm 2.  The
 padding is implied, not stored: on the GPU every bucket row occupies
 ``width`` column-index and value slots, and ``stored_elements`` /
 ``footprint_bytes`` charge those slots by formula (``num_rows * width``).
+
+Re-value: everything but the slab values depends only on the sparsity
+pattern.  :meth:`CELLFormat.revalue` gathers a same-pattern matrix's values
+into a copy that shares the pattern's structure -- slab index arrays,
+``order``, ``tail_rows``, ``combine``, the gather map and the kernel memo --
+so a pattern is composed and planned once however often its values change.
 """
 
 from __future__ import annotations
@@ -159,8 +165,43 @@ class Bucket:
         return self.num_rows * self.part_order.itemsize + 8 * self.stored_elements
 
 
+def _copy_with(obj, **attrs):
+    """A shallow copy of ``obj`` with ``attrs`` set and its cached
+    properties kept: a re-value's copy of already-validated structure."""
+    copy = object.__new__(type(obj))
+    copy.__dict__.update(obj.__dict__, **attrs)
+    return copy
+
+
 #: The ``combine`` of every partition without folded rows (never written).
 _NO_FOLDS = sp.csr_matrix((0, 0), dtype=VALUE_DTYPE)
+
+
+class _Folds:
+    """A partition's folded rows and their ``combine``, derived from its
+    tail chunks' rows on first use -- only execution reads them -- and
+    shared by its re-valued copies."""
+
+    def __init__(self, tail_rows: np.ndarray):
+        self.tail_rows = tail_rows
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.unique(self.tail_rows)
+
+    @cached_property
+    def combine(self) -> sp.csr_matrix:
+        if not self.tail_rows.size:
+            return _NO_FOLDS
+        # the tail is in rank order; a stable sort by row keeps it
+        F, T = self.rows.size, self.tail_rows.size
+        indptr = np.zeros(F + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.unique(self.tail_rows, return_counts=True)[1] + 1, out=indptr[1:])
+        tails = F + np.argsort(self.tail_rows, kind="stable").astype(INDEX_DTYPE)
+        cols = np.insert(tails, indptr[:-1] - np.arange(F), np.arange(F, dtype=INDEX_DTYPE))
+        return sp.csr_matrix(
+            (np.ones(F + T, dtype=VALUE_DTYPE), cols, indptr), shape=(F, F + T)
+        )
 
 
 @dataclass
@@ -171,11 +212,9 @@ class Partition:
     docstring: the first chunk of each of the ``I`` output rows in row
     order, then the ``T`` tail chunks in rank order.  ``order`` lists the
     output rows that have a first chunk here, in bucket order, and
-    ``tail_rows`` the output row of each tail chunk.  ``fold_rows`` are the
-    rows with tail chunks, in row order, and ``combine`` the ``(F, F + T)``
-    0/1 CSR whose row ``j`` lists ``j``, then ``F +`` the tail indices of
-    ``fold_rows[j]`` in rank order.  ``buckets`` are ordered by increasing
-    width.
+    ``tail_rows`` the output row of each tail chunk.  ``buckets`` are
+    ordered by increasing width.  ``folds`` derives ``fold_rows`` and
+    ``combine`` from ``tail_rows`` on first use.
     """
 
     index: int
@@ -184,9 +223,8 @@ class Partition:
     slab: sp.csr_matrix
     order: np.ndarray  # (N,) int32
     tail_rows: np.ndarray  # (T,) int32
-    fold_rows: np.ndarray  # (F,) int32
-    combine: sp.csr_matrix
     buckets: list[Bucket]
+    folds: _Folds = field(repr=False)
 
     @classmethod
     def from_slab(
@@ -204,19 +242,6 @@ class Partition:
         with a first chunk in bucket order and ``order_exp`` their
         (non-decreasing) bucket exponents; ``tail_rows`` are sorted by
         rank, then output row."""
-        fold_rows, combine = tail_rows, _NO_FOLDS
-        if tail_rows.size:
-            # combine row j: j, then F + the tails of fold row j in rank
-            # order (the tail is in rank order; a stable sort by row keeps it)
-            fold_rows, counts = np.unique(tail_rows, return_counts=True)
-            F, T = fold_rows.size, tail_rows.size
-            indptr = np.zeros(F + 1, dtype=INDEX_DTYPE)
-            np.cumsum(counts + 1, out=indptr[1:])
-            tails = F + np.argsort(tail_rows, kind="stable").astype(INDEX_DTYPE)
-            cols = np.insert(tails, indptr[:-1] - np.arange(F), np.arange(F, dtype=INDEX_DTYPE))
-            combine = sp.csr_matrix(
-                (np.ones(F + T, dtype=VALUE_DTYPE), cols, indptr), shape=(F, F + T)
-            )
         max_exp = int(order_exp[-1]) if order.size else -1  # -1: no buckets
         cuts = np.searchsorted(order_exp, np.arange(max_exp + 2)).tolist()
         buckets = [
@@ -233,9 +258,26 @@ class Partition:
             for e in range(max_exp + 1)
             if cuts[e + 1] > cuts[e]
         ]
-        return cls(
-            index, col_start, col_end, slab, order, tail_rows, fold_rows, combine, buckets
-        )
+        return cls(index, col_start, col_end, slab, order, tail_rows, buckets, _Folds(tail_rows))
+
+    @property
+    def fold_rows(self) -> np.ndarray:
+        """The rows with tail chunks, in row order."""
+        return self.folds.rows
+
+    @property
+    def combine(self) -> sp.csr_matrix:
+        """The ``(F, F + T)`` 0/1 CSR whose row ``j`` lists ``j``, then
+        ``F +`` the tail indices of ``fold_rows[j]`` in rank order."""
+        return self.folds.combine
+
+    def with_data(self, data: np.ndarray) -> "Partition":
+        """This partition holding ``data`` as its slab values: a copy that
+        shares every index array, the bucket geometry and :attr:`folds`."""
+        # scipy's constructor would re-check the shared index arrays; copy
+        slab = _copy_with(self.slab, data=data)
+        buckets = [_copy_with(b, part_slab=slab) for b in self.buckets]
+        return _copy_with(self, slab=slab, buckets=buckets)
 
     @property
     def num_cols(self) -> int:
@@ -532,6 +574,42 @@ class CELLFormat(SparseFormat):
     def max_widths(self) -> list[int]:
         """The per-partition maximum bucket widths actually used."""
         return [p.max_width for p in self.partitions]
+
+    # ------------------------------------------------------------------
+    # Re-value
+    # ------------------------------------------------------------------
+    @cached_property
+    def gather_map(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """``(src, indptr, indices)``: the matrix's canonical CSR pattern
+        and, per partition, where each slab entry sits in it -- slab entry
+        ``k`` of partition ``p`` is element ``src[p][k]`` of the canonical
+        ``data`` (duplicate entries share one).  Derived from the slabs
+        alone on first use (a re-value or an SDDMM), then shared by every
+        re-valued copy."""
+        I, K = self.shape
+        keys = np.concatenate([
+            np.repeat(p.row_ind.astype(np.int64) * K, np.diff(p.slab.indptr)) + p.slab.indices
+            for p in self.partitions
+        ])
+        uniq, pos = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(I + 1, dtype=INDEX_DTYPE)
+        np.cumsum(np.bincount(uniq // K, minlength=I), out=indptr[1:])
+        src = np.split(pos, np.cumsum([p.nnz for p in self.partitions])[:-1])
+        return src, indptr, (uniq % K).astype(INDEX_DTYPE)
+
+    def revalue(self, A: sp.csr_matrix) -> "CELLFormat":
+        """This format holding the values of ``A``, a canonical CSR matrix
+        of the pattern the format was built from: each slab's values are
+        one gather out of ``A.data`` by :attr:`gather_map`.  The copy
+        shares every index array, ``combine``, the gather map and the
+        kernel memo (kernel stats depend only on the structure)."""
+        src, indptr, _ = self.gather_map
+        same = A.shape == self.shape and A.nnz == indptr[-1] == self.nnz
+        if not (same and A.has_canonical_format):
+            raise ValueError("revalue needs a canonical matrix of the format's own pattern")
+        data = A.data.astype(VALUE_DTYPE, copy=False)
+        parts = [p.with_data(data[s]) for p, s in zip(self.partitions, src)]
+        return _copy_with(self, partitions=parts, kernel_memo=self.kernel_memo)
 
     # ------------------------------------------------------------------
     # SparseFormat interface

@@ -116,16 +116,25 @@ class SpMMKernel(abc.ABC):
     def execute(self, fmt: SparseFormat, B: np.ndarray) -> np.ndarray:
         """Compute the numeric result from the format's arrays."""
 
+    def __eq__(self, other: object) -> bool:
+        """Kernels of one class and configuration are interchangeable, so
+        the instances a caller builds afresh share their memo entries."""
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash((type(self), *sorted(vars(self).items())))
+
     def stats(self, fmt: SparseFormat, J: int) -> KernelStats:
         """:meth:`plan`, memoized on the format per ``(kernel, J)``.
 
         Stats depend only on the format's structure, the kernel's
         configuration and ``J``, and built formats are never written in
-        place, so a reused plan pays for :meth:`plan` at most twice.  The
-        record is kept (packed) from the second call on, so a plan
-        launched once, such as a cache entry never hit, carries no memo.
-        Every call hands out an equal, immutable record; those of one
-        memo entry share one timing memo.
+        place, so a reused plan pays for :meth:`plan` at most twice.  A
+        re-valued CELL format shares its structure's memo, so a pattern
+        does too.  The record is kept (packed) from the second call on, so
+        a plan launched once, such as a cache entry never hit, carries no
+        memo.  Every call hands out an equal, immutable record; those of
+        one memo entry share one timing memo.
         """
         key = (self, int(J))
         memo = fmt.kernel_memo

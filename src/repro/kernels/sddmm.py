@@ -157,27 +157,25 @@ class CELLSDDMM(_SDDMMKernel):
         return replace(KernelStats.merge(per_bucket), num_launches=1, label=self.name)
 
     def execute(self, fmt: CELLFormat, operands) -> sp.csr_matrix:
+        """``C`` on the matrix's canonical pattern: each slab's products land
+        at its entries' :attr:`~CELLFormat.gather_map` positions."""
         U, V = operands
         U = np.asarray(U, dtype=VALUE_DTYPE)
         V = np.asarray(V, dtype=VALUE_DTYPE)
         _check_operands(fmt.shape, U, V)
-        rows_all, cols_all, vals_all = [], [], []
+        products = []
         for part in fmt.partitions:
             slab = part.slab
-            if not slab.nnz:
-                continue
             # first chunks in row order, then the tail chunks
-            rows = np.repeat(part.row_ind.astype(np.int64), np.diff(slab.indptr))
-            cols = slab.indices.astype(np.int64)
-            vals = slab.data
-            dots = np.einsum("ij,ij->i", U[rows], V[cols], dtype=np.float32)
-            rows_all.append(rows)
-            cols_all.append(cols)
-            vals_all.append(vals * dots)
-        if not rows_all:
-            return sp.csr_matrix(fmt.shape, dtype=VALUE_DTYPE)
-        return sp.csr_matrix(
-            (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=fmt.shape,
-            dtype=VALUE_DTYPE,
-        )
+            rows = np.repeat(part.row_ind, np.diff(slab.indptr))
+            dots = np.einsum("ij,ij->i", U[rows], V[slab.indices], dtype=np.float32)
+            products.append((slab.data * dots, rows, slab.indices))
+        src, indptr, indices = fmt.gather_map
+        if indices.size < fmt.nnz:
+            # duplicate entries: summed by scipy's COO conversion, in its order
+            vals, rows, cols = (np.concatenate(x) for x in zip(*products))
+            return sp.csr_matrix((vals, (rows, cols)), shape=fmt.shape, dtype=VALUE_DTYPE)
+        data = np.empty(indices.size, dtype=VALUE_DTYPE)
+        for pos, (vals, _, _) in zip(src, products):
+            data[pos] = vals
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=fmt.shape)

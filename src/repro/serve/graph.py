@@ -16,10 +16,10 @@ earlier stage outputs).  :class:`GraphEngine` executes it through an
   :class:`~repro.serve.server.OpRequest` traffic — each goes through the
   plan cache keyed on ``(fingerprint, op, J)``, and with
   ``reuse_structure`` (the default for graphs) a same-pattern miss
-  refills the recorded composed geometry instead of re-running the
+  re-values the recorded composed structure instead of re-running the
   pipeline, so stage outputs carrying fresh values (a normalized
-  adjacency is a new value-fingerprint every layer) still cost only a
-  format rebuild;
+  adjacency is a new value-fingerprint every layer) cost only a gather
+  of their values into that shared structure;
 * **local stages** (``normalize`` / ``dense``) run inline on the host —
   deterministic vectorized NumPy, so a chain replays bit-identically.
 
@@ -92,7 +92,7 @@ class GraphRequest:
 
     Stages execute in list order; references must point backwards.
     ``reuse_structure`` (default on) lets every device stage sharing A's
-    sparsity pattern reuse the one composed geometry — the graph-serving
+    sparsity pattern reuse the one composed structure — the graph-serving
     contract that makes compose cost per (A, op-set), not per stage.
     """
 

@@ -36,6 +36,7 @@ budget left.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -61,8 +62,8 @@ from repro.serve.plan_cache import CacheEntry, PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
 #: Entries each per-server memo keeps (bounded FIFO): same-pattern
-#: composed geometries for the structural-reuse ("re-value") rebuild path,
-#: and plan keys whose bandit arm plans are memoized.
+#: composed plans for the structural-reuse ("re-value") path, and plan
+#: keys whose bandit arm plans are memoized.
 _MEMO_LIMIT = 512
 
 #: Smoothing factor of the per-nnz composition-cost estimate.
@@ -160,11 +161,12 @@ class OpRequest:
     op: str = "spmm"
     #: SDDMM dense pair ``(U, V)``; None for spmm/spmv.
     operands: tuple[np.ndarray, np.ndarray] | None = None
-    #: On a cache miss, allow serving a *same-pattern* matrix by rebuilding
-    #: the geometry recorded from an earlier full compose (selection,
-    #: partitioning, and width search are skipped; only the format arrays
-    #: are refilled).  This is what lets a GNN chain pay one compose per
-    #: (A, op-set) even though stage outputs carry fresh values.
+    #: On a cache miss, allow serving a *same-pattern* matrix by re-valuing
+    #: the plan recorded from an earlier full compose (selection,
+    #: partitioning, width search, the CELL build and kernel plan are
+    #: skipped; the values are gathered into the recorded structure).  This
+    #: is what lets a GNN chain pay one compose per (A, op-set) even though
+    #: stage outputs carry fresh values.
     reuse_structure: bool = False
 
 
@@ -405,8 +407,8 @@ class SpMMServer(ServingSurface):
         self._pending: deque[tuple[int, OpRequest, tuple | None]] = deque()
         #: key -> (background compose future, matrix nnz, canonical CSR).
         self._inflight: dict[PlanKey, tuple[Future, int, sp.csr_matrix]] = {}
-        #: pattern digest -> recorded composed geometry (the structural-
-        #: reuse rebuild recipe); bounded FIFO of :data:`_MEMO_LIMIT`.
+        #: pattern digest -> (recorded plan, re-value function); bounded
+        #: FIFO of :data:`_MEMO_LIMIT`.
         self._structures: "OrderedDict[str, tuple]" = OrderedDict()
         #: Keys whose cache entry holds a structurally-OOM-degraded CSR
         #: plan: background swaps must never overwrite it.
@@ -517,43 +519,34 @@ class SpMMServer(ServingSurface):
         return key.fp.pattern or fingerprint_csr(A, include_values=False).digest
 
     def _record_structure(self, pattern: str, plan: ComposePlan) -> None:
-        """Remember a full compose's geometry under the matrix's *pattern*
-        digest so later same-pattern misses can rebuild it cheaply.
+        """Remember a full compose under the matrix's *pattern* digest so
+        later same-pattern misses can re-value it cheaply.
 
         Must be called with the raw composed plan (before op binding) so
-        the recorded kernel is the plan's own SpMM kernel.  Only the
-        format's build arguments are kept, not its arrays.
+        the recorded kernel is the plan's own SpMM kernel instance.  A
+        CELL plan is kept whole: its format is the structure every
+        re-value gathers into (:meth:`CELLFormat.revalue`).  Any other
+        plan keeps only its format's build arguments, not its arrays.
         """
         if plan.use_cell:
-            inc = plan.incremental
-            fmt_kwargs = {
-                "num_partitions": plan.num_partitions,
-                "max_widths": list(plan.max_widths) or None,
-                "block_multiple": inc.block_multiple if inc is not None else 2,
-            }
+            rebuild = plan.fmt.revalue
         else:
             block_shape = getattr(plan.fmt, "block_shape", None)
-            fmt_kwargs = {} if block_shape is None else {"block_shape": block_shape}
-        skeleton = dataclasses.replace(plan, fmt=None, kernel=None, incremental=None)
-        rec = (type(plan.fmt), fmt_kwargs, type(plan.kernel), skeleton)
-        _remember(self._structures, pattern, rec)
+            kwargs = {} if block_shape is None else {"block_shape": block_shape}
+            rebuild = functools.partial(type(plan.fmt).from_csr, **kwargs)
+            plan = dataclasses.replace(plan, fmt=None)
+        _remember(self._structures, pattern, (plan, rebuild))
 
     @staticmethod
     def _rebuild_structure(A: sp.csr_matrix, rec: tuple) -> ComposePlan:
-        """Refill a recorded geometry with ``A``'s values — the cheap
-        "re-value" path that skips selection, partitioning, and the
-        bucket-width search entirely (only the format arrays are built,
-        exactly as the original compose built them)."""
-        fmt_cls, fmt_kwargs, kernel_cls, skeleton = rec
+        """Refill a recorded plan with ``A``'s values -- the cheap
+        "re-value" path that skips selection, partitioning, the
+        bucket-width search and, for CELL, the build and kernel plan."""
+        plan, rebuild = rec
         tb = time.perf_counter()
-        fmt = fmt_cls.from_csr(A, **fmt_kwargs)
-        return dataclasses.replace(
-            skeleton,
-            fmt=fmt,
-            kernel=kernel_cls(),
-            max_widths=list(skeleton.max_widths),
-            overhead=OverheadBreakdown(0.0, 0.0, 0.0, time.perf_counter() - tb),
-        )
+        fmt = rebuild(A)
+        overhead = OverheadBreakdown(0.0, 0.0, 0.0, time.perf_counter() - tb)
+        return dataclasses.replace(plan, fmt=fmt, overhead=overhead)
 
     def _pick_device(self, exclude: set[int] | frozenset[int] = frozenset()) -> int:
         """Least-busy device whose breaker admits traffic.
@@ -867,8 +860,8 @@ class SpMMServer(ServingSurface):
         self._observe_compose(A.nnz, plan.overhead.total_s)
         m.compose_spent_s += plan.overhead.total_s
         if reuse_structure:
-            # Record before op binding so the recipe holds the plan's own
-            # SpMM kernel; later rebuilds re-bind per op.
+            # Record before op binding so the record holds the plan's own
+            # SpMM kernel; later re-values re-bind per op.
             self._record_structure(self._pattern(A, key), plan)
         return decided(self._bind_op(plan, A, op), PlanSource.COMPOSE)
 

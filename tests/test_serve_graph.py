@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LiteForm, generate_training_data
-from repro.kernels.sddmm import sddmm_reference
+from repro.formats.cell import CELLFormat
+from repro.kernels.cell_spmm import CELLSpMM
+from repro.kernels.sddmm import CELLSDDMM, sddmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
 from repro.obs import tracing
@@ -233,6 +235,35 @@ class TestStructuralReuse:
         assert m.cache_hits + m.plan_reuses + 1 == 6
         assert m.revalue_s >= 0.0
         assert resp.plan_reuses == m.plan_reuses
+
+    def test_revalues_share_one_plan_per_kernel(self, liteform, monkeypatch):
+        """Twenty same-pattern matrices with fresh values, each served as
+        an SDDMM and an SpMM: one compose, every other miss a re-value,
+        each kernel planned at most twice, one memo entry per kernel."""
+        calls = {CELLSpMM: 0, CELLSDDMM: 0}
+        for cls in calls:
+            def counted(self, fmt, width, _plan=cls.plan, _cls=cls):
+                calls[_cls] += 1
+                return _plan(self, fmt, width)
+
+            monkeypatch.setattr(cls, "plan", counted)
+        server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
+        A = power_law_graph(400, 6, seed=14)
+        H = _features(400, seed=14)
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            M = A.copy()
+            M.data = rng.random(A.nnz, dtype=np.float32) + 0.5
+            for op in ("sddmm", "spmm"):
+                resp = server.serve(OpRequest(
+                    matrix=M, B=H if op == "spmm" else None, J=16, op=op,
+                    operands=(H, H) if op == "sddmm" else None, reuse_structure=True,
+                ))
+                assert resp.ok and isinstance(resp.plan.fmt, CELLFormat)
+        m = server.metrics
+        assert (m.cache_misses, m.plan_reuses) == (40, 39)
+        assert calls[CELLSpMM] <= 2 and calls[CELLSDDMM] <= 2
+        assert set(resp.plan.fmt.kernel_memo) == {(CELLSpMM(), 16), (CELLSDDMM(), 16)}
 
     def test_reuse_is_bit_identical_to_fresh_server(self, liteform):
         A = power_law_graph(350, 5, seed=11)
