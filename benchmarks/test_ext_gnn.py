@@ -5,7 +5,7 @@ GNN epoch is a chain of device stages (SDDMM, SpMM) that all traverse the
 same adjacency pattern.  A naive op-level server recomposes per stage; the
 graph-serving stack composes the pattern ONCE — the first stage's miss
 runs the pipeline, every later stage either hits the plan cache outright
-or re-values the recorded geometry — so the amortized compose overhead is
+or re-values the resident same-pattern plan — so the amortized compose overhead is
 bounded by 1/num_stages of the per-stage recompose baseline.  The chained
 result stays bit-identical to a sequential un-batched execution of the
 same op requests.
@@ -42,6 +42,10 @@ GNN_SPEC = GNNWorkloadSpec(
 def epoch_replay(liteform):
     """Serve the multi-epoch trace through one graph-serving server."""
     graphs = generate_gnn_workload(GNN_SPEC)
+    # The first compose in a process runs cold and reads up to ~1.9x a warm
+    # one.  Pay it here, untimed and discarded, so the replay's one compose
+    # is timed warm like every compose of the naive sweep that follows.
+    liteform.compose(graphs[0].stages[0].matrix, GNN_SPEC.feature_dim)
     server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
     responses = [server.serve_graph(g) for g in graphs]
     return server, graphs, responses
@@ -78,7 +82,7 @@ def test_ext_gnn_compose_charged_once_per_pattern(benchmark, epoch_replay,
     # Deterministic counter form of the claim: every epoch shares one
     # adjacency pattern, so exactly ONE full pipeline compose ran across
     # the whole replay; every other device stage hit the cache or
-    # re-valued the recorded structure.
+    # re-valued a resident same-pattern plan.
     full_composes = m.cache_misses - m.plan_reuses
     assert full_composes == 1
     assert m.cache_hits + m.plan_reuses + full_composes == num_stages

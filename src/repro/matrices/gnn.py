@@ -107,9 +107,8 @@ class GNNWorkloadSpec:
       the adjacency per epoch, then per layer SpMM aggregation and dense
       update.  This variant exercises all three op kinds.
 
-    Every epoch shares the same adjacency pattern, so a server with
-    structural reuse enabled composes once per ``(A, op)`` and re-values
-    thereafter — the live-serving analogue of the paper's Figure 8
+    Every epoch shares the same adjacency pattern, so a server composes
+    once per pattern and re-values thereafter — the live-serving analogue of the paper's Figure 8
     amortization argument.
     """
 

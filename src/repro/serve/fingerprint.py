@@ -48,7 +48,7 @@ class MatrixFingerprint:
     #: The values-blind digest of the same matrix (what ``digest`` is with
     #: ``include_values=False``), taken from the same hashing pass; not
     #: part of the identity.
-    pattern: str | None = field(default=None, compare=False, repr=False)
+    pattern: str = field(compare=False, repr=False)
 
     @property
     def key(self) -> str:

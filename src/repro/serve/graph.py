@@ -14,12 +14,11 @@ earlier stage outputs).  :class:`GraphEngine` executes it through an
 
 * **device stages** (``spmm`` / ``sddmm`` / ``spmv``) become op-typed
   :class:`~repro.serve.server.OpRequest` traffic — each goes through the
-  plan cache keyed on ``(fingerprint, op, J)``, and with
-  ``reuse_structure`` (the default for graphs) a same-pattern miss
-  re-values the recorded composed structure instead of re-running the
-  pipeline, so stage outputs carrying fresh values (a normalized
-  adjacency is a new value-fingerprint every layer) cost only a gather
-  of their values into that shared structure;
+  plan cache keyed on ``(fingerprint, op, J)``, and a miss whose
+  sparsity pattern has a resident plan re-values that plan instead of
+  re-running the pipeline, so stage outputs carrying fresh values (a
+  normalized adjacency is a new value-fingerprint every layer) cost only
+  a gather of their values into the shared composed structure;
 * **local stages** (``normalize`` / ``dense``) run inline on the host —
   deterministic vectorized NumPy, so a chain replays bit-identically.
 
@@ -91,9 +90,9 @@ class GraphRequest:
     """A DAG of op stages served as one unit of traffic.
 
     Stages execute in list order; references must point backwards.
-    ``reuse_structure`` (default on) lets every device stage sharing A's
-    sparsity pattern reuse the one composed structure — the graph-serving
-    contract that makes compose cost per (A, op-set), not per stage.
+    Every device stage sharing A's sparsity pattern reuses the one
+    composed structure (the server's re-value path), so compose costs
+    one pipeline run per pattern, not one per stage.
     """
 
     stages: list[OpStage]
@@ -101,7 +100,6 @@ class GraphRequest:
     deadline_ms: float | None = None
     arrival_ms: float = 0.0
     ctx: TraceContext | None = None
-    reuse_structure: bool = True
 
 
 @dataclass
@@ -119,7 +117,7 @@ class GraphResponse:
     stages_total: int = 0
     device_stages: int = 0
     cache_hits: int = 0
-    #: Device stages served by the structural-reuse rebuild path.
+    #: Device stages served by re-valuing a resident same-pattern plan.
     plan_reuses: int = 0
     #: Composition overhead actually paid across the chain (wall clock).
     compose_overhead_s: float = 0.0
@@ -279,7 +277,6 @@ class GraphEngine:
             deadline_ms=graph.deadline_ms,
             ctx=ctx,
             op=stage.op,
-            reuse_structure=graph.reuse_structure,
         )
         if stage.op == "sddmm":
             U = np.asarray(self._resolve(stage.inputs[0], outputs))

@@ -195,10 +195,10 @@ class ServerMetrics(Scoreboard):
     #: against :attr:`compose_spent_s`.
     plan_reuses: int = _counter(
         "serve_graph_plan_reuses_total",
-        "Misses served by rebuilding a recorded composed geometry", fleet=True)
+        "Misses served by re-valuing a resident same-pattern plan", fleet=True)
     revalue_s: float = _counter(
         "serve_graph_revalue_seconds",
-        "Wall-clock seconds spent rebuilding recorded geometries", default=0.0)
+        "Wall-clock seconds spent re-valuing same-pattern plans", default=0.0)
     compose_spent_s: float = _counter(
         "serve_compose_spent_seconds", "Wall-clock seconds spent composing", default=0.0)
     #: Credited from each hit entry's recorded compose overhead.

@@ -5,6 +5,10 @@ The unit of accounting is the plan's *device footprint*
 budget models keeping hot formats resident.  Eviction is strict LRU; a
 plan larger than the whole budget is rejected outright (counted in
 ``rejected``) rather than thrashing the cache.
+
+The cache also indexes its resident keys by sparsity pattern
+(``key.fp.pattern``), so a miss can find a plan composed for the same
+pattern under other values, op or ``J`` (:meth:`PlanCache.newest_of_pattern`).
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ class PlanCache:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[PlanKey, CacheEntry]" = OrderedDict()
+        #: pattern digest -> its resident keys, oldest put first.
+        self._by_pattern: dict[str, dict[PlanKey, None]] = {}
         self.total_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -75,8 +81,24 @@ class PlanCache:
         eviction — the entry is being migrated, not discarded."""
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self.total_bytes -= entry.size_bytes
+            self._drop(entry)
         return entry
+
+    def newest_of_pattern(self, pattern: str) -> CacheEntry | None:
+        """The most recently put resident entry whose key has sparsity
+        pattern digest ``pattern`` (any values, op and ``J``), or None.
+        Like :meth:`peek`, it touches no counters and no LRU recency."""
+        keys = self._by_pattern.get(pattern)
+        return self._entries[next(reversed(keys))] if keys else None
+
+    def _drop(self, entry: CacheEntry) -> None:
+        """Account for ``entry`` having left ``_entries``."""
+        self.total_bytes -= entry.size_bytes
+        pattern = entry.key.fp.pattern
+        keys = self._by_pattern[pattern]
+        del keys[entry.key]
+        if not keys:
+            del self._by_pattern[pattern]
 
     # ------------------------------------------------------------------
     def get(self, key: PlanKey) -> CacheEntry | None:
@@ -98,22 +120,24 @@ class PlanCache:
             return False
         old = self._entries.pop(key, None)
         if old is not None:
-            self.total_bytes -= old.size_bytes
+            self._drop(old)
         # Evict *before* inserting: the fresh entry is never an eviction
         # candidate (it fits alone, per the budget check above), so the
         # loop needs no invariant assertion and stays correct under -O.
         while self._entries and self.total_bytes + size > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
-            self.total_bytes -= evicted.size_bytes
+            self._drop(evicted)
             self.evictions += 1
         self._entries[key] = CacheEntry(
             key=key, plan=plan, size_bytes=size, compose_overhead_s=compose_overhead_s
         )
+        self._by_pattern.setdefault(key.fp.pattern, {})[key] = None
         self.total_bytes += size
         return True
 
     def clear(self) -> None:
         self._entries.clear()
+        self._by_pattern.clear()
         self.total_bytes = 0
 
     # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Per request the server (1) canonicalizes and fingerprints the matrix
 into a :class:`~repro.serve.fingerprint.PlanKey` ``(fingerprint, op, J)``,
 (2) acquires a plan from the first :class:`PlanSource` that applies —
-the plan cache, the format bandit, a recorded same-pattern geometry, a
-speculative CSR fallback, admission control's degraded CSR plan, or a
-full ``LiteForm.compose_csr`` — and (3) executes it on the least-loaded
+the plan cache, the format bandit, a resident same-pattern plan
+re-valued with the request's values, a speculative CSR fallback,
+admission control's degraded CSR plan, or a full
+``LiteForm.compose_csr`` — and (3) executes it on the least-loaded
 device of a homogeneous pool (the same shortest-queue idea
 :mod:`repro.gpu.multi` uses for shard placement, applied across requests
 instead of within one).  :meth:`SpMMServer.serve_batch` does the same
@@ -36,7 +37,6 @@ budget left.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -52,6 +52,7 @@ from repro.formats.base import VALUE_DTYPE, as_csr
 from repro.formats.csr import CSRFormat
 from repro.gpu.device import DeviceLostError, SimulatedDevice, SimulatedOOMError
 from repro.gpu.stats import Measurement
+from repro.kernels.cell_spmm import CELLSpMM
 from repro.kernels.registry import kernel_for_op
 from repro.kernels.sddmm import CSRSDDMM
 from repro.obs import TraceContext, get_tracer
@@ -61,9 +62,7 @@ from repro.serve.metrics import ServerMetrics
 from repro.serve.plan_cache import CacheEntry, PlanCache
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
 
-#: Entries each per-server memo keeps (bounded FIFO): same-pattern
-#: composed plans for the structural-reuse ("re-value") path, and plan
-#: keys whose bandit arm plans are memoized.
+#: Plan keys whose bandit arm plans the server memoizes (bounded FIFO).
 _MEMO_LIMIT = 512
 
 #: Smoothing factor of the per-nnz composition-cost estimate.
@@ -74,15 +73,6 @@ BREAKER_THRESHOLD = 3
 
 #: Seconds an open breaker waits before admitting a probe request.
 BREAKER_COOLDOWN_S = 1.0
-
-
-def _remember(memo: OrderedDict, key, value) -> None:
-    """Insert ``key`` as the newest entry of ``memo``, evicting the oldest
-    entries beyond :data:`_MEMO_LIMIT`."""
-    memo[key] = value
-    memo.move_to_end(key)
-    while len(memo) > _MEMO_LIMIT:
-        memo.popitem(last=False)
 
 
 class ResponseStatus(str, Enum):
@@ -110,7 +100,8 @@ class PlanSource(str, Enum):
     HIT = "hit"
     #: Miss: the bandit's chosen arm, built directly.
     BANDIT = "bandit"
-    #: Miss: a recorded same-pattern geometry refilled with new values.
+    #: Miss: a resident plan of the same sparsity pattern, re-valued with
+    #: the request's values.
     REVALUE = "revalue"
     #: Miss: the CSR fallback while the full plan composes in background.
     SPECULATIVE = "speculative"
@@ -161,13 +152,6 @@ class OpRequest:
     op: str = "spmm"
     #: SDDMM dense pair ``(U, V)``; None for spmm/spmv.
     operands: tuple[np.ndarray, np.ndarray] | None = None
-    #: On a cache miss, allow serving a *same-pattern* matrix by re-valuing
-    #: the plan recorded from an earlier full compose (selection,
-    #: partitioning, width search, the CELL build and kernel plan are
-    #: skipped; the values are gathered into the recorded structure).  This
-    #: is what lets a GNN chain pay one compose per (A, op-set) even though
-    #: stage outputs carry fresh values.
-    reuse_structure: bool = False
 
 
 @dataclass
@@ -240,7 +224,7 @@ class OpResponse:
 
     @property
     def plan_reused(self) -> bool:
-        """A miss served by refilling a recorded same-pattern geometry."""
+        """A miss served by re-valuing a resident same-pattern plan."""
         return self.plan_source is PlanSource.REVALUE
 
 
@@ -407,9 +391,6 @@ class SpMMServer(ServingSurface):
         self._pending: deque[tuple[int, OpRequest, tuple | None]] = deque()
         #: key -> (background compose future, matrix nnz, canonical CSR).
         self._inflight: dict[PlanKey, tuple[Future, int, sp.csr_matrix]] = {}
-        #: pattern digest -> (recorded plan, re-value function); bounded
-        #: FIFO of :data:`_MEMO_LIMIT`.
-        self._structures: "OrderedDict[str, tuple]" = OrderedDict()
         #: Keys whose cache entry holds a structurally-OOM-degraded CSR
         #: plan: background swaps must never overwrite it.
         self._oom_pinned: set[PlanKey] = set()
@@ -511,42 +492,22 @@ class SpMMServer(ServingSurface):
             )
         return plan
 
-    # -- structural reuse ("re-value") ----------------------------------
-    @staticmethod
-    def _pattern(A: sp.csr_matrix, key: PlanKey) -> str:
-        """``A``'s pattern-only digest: carried by keys from
-        :func:`fingerprint_csr`, recomputed for hand-built fingerprints."""
-        return key.fp.pattern or fingerprint_csr(A, include_values=False).digest
+    def _revalue(self, plan: ComposePlan, A: sp.csr_matrix, J: int) -> ComposePlan:
+        """Restart a resident plan of ``A``'s sparsity pattern from its
+        SpMM kernel with ``A``'s values (the caller binds the op).
 
-    def _record_structure(self, pattern: str, plan: ComposePlan) -> None:
-        """Remember a full compose under the matrix's *pattern* digest so
-        later same-pattern misses can re-value it cheaply.
-
-        Must be called with the raw composed plan (before op binding) so
-        the recorded kernel is the plan's own SpMM kernel instance.  A
-        CELL plan is kept whole: its format is the structure every
-        re-value gathers into (:meth:`CELLFormat.revalue`).  Any other
-        plan keeps only its format's build arguments, not its arrays.
+        The cheap "re-value" path: selection, partitioning and the
+        bucket-width search are skipped.  A CELL plan gathers ``A``'s
+        values into its shared structure (:meth:`CELLFormat.revalue`),
+        whose kernel memo the equal ``CELLSpMM()`` hits; a fixed-format
+        plan rebuilds its arm's format in one pass.
         """
-        if plan.use_cell:
-            rebuild = plan.fmt.revalue
-        else:
-            block_shape = getattr(plan.fmt, "block_shape", None)
-            kwargs = {} if block_shape is None else {"block_shape": block_shape}
-            rebuild = functools.partial(type(plan.fmt).from_csr, **kwargs)
-            plan = dataclasses.replace(plan, fmt=None)
-        _remember(self._structures, pattern, (plan, rebuild))
-
-    @staticmethod
-    def _rebuild_structure(A: sp.csr_matrix, rec: tuple) -> ComposePlan:
-        """Refill a recorded plan with ``A``'s values -- the cheap
-        "re-value" path that skips selection, partitioning, the
-        bucket-width search and, for CELL, the build and kernel plan."""
-        plan, rebuild = rec
+        if not plan.use_cell:
+            return build_arm_plan(self.liteform, A, J, plan_arm(plan))
         tb = time.perf_counter()
-        fmt = rebuild(A)
+        fmt = plan.fmt.revalue(A)
         overhead = OverheadBreakdown(0.0, 0.0, 0.0, time.perf_counter() - tb)
-        return dataclasses.replace(plan, fmt=fmt, overhead=overhead)
+        return dataclasses.replace(plan, fmt=fmt, kernel=CELLSpMM(), overhead=overhead)
 
     def _pick_device(self, exclude: set[int] | frozenset[int] = frozenset()) -> int:
         """Least-busy device whose breaker admits traffic.
@@ -737,10 +698,12 @@ class SpMMServer(ServingSurface):
 
     def _arm_plan(self, A: sp.csr_matrix, key: PlanKey, arm: str) -> ComposePlan:
         """The op-bound plan of one bandit arm for ``key``, built once."""
-        per_key = self._bandit_plans.get(key)
+        memo = self._bandit_plans
+        per_key = memo.get(key)
         if per_key is None:
-            per_key = {}
-            _remember(self._bandit_plans, key, per_key)
+            per_key = memo[key] = {}
+            while len(memo) > _MEMO_LIMIT:
+                memo.popitem(last=False)
         plan = per_key.get(arm)
         if plan is None:
             with get_tracer().span("bandit_build", arm=arm, nnz=A.nnz):
@@ -773,7 +736,6 @@ class SpMMServer(ServingSurface):
         t0: float,
         deadline_ms: float | None,
         force_degrade: bool = False,
-        reuse_structure: bool = False,
     ) -> PlanDecision:
         """Acquire the plan for ``key``, trying each :class:`PlanSource` in
         order; shared by the single-request and batched paths.
@@ -820,14 +782,13 @@ class SpMMServer(ServingSurface):
         m.cache_misses += 1
         if arm is not None:
             return decided(self._arm_plan(A, key, arm), PlanSource.BANDIT)
-        if reuse_structure and not force_degrade:
-            rec = self._structures.get(self._pattern(A, key))
-            if rec is not None:
-                with tracer.span("revalue", op=op, nnz=A.nnz):
-                    plan = self._bind_op(self._rebuild_structure(A, rec), A, op)
-                m.plan_reuses += 1
-                m.revalue_s += plan.overhead.total_s
-                return decided(plan, PlanSource.REVALUE)
+        same = None if force_degrade else self.cache.newest_of_pattern(key.fp.pattern)
+        if same is not None:
+            with tracer.span("revalue", op=op, nnz=A.nnz):
+                plan = self._bind_op(self._revalue(same.plan, A, key.J), A, op)
+            m.plan_reuses += 1
+            m.revalue_s += plan.overhead.total_s
+            return decided(plan, PlanSource.REVALUE)
         if self.speculative and not force_degrade:
             with tracer.span("speculative_build", nnz=A.nnz, pinned=pinned):
                 plan = self._fallback_plan(A, op)
@@ -859,10 +820,6 @@ class SpMMServer(ServingSurface):
             plan = self.liteform.compose_csr(A, key.J)
         self._observe_compose(A.nnz, plan.overhead.total_s)
         m.compose_spent_s += plan.overhead.total_s
-        if reuse_structure:
-            # Record before op binding so the record holds the plan's own
-            # SpMM kernel; later re-values re-bind per op.
-            self._record_structure(self._pattern(A, key), plan)
         return decided(self._bind_op(plan, A, op), PlanSource.COMPOSE)
 
     def _complete(
@@ -1027,9 +984,7 @@ class SpMMServer(ServingSurface):
                 if request.deadline_ms is None
                 else request.deadline_ms - queue_wait_ms
             )
-            decision = self._acquire_plan(
-                A, key, t0, deadline_ms, force_degrade, request.reuse_structure
-            )
+            decision = self._acquire_plan(A, key, t0, deadline_ms, force_degrade)
             trace_id = ctx.trace_id if ctx is not None else None
             (response,) = self._complete(
                 [request], [queue_wait_ms], [trace_id], A, key, decision, req_span, shed=shed
@@ -1124,8 +1079,7 @@ class SpMMServer(ServingSurface):
                 if r.deadline_ms is not None
             ]
             deadline_ms = min(deadlines) if deadlines else None
-            reuse = any(r.reuse_structure for r in requests)
-            decision = self._acquire_plan(A, key, t0, deadline_ms, reuse_structure=reuse)
+            decision = self._acquire_plan(A, key, t0, deadline_ms)
             return self._complete(requests, waits, trace_ids, A, key, decision, batch_span)
 
     # ------------------------------------------------------------------

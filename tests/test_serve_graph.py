@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core import LiteForm, generate_training_data
 from repro.formats.cell import CELLFormat
 from repro.kernels.cell_spmm import CELLSpMM
+from repro.kernels.registry import kernel_for_op
 from repro.kernels.sddmm import CELLSDDMM, sddmm_reference
 from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.matrices.gnn import GNNWorkloadSpec, generate_gnn_workload
@@ -238,8 +239,11 @@ class TestStructuralReuse:
 
     def test_revalues_share_one_plan_per_kernel(self, liteform, monkeypatch):
         """Twenty same-pattern matrices with fresh values, each served as
-        an SDDMM and an SpMM: one compose, every other miss a re-value,
-        each kernel planned at most twice, one memo entry per kernel."""
+        an SDDMM, an SpMV and an SpMM: one compose, every other miss a
+        re-value byte-equal to a fresh compose, each (kernel, width)
+        planned at most twice, one memo entry per (kernel, width).  Each
+        SpMV re-values the SDDMM entry before it, so it must restart from
+        the SpMM kernel, not run the entry's SDDMM kernel."""
         calls = {CELLSpMM: 0, CELLSDDMM: 0}
         for cls in calls:
             def counted(self, fmt, width, _plan=cls.plan, _cls=cls):
@@ -250,20 +254,34 @@ class TestStructuralReuse:
         server = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
         A = power_law_graph(400, 6, seed=14)
         H = _features(400, seed=14)
+        operand = {"sddmm": (H, H), "spmv": H[:, :1], "spmm": H}
         rng = np.random.default_rng(14)
+        revalued = []
         for _ in range(20):
             M = A.copy()
             M.data = rng.random(A.nnz, dtype=np.float32) + 0.5
-            for op in ("sddmm", "spmm"):
+            for op in ("sddmm", "spmv", "spmm"):
                 resp = server.serve(OpRequest(
-                    matrix=M, B=H if op == "spmm" else None, J=16, op=op,
-                    operands=(H, H) if op == "sddmm" else None, reuse_structure=True,
+                    matrix=M, B=None if op == "sddmm" else operand[op],
+                    J=1 if op == "spmv" else 16, op=op,
+                    operands=operand[op] if op == "sddmm" else None,
                 ))
                 assert resp.ok and isinstance(resp.plan.fmt, CELLFormat)
+                if resp.plan_reused:
+                    revalued.append((M, op, resp.C))
         m = server.metrics
-        assert (m.cache_misses, m.plan_reuses) == (40, 39)
-        assert calls[CELLSpMM] <= 2 and calls[CELLSDDMM] <= 2
-        assert set(resp.plan.fmt.kernel_memo) == {(CELLSpMM(), 16), (CELLSDDMM(), 16)}
+        assert (m.cache_misses, m.plan_reuses, len(revalued)) == (60, 59, 59)
+        assert calls[CELLSpMM] <= 4 and calls[CELLSDDMM] <= 2
+        assert set(resp.plan.fmt.kernel_memo) == {
+            (CELLSpMM(), 16), (CELLSpMM(), 1), (CELLSDDMM(), 16)
+        }
+        for M, op, C in revalued:
+            fresh = liteform.compose_csr(M, 16)
+            kernel = kernel_for_op(fresh.fmt, op) or fresh.kernel
+            expected, _ = kernel.run(fresh.fmt, operand[op], liteform.device)
+            if op == "sddmm":
+                C, expected = C.toarray(), expected.toarray()
+            assert C.tobytes() == expected.tobytes(), op
 
     def test_reuse_is_bit_identical_to_fresh_server(self, liteform):
         A = power_law_graph(350, 5, seed=11)
@@ -274,12 +292,11 @@ class TestStructuralReuse:
         )
         g = GraphRequest(name="two", stages=stages)
         warm = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
-        cold = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
+        # a one-byte cache rejects every put: every stage re-composes
+        cold = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1))
         r1 = warm.serve_graph(g)
         assert warm.metrics.plan_reuses > 0
-        # disable reuse entirely: every stage re-composes from scratch
-        g2 = GraphRequest(name="two", stages=stages, reuse_structure=False)
-        r2 = cold.serve_graph(g2)
+        r2 = cold.serve_graph(g)
         assert cold.metrics.plan_reuses == 0
         assert np.array_equal(r1.output, r2.output)
 

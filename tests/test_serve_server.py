@@ -12,7 +12,9 @@ from repro.matrices import SuiteSparseLikeCollection, power_law_graph
 from repro.obs import tracing
 from repro.serve import (
     FormatBandit,
+    GraphRequest,
     OpRequest,
+    OpStage,
     PlanCache,
     PlanSource,
     Scheduler,
@@ -31,12 +33,10 @@ def server(liteform):
     return SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
 
 
-def _request(seed=1, n=400, J=32, deadline_ms=None, reuse_structure=False):
+def _request(seed=1, n=400, J=32, deadline_ms=None):
     A = power_law_graph(n, 6, seed=seed)
     B = np.random.default_rng(seed).standard_normal((A.shape[1], J)).astype(np.float32)
-    return OpRequest(
-        matrix=A, B=B, J=J, deadline_ms=deadline_ms, reuse_structure=reuse_structure
-    )
+    return OpRequest(matrix=A, B=B, J=J, deadline_ms=deadline_ms)
 
 
 class TestCaching:
@@ -270,7 +270,7 @@ def _armed_for(source, liteform):
             else None
         ),
     )
-    req = _request(seed=21, reuse_structure=source is PlanSource.REVALUE)
+    req = _request(seed=21)
     if source in (PlanSource.HIT, PlanSource.BANDIT, PlanSource.REVALUE):
         server.serve(req)
     if source is PlanSource.BANDIT:
@@ -278,7 +278,7 @@ def _armed_for(source, liteform):
     elif source is PlanSource.REVALUE:
         A = req.matrix.copy()
         A.data = A.data * np.float32(2.0)  # same pattern, new values
-        req = OpRequest(matrix=A, B=req.B, J=req.J, reuse_structure=True)
+        req = OpRequest(matrix=A, B=req.B, J=req.J)
     elif source is PlanSource.DEGRADED:
         server.serve(_request(seed=22))  # history for the compose estimate
         req.deadline_ms = 1e-9
@@ -327,9 +327,9 @@ class TestPlanSource:
         for i in range(18):
             step = i // 3  # three same-key arrivals per step fuse into one launch
             if step < 4:  # compose x3, then a hit
-                req = _request(seed=30 + step % 3, reuse_structure=True)
+                req = _request(seed=30 + step % 3)
             elif step == 4:  # same pattern as seed 31, new values: re-value
-                req = _request(seed=31, reuse_structure=True)
+                req = _request(seed=31)
                 req.matrix = req.matrix.copy()
                 req.matrix.data = req.matrix.data * np.float32(3.0)
             else:  # new matrix, deadline below any compose estimate: degraded
@@ -361,3 +361,49 @@ class TestPlanSource:
                 PlanSource.DEGRADED: 1,
                 PlanSource.COMPOSE: 3,
             }
+
+
+class TestRevalueFromCache:
+    """A same-pattern miss re-values a resident cache entry: the structure
+    travels with cluster handoffs and leaves with evictions."""
+
+    @staticmethod
+    def _serve_stage(server, req, scale=1.0):
+        """Serve ``req``'s matrix, values scaled, as a one-stage graph."""
+        A = req.matrix.copy()
+        A.data = A.data * np.float32(scale)
+        stage = OpStage(name="agg", op="spmm", matrix=A, inputs=(req.B,))
+        resp = server.serve_graph(GraphRequest(stages=[stage])).responses["agg"]
+        np.testing.assert_allclose(
+            resp.C, spmm_reference(A, req.B), rtol=1e-4, atol=1e-4
+        )
+        return resp
+
+    def test_adopted_plan_is_revalued(self, liteform):
+        donor, receiver = (
+            SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=1 << 30))
+            for _ in range(2)
+        )
+        req = _request(seed=50)
+        self._serve_stage(donor, req)
+        (entry,) = donor.cache.entries()
+        assert receiver.adopt(entry, donor)
+        resp = self._serve_stage(receiver, req, scale=2.0)
+        assert resp.plan_source is PlanSource.REVALUE
+        assert receiver.metrics.compose_spent_s == 0.0
+
+    def test_evicted_pattern_composes_again(self, liteform, server):
+        req, other = _request(seed=51), _request(seed=52, n=500)
+        sizes = [self._serve_stage(server, r).plan.fmt.footprint_bytes
+                 for r in (req, other)]
+        # Either plan fits alone, both do not: the second put evicts the first.
+        small = SpMMServer(liteform=liteform, cache=PlanCache(max_bytes=max(sizes)))
+        first = self._serve_stage(small, req)
+        self._serve_stage(small, other)
+        assert small.cache.evictions == 1
+        assert small.cache.newest_of_pattern(first.key.fp.pattern) is None
+        indexed = {k for keys in small.cache._by_pattern.values() for k in keys}
+        assert indexed == set(small.cache.keys()) and first.key not in indexed
+        resp = self._serve_stage(small, req, scale=2.0)
+        assert resp.plan_source is PlanSource.COMPOSE
+        assert small.metrics.plan_reuses == 0
