@@ -78,6 +78,19 @@ class TestCaching:
             second.C, spmm_reference(A2, B), rtol=1e-4, atol=1e-4
         )
 
+    def test_in_place_value_change_after_hits_misses(self, server):
+        """A re-submitted matrix is compared with a copy of its bytes, so a
+        value changed in place after several hits gets a new plan."""
+        req = _request(seed=8)
+        hits = [server.serve(req).cache_hit for _ in range(3)]
+        assert hits == [False, True, True]
+        req.matrix.data[len(req.matrix.data) // 2] += 10.0
+        changed = server.serve(req)
+        assert not changed.cache_hit and server.metrics.cache_misses == 2
+        np.testing.assert_allclose(
+            changed.C, spmm_reference(req.matrix, req.B), rtol=1e-4, atol=1e-4
+        )
+
     def test_hit_credits_composition_time_saved(self, server):
         req = _request(seed=4)
         miss = server.serve(req)
